@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
@@ -261,14 +262,15 @@ def cmd_scan(job: dict, schema: dict) -> int:
     spec = _load_curve(job["curve"], schema)
     grid_floats = _grid(job["from"], job["to"], job["samples"])
     grid = [as_scalar(s) for s in grid_floats]
-    jobs = job.get("jobs", 1)
-    if jobs > 1 and len(grid) > 1:
-        chunk_size = (len(grid) + jobs - 1) // jobs
+    # One worker per chunk, never more workers than samples or CPUs.
+    workers = min(job.get("jobs", 1), len(grid), os.cpu_count() or 1)
+    if workers > 1:
+        chunk_size = (len(grid) + workers - 1) // workers
         chunks = [grid[k : k + chunk_size] for k in range(0, len(grid), chunk_size)]
         # Probe the first sample serially so domain and validation errors
         # surface with clean exit codes instead of a pool traceback.
         _criterion.scan_curve(spec, sigma, grid[:1])
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts = [
                 _criterion.Verdict(name)
                 for part in pool.map(_scan_chunk, [(spec, sigma, c) for c in chunks])

@@ -78,6 +78,13 @@ _POSITIVE_VERDICTS = frozenset(
     {Verdict.POSITIVE_PAIR_BY_LEMMA, Verdict.POSITIVE_PAIR_BY_MIRRORED_LEMMA}
 )
 
+_VERDICTS = {
+    MonotonicityClass.STRICTLY_DECREASING: Verdict.POSITIVE_PAIR_BY_LEMMA,
+    MonotonicityClass.STRICTLY_INCREASING: Verdict.POSITIVE_PAIR_BY_MIRRORED_LEMMA,
+    MonotonicityClass.HAS_TIES: Verdict.DEGENERATE_TIES,
+    MonotonicityClass.NON_MONOTONE: Verdict.INCONCLUSIVE_NON_MONOTONE,
+}
+
 
 @dataclass(frozen=True)
 class CriterionReport:
@@ -157,24 +164,15 @@ def convexity_criterion(
     report = self_intersects(diagram)
     positivity = pointwise_positive(diagram)
 
-    if monotonicity is MonotonicityClass.STRICTLY_DECREASING:
-        if not report.simple:
-            raise LemmaViolation(
-                f"decreasing slopes but self-intersecting curve: {sigma}, "
-                f"a={diagram.lengths}, b={diagram.heights}, witness={report.witness}"
-            )
-        verdict = Verdict.POSITIVE_PAIR_BY_LEMMA
-    elif monotonicity is MonotonicityClass.STRICTLY_INCREASING:
-        if not report.simple:
-            raise LemmaViolation(
-                f"increasing slopes but self-intersecting curve: {sigma}, "
-                f"a={diagram.lengths}, b={diagram.heights}, witness={report.witness}"
-            )
-        verdict = Verdict.POSITIVE_PAIR_BY_MIRRORED_LEMMA
-    elif monotonicity is MonotonicityClass.HAS_TIES:
-        verdict = Verdict.DEGENERATE_TIES
-    else:
-        verdict = Verdict.INCONCLUSIVE_NON_MONOTONE
+    verdict = _VERDICTS[monotonicity]
+    if verdict in _POSITIVE_VERDICTS and not report.simple:
+        direction = (
+            "decreasing" if monotonicity is MonotonicityClass.STRICTLY_DECREASING else "increasing"
+        )
+        raise LemmaViolation(
+            f"{direction} slopes but self-intersecting curve: {sigma}, "
+            f"a={diagram.lengths}, b={diagram.heights}, witness={report.witness}"
+        )
 
     return CriterionReport(
         monotonicity=monotonicity,

@@ -8,10 +8,14 @@ their union is a closed curve.  When that curve is simple it bounds a polygon
 whose vertical flow suspends the exchange, and the per-interval return time of
 that flow is the profile L = Omega b^T.
 
-Everything here is decided in exact rational arithmetic.  The all-pairs
-intersection test first rescales every vertex to a common denominator and runs
-the orientation tests in plain integers; a witness, if any, is re-derived on
-the original coordinates.  No epsilon appears anywhere.
+Everything here is decided in exact rational arithmetic.  Every a_i is
+positive, so both chains are strictly x-monotone, and the intersection test
+only compares top and bottom segments whose closed x-ranges meet: a window
+over the bottom chain that two pointers advance left to right, about 3d pairs
+in all.  It rescales every vertex to a common denominator and runs the
+orientation tests in plain integers; a witness, if any, is re-derived on the
+original coordinates.  The return profile is likewise summed in integers
+scaled to the common denominator of the heights.  No epsilon appears anywhere.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence, Union
 
 from .errors import DegenerateSegment, DimensionMismatch
-from .iet import ScalarLike, _checked_lengths, _partial_sums, as_scalar
+from .iet import ScalarLike, _checked_lengths, as_scalar
 from .perm import Permutation, omega
 
 __all__ = [
@@ -130,24 +135,22 @@ def _checked_heights(sigma: Permutation, b: Sequence[ScalarLike]) -> tuple[Fract
 def return_time_profile(sigma: Permutation, b: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
     """The vector Omega b^T of per-interval return times.
 
-    Computed both from the matrix and as y_i - y'_{sigma(i)} with y, y' the
-    partial sums of b in identity and exchanged order; the two must agree.
+    Computed as y_i - y'_{sigma(i)} with y, y' the partial sums of b in
+    identity and exchanged order, in integers scaled to the common denominator
+    of b; the matrix product Omega b^T must agree with it in the same integers.
 
     >>> from ietkit.perm import validate_permutation
     >>> return_time_profile(validate_permutation([3, 2, 1]), [1, 0, -1])
     (Fraction(1, 1), Fraction(2, 1), Fraction(1, 1))
     """
     heights = _checked_heights(sigma, b)
-    d = sigma.d
-    om = omega(sigma)
-    by_matrix = tuple(
-        sum((om.entries[i][j] * heights[j] for j in range(d)), Fraction(0)) for i in range(d)
-    )
-    y = _partial_sums(heights)
-    y_ex = _partial_sums([heights[sigma.inverse[j] - 1] for j in range(d)])
-    by_sums = tuple(y[i] - y_ex[sigma(i + 1) - 1] for i in range(d))
-    assert by_matrix == by_sums
-    return by_matrix
+    denom = math.lcm(*(h.denominator for h in heights))
+    scaled = [h.numerator * (denom // h.denominator) for h in heights]
+    y = list(accumulate(scaled))
+    y_ex = list(accumulate(scaled[s - 1] for s in sigma.inverse))
+    by_sums = [y[i] - y_ex[sigma(i + 1) - 1] for i in range(sigma.d)]
+    assert by_sums == [sum(e * v for e, v in zip(row, scaled)) for row in omega(sigma).entries]
+    return tuple(Fraction(v, denom) for v in by_sums)
 
 
 def _sign(value: Fraction) -> int:
@@ -251,7 +254,10 @@ def _scaled_chains(diagram: SuspensionDiagram) -> tuple[list[tuple[int, int]], l
         *(c.denominator for pt in diagram.top_chain for c in pt),
         *(c.denominator for pt in diagram.bottom_chain for c in pt),
     )
-    scale = lambda pts: [(int(x * denom), int(y * denom)) for x, y in pts]  # noqa: E731
+    scale = lambda pts: [  # noqa: E731
+        (x.numerator * (denom // x.denominator), y.numerator * (denom // y.denominator))
+        for x, y in pts
+    ]
     return scale(diagram.top_chain), scale(diagram.bottom_chain)
 
 
@@ -264,45 +270,53 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
     other touch, any proper crossing, and any collinear overlap defeats
     simplicity; the first offending pair (in top-then-bottom, left-to-right
     order) is reported with its exact locus.
+
+    Precondition: both chains are strictly x-monotone, which holds for every
+    diagram from ``build_suspension`` because every a_i is positive.  Then
+    two segments of one chain meet only at a shared vertex, and a top and a
+    bottom segment can meet only if their closed x-ranges do.  So top segment
+    i is compared with the window of bottom segments over [x_{i-1}, x_i],
+    which two pointers advance; about 3d pairs are examined instead of
+    d(2d-1), and the first offender is the same pair.
     """
     d = diagram.d
     top, bottom = _scaled_chains(diagram)
-    # Segments as (chain name, 1-based index, vertex list) with scaled coords.
-    segs = [("top", i, top) for i in range(1, d + 1)] + [
-        ("bottom", i, bottom) for i in range(1, d + 1)
-    ]
     start = top[0]
     end = top[d]
 
-    def allowed(rel: SegmentRelation, ca: str, ia: int, cb: str, ib: int) -> bool:
+    def allowed(rel: SegmentRelation, i: int, j: int) -> bool:
         if rel.classification is SegmentClass.DISJOINT:
             return True
         if rel.classification is not SegmentClass.ENDPOINT_TOUCH:
             return False
-        if ca == cb and abs(ia - ib) == 1:
-            shared = (top if ca == "top" else bottom)[max(ia, ib) - 1]
-            return rel.locus == shared
-        if ca != cb and ia == 1 and ib == 1:
+        if i == 1 and j == 1:
             return rel.locus == start
-        if ca != cb and ia == d and ib == d:
+        if i == d and j == d:
             return rel.locus == end
         return False
 
-    for u in range(len(segs)):
-        ca, ia, pts_a = segs[u]
-        for v in range(u + 1, len(segs)):
-            cb, ib, pts_b = segs[v]
-            rel = segment_relation(pts_a[ia - 1], pts_a[ia], pts_b[ib - 1], pts_b[ib])
-            if allowed(rel, ca, ia, cb, ib):
+    # Bottom segments lo..hi are those whose closed x-range meets that of top
+    # segment i: the first with right end >= x_{i-1}, the last with left end
+    # <= x_i.  Both bounds only move right as i grows.
+    lo, hi = 1, 0
+    for i in range(1, d + 1):
+        x0, x1 = top[i - 1][0], top[i][0]
+        while bottom[lo][0] < x0:
+            lo += 1
+        while hi < d and bottom[hi][0] <= x1:
+            hi += 1
+        for j in range(lo, hi + 1):
+            rel = segment_relation(top[i - 1], top[i], bottom[j - 1], bottom[j])
+            if allowed(rel, i, j):
                 continue
             # Re-derive the witness on the original (unscaled) coordinates.
             exact = segment_relation(
-                diagram.top_chain[ia - 1] if ca == "top" else diagram.bottom_chain[ia - 1],
-                diagram.top_chain[ia] if ca == "top" else diagram.bottom_chain[ia],
-                diagram.top_chain[ib - 1] if cb == "top" else diagram.bottom_chain[ib - 1],
-                diagram.top_chain[ib] if cb == "top" else diagram.bottom_chain[ib],
+                diagram.top_chain[i - 1],
+                diagram.top_chain[i],
+                diagram.bottom_chain[j - 1],
+                diagram.bottom_chain[j],
             )
-            return IntersectionReport(False, Witness(ca, ia, cb, ib, exact))
+            return IntersectionReport(False, Witness("top", i, "bottom", j, exact))
     return IntersectionReport(True, None)
 
 

@@ -200,6 +200,52 @@ def test_scan_jobs_matches_serial(capsys, tmp_path):
     assert serial == parallel
 
 
+@pytest.fixture()
+def scan_pools(monkeypatch):
+    """Replace the scan's process pool by an in-process one; each pool made
+    appends (max_workers, number of chunks mapped) to the returned list."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            pools.append((self.max_workers, len(chunks)))
+            return map(fn, chunks)
+
+    monkeypatch.setattr("ietkit.cli.ProcessPoolExecutor", InProcessPool)
+    return pools
+
+
+@pytest.mark.parametrize(
+    "samples, cpus, pools",
+    [
+        (2, 4, [(2, 2)]),  # capped by the samples
+        (5, 2, [(2, 2)]),  # capped by the CPUs
+        (5, 1, []),  # one CPU: serial, no pool
+        (5, None, []),  # CPU count unknown: serial, no pool
+    ],
+)
+def test_scan_workers_are_bounded(capsys, tmp_path, monkeypatch, scan_pools, samples, cpus, pools):
+    curve = write_power_curve(tmp_path, 3)
+    args = ["scan", "--perm", "3,2,1", "--curve", curve,
+            "--from", "0.5", "--to", "4", "--samples", str(samples)]
+    _, serial, _ = run_cli(capsys, *args)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    code, parallel, _ = run_cli(capsys, *args, "--jobs", "3")
+    assert code == 0
+    assert parallel == serial
+    assert scan_pools == pools
+
+
 def test_scan_lists_exceptional_samples(capsys, tmp_path):
     # widths (s, s): tied slopes whenever the derivative heights tie too
     path = tmp_path / "ties.json"

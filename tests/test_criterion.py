@@ -7,9 +7,13 @@ import pytest
 
 from ietkit import (
     CurveSpec,
+    IntersectionReport,
     MonotonicityClass,
     PositivityClass,
+    SegmentClass,
+    SegmentRelation,
     Verdict,
+    Witness,
     convexity_criterion,
     curve_point,
     curve_spec,
@@ -24,6 +28,7 @@ from ietkit.errors import (
     DomainViolation,
     InvalidBound,
     InvalidSize,
+    LemmaViolation,
     NonPositiveLength,
     NonPositiveParameter,
     ReduciblePermutation,
@@ -111,6 +116,25 @@ def test_positive_verdicts_never_report_mixed_profile_as_certificate():
     )
     assert report.verdict is Verdict.POSITIVE_PAIR_BY_LEMMA
     assert report.positivity is PositivityClass.MIXED
+
+
+@pytest.mark.parametrize(
+    "decreasing, verdict",
+    [(True, Verdict.POSITIVE_PAIR_BY_LEMMA), (False, Verdict.POSITIVE_PAIR_BY_MIRRORED_LEMMA)],
+)
+def test_lemma_violation_is_raised_for_a_monotone_curve_that_is_not_simple(
+    monkeypatch, decreasing, verdict
+):
+    sigma, a, b = monotone_instance(random.Random(f"{SEED}/lemma-violation"), decreasing=decreasing)
+    assert convexity_criterion(sigma, a, b).verdict is verdict
+    crossing = SegmentRelation(SegmentClass.PROPER_CROSSING, (F(1), F(0)))
+    monkeypatch.setattr(
+        "ietkit.criterion.self_intersects",
+        lambda diagram: IntersectionReport(False, Witness("top", 1, "bottom", 2, crossing)),
+    )
+    direction = "decreasing" if decreasing else "increasing"
+    with pytest.raises(LemmaViolation, match=f"^{direction} slopes but self-intersecting curve"):
+        convexity_criterion(sigma, a, b)
 
 
 def test_report_is_scale_invariant():

@@ -4,13 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ietkit import (
+    IntersectionReport,
     PositivityClass,
     SegmentClass,
+    Witness,
     build_suspension,
+    mahler_curve,
+    omega,
     pointwise_positive,
     random_irreducible,
     return_time_profile,
@@ -76,14 +80,21 @@ def test_return_time_profile_examples():
         return_time_profile(validate_permutation([2, 1]), [1])
 
 
-@given(st.integers(1, 7).flatmap(lambda d: st.tuples(
+@settings(max_examples=200)
+@given(st.integers(1, 16).flatmap(lambda d: st.tuples(
     st.permutations(range(1, d + 1)),
-    st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+    st.lists(
+        st.builds(F, st.integers(-9, 9), st.integers(1, 12)), min_size=d, max_size=d
+    ),
 )))
 def test_profile_matches_sign_condition_oracle(case):
     images, b = case
-    got = return_time_profile(validate_permutation(images), b)
+    sigma = validate_permutation(images)
+    got = return_time_profile(sigma, b)
     assert list(got) == oracle_profile(images, b)
+    by_matrix = [sum((e * v for e, v in zip(row, b)), F(0)) for row in omega(sigma).entries]
+    assert list(got) == by_matrix
+    assert all(type(v) is F for v in got)
 
 
 def test_chain_closure_on_random_data():
@@ -200,6 +211,106 @@ def test_self_intersects_agrees_with_parametric_oracle():
             w = mine.witness
             assert any(o[:4] == (w.chain_a, w.index_a, w.chain_b, w.index_b) for o in offenders)
     assert disagreements == 0
+
+
+# ---------------------------------------------------------------------------
+# the x-window intersection test against the all-pairs scan it replaced
+
+
+def all_pairs_report(diagram) -> IntersectionReport:
+    """Every pair of chain segments in top-then-bottom, left-to-right order.
+
+    The reference for ``self_intersects``: the same permitted contacts and the
+    same first offender, found without assuming x-monotone chains.
+    """
+    d = diagram.d
+    chains = {"top": diagram.top_chain, "bottom": diagram.bottom_chain}
+    segs = [("top", i) for i in range(1, d + 1)] + [("bottom", i) for i in range(1, d + 1)]
+    start, end = diagram.top_chain[0], diagram.top_chain[d]
+    for u, (ca, ia) in enumerate(segs):
+        for cb, ib in segs[u + 1 :]:
+            rel = segment_relation(
+                chains[ca][ia - 1], chains[ca][ia], chains[cb][ib - 1], chains[cb][ib]
+            )
+            if rel.classification is SegmentClass.DISJOINT:
+                continue
+            if rel.classification is SegmentClass.ENDPOINT_TOUCH:
+                if ca == cb and abs(ia - ib) == 1:
+                    if rel.locus == chains[ca][max(ia, ib) - 1]:
+                        continue
+                elif ca != cb and ia == ib == 1:
+                    if rel.locus == start:
+                        continue
+                elif ca != cb and ia == ib == d:
+                    if rel.locus == end:
+                        continue
+            return IntersectionReport(False, Witness(ca, ia, cb, ib, rel))
+    return IntersectionReport(True, None)
+
+
+def assert_matches_references(images, a, b) -> IntersectionReport:
+    """The whole report (pair, class, locus) equals the all-pairs one, and the
+    verdict and witness pair agree with the independent parametric oracle."""
+    diagram = build_suspension(validate_permutation(images), a, b)
+    report = self_intersects(diagram)
+    assert report == all_pairs_report(diagram)
+    simple, offenders = oracle_simple(images, a, b)
+    assert report.simple == simple
+    if not simple:
+        w = report.witness
+        assert (w.chain_a, w.index_a, w.chain_b, w.index_b) == offenders[0][:4]
+    return report
+
+
+def test_window_matches_all_pairs_on_criterion_9_stream():
+    rng = random.Random(f"{SEED}/oracle-equivalence")
+    for _ in range(2_000):
+        d = rng.randint(2, 6)
+        images = list(range(1, d + 1))
+        rng.shuffle(images)
+        a = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(d)]
+        b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+        assert_matches_references(images, a, b)
+
+
+def test_window_matches_all_pairs_on_touches_and_overlaps():
+    # Small integers put vertices on other segments and segments on one line.
+    rng = random.Random(f"{SEED}/window-degenerate")
+    seen = {c: 0 for c in SegmentClass}
+    simple = 0
+    for _ in range(500):
+        d = rng.randint(2, 12)
+        images = list(range(1, d + 1))
+        rng.shuffle(images)
+        a = [rng.randint(1, 3) for _ in range(d)]
+        b = [rng.randint(-3, 3) for _ in range(d)]
+        report = assert_matches_references(images, a, b)
+        if report.simple:
+            simple += 1
+        else:
+            seen[report.witness.relation.classification] += 1
+    # Simple curves and every kind of offender were actually exercised.
+    assert simple > 50
+    assert min(seen[c] for c in SegmentClass if c is not SegmentClass.DISJOINT) > 50
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 12).flatmap(lambda d: st.tuples(
+    st.permutations(range(1, d + 1)),
+    st.lists(st.integers(1, 3), min_size=d, max_size=d),
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+)))
+def test_window_matches_all_pairs_on_small_integer_diagrams(case):
+    assert_matches_references(*case)
+
+
+@pytest.mark.parametrize("d", [8, 32])
+def test_window_matches_all_pairs_on_power_curves(d):
+    rng = random.Random(f"{SEED}/window-power/{d}")
+    for s in (F(1, 2), F(13, 11), F(3)):
+        images = list(random_irreducible(d, rng.getrandbits(32)).images)
+        a, b = mahler_curve(d, s)
+        assert assert_matches_references(images, a, b).simple
 
 
 # ---------------------------------------------------------------------------
