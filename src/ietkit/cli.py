@@ -88,9 +88,7 @@ def _emit(payload: Any) -> None:
 
 def _load_schema() -> dict:
     text = resources.files("ietkit").joinpath("schemas/jobspec.json").read_text()
-    schema = json.loads(text)
-    jsonschema.Draft202012Validator.check_schema(schema)
-    return schema
+    return json.loads(text)
 
 
 def _validate_job(job: dict, schema: dict) -> None:
@@ -217,7 +215,6 @@ def cmd_check(job: dict) -> int:
     lengths = _parse_vector(job["lengths"])
     heights = _parse_vector(job["heights"])
     report = _criterion.convexity_criterion(sigma, lengths, heights)
-    diagram = build_suspension(sigma, lengths, heights)
     _emit({
         "perm": list(sigma.images),
         "monotonicity": report.monotonicity,
@@ -227,8 +224,8 @@ def cmd_check(job: dict) -> int:
         "chains_exchanged": report.chains_exchanged,
         "connection_check_advised": report.connection_check_advised,
         "witness": _witness_payload(report.witness),
-        "slopes": list(diagram.slopes),
-        "return_profile": list(diagram.return_profile),
+        "slopes": list(report.diagram.slopes),
+        "return_profile": list(report.diagram.return_profile),
     })
     return EXIT_OK
 
@@ -252,9 +249,9 @@ def _grid(start: float, stop: float, samples: int) -> list[float]:
     return [start + k * step for k in range(samples)]
 
 
-def _scan_chunk(args: tuple) -> list[str]:
+def _scan_chunk(args: tuple) -> tuple[_criterion.Verdict, ...]:
     spec, sigma, chunk = args
-    return [v.value for v in _criterion.scan_curve(spec, sigma, chunk).verdicts]
+    return _criterion.scan_curve(spec, sigma, chunk).verdicts
 
 
 def cmd_scan(job: dict, schema: dict) -> int:
@@ -271,21 +268,9 @@ def cmd_scan(job: dict, schema: dict) -> int:
         # surface with clean exit codes instead of a pool traceback.
         _criterion.scan_curve(spec, sigma, grid[:1])
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = [
-                _criterion.Verdict(name)
-                for part in pool.map(_scan_chunk, [(spec, sigma, c) for c in chunks])
-                for name in part
-            ]
-        summary = _criterion.ScanSummary(
-            len(grid),
-            tuple(verdicts),
-            tuple(grid),
-            tuple(
-                (s, v)
-                for s, v in zip(grid, verdicts)
-                if v not in _criterion._POSITIVE_VERDICTS
-            ),
-        )
+            parts = pool.map(_scan_chunk, [(spec, sigma, c) for c in chunks])
+            verdicts = [v for part in parts for v in part]
+        summary = _criterion.ScanSummary(tuple(verdicts), tuple(grid))
     else:
         summary = _criterion.scan_curve(spec, sigma, grid)
     _emit({
@@ -357,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="comma-separated positive rationals, e.g. 1,3/2,0.25")
         if heights:
             p.add_argument("--heights", type=_split_strs, required=True)
-        p.add_argument("--seed", type=int, default=0)
 
     common(sub.add_parser("omega", help="print the exchange matrix"))
 
@@ -391,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _job_from_args(args: argparse.Namespace) -> dict:
-    job: dict[str, Any] = {"command": args.command, "perm": args.perm, "seed": args.seed}
+    job: dict[str, Any] = {"command": args.command, "perm": args.perm}
     if args.command in ("suspend", "check"):
         job["lengths"] = args.lengths
         job["heights"] = args.heights

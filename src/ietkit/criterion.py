@@ -95,6 +95,7 @@ class CriterionReport:
     verdict certifies simplicity only; whether the pair is connection-free is
     a separate, measure-one hypothesis, so ``connection_check_advised`` asks
     the caller to probe rational samples with ``find_connections``.
+    ``diagram`` is the suspension the verdict was decided on.
     """
 
     monotonicity: MonotonicityClass
@@ -104,6 +105,7 @@ class CriterionReport:
     witness: Witness | None
     chains_exchanged: bool
     connection_check_advised: bool
+    diagram: SuspensionDiagram
 
     def __post_init__(self) -> None:
         if self.verdict is Verdict.POSITIVE_PAIR_BY_LEMMA:
@@ -182,6 +184,7 @@ def convexity_criterion(
         witness=report.witness,
         chains_exchanged=monotonicity is MonotonicityClass.STRICTLY_INCREASING,
         connection_check_advised=verdict in _POSITIVE_VERDICTS,
+        diagram=diagram,
     )
 
 
@@ -249,13 +252,22 @@ def curve_point(
 
 @dataclass(frozen=True)
 class ScanSummary:
-    """Per-verdict sample fractions over a grid, with the exceptional samples
-    (everything that did not certify) listed as (s, verdict) pairs."""
+    """The verdict at every grid point, with per-verdict sample fractions and
+    the exceptional samples (everything that did not certify) as (s, verdict)
+    pairs derived from them."""
 
-    samples: int
     verdicts: tuple[Verdict, ...]
     grid: tuple[Fraction, ...]
-    exceptional: tuple[tuple[Fraction, Verdict], ...]
+
+    @property
+    def samples(self) -> int:
+        return len(self.grid)
+
+    @property
+    def exceptional(self) -> tuple[tuple[Fraction, Verdict], ...]:
+        return tuple(
+            (s, v) for s, v in zip(self.grid, self.verdicts) if v not in _POSITIVE_VERDICTS
+        )
 
     @property
     def verdict_fractions(self) -> dict[Verdict, Fraction]:
@@ -284,7 +296,4 @@ def scan_curve(
     for s in grid:
         a, b = curve_point(spec, s)
         verdicts.append(convexity_criterion(sigma, a, b).verdict)
-    exceptional = tuple(
-        (s, v) for s, v in zip(grid, verdicts) if v not in _POSITIVE_VERDICTS
-    )
-    return ScanSummary(len(grid), tuple(verdicts), grid, exceptional)
+    return ScanSummary(tuple(verdicts), grid)

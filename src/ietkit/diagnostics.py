@@ -8,6 +8,7 @@ prediction a_j / |I| per interval, plus a uniform refinement into equal cells.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -46,9 +47,7 @@ def _orbit_counts(
     interval_counts = [0] * t.d
     cell_counts = [0] * cells
     for _ in range(n):
-        j = 0
-        while breaks[j] <= x:
-            j += 1
+        j = bisect_right(breaks, x)
         interval_counts[j] += 1
         cell_counts[x * cells // total] += 1
         x += trans[j]
@@ -109,9 +108,7 @@ def discrepancy_trend(
     marks = iter(schedule)
     mark = next(marks)
     for step in range(1, schedule[-1] + 1):
-        j = 0
-        while breaks[j] <= x:
-            j += 1
+        j = bisect_right(breaks, x)
         counts[j] += 1
         x += trans[j]
         if step == mark:

@@ -4,14 +4,16 @@ An exchange is specified by a permutation ``sigma`` and a positive length
 vector ``a``.  The interval [0, sum(a)) is cut into half-open pieces
 I_j = [x_{j-1}, x_j) at the partial sums x_j, and each piece is translated so
 that the pieces stack in the order prescribed by sigma.  The translation of
-I_j can be read off the exchange matrix (row sums against ``a``) or directly
-as x'_{sigma(j)} - x_j from the two families of partial sums; construction
-computes both and insists they agree.
+I_j is x'_{sigma(j)} - x_j, the j-th entry of the row vector a Omega;
+construction evaluates it once, as -Omega a^T in integers, with the O(d)
+kernel that the return profile of a suspension shares.
 
 All dynamics here is exact: lengths are ``fractions.Fraction`` values and
-points are compared by rational equality, never by tolerance.  Long orbits
-rescale every quantity to a common denominator once and then iterate in plain
-integers, which is the same arithmetic without per-step gcd work.
+points are compared by rational equality, never by tolerance.  A point x lies
+in piece ``bisect_right(breaks, x)`` (0-based), which is the one lookup rule
+used everywhere, whatever d.  Long orbits rescale every quantity to a common
+denominator once and then iterate in plain integers, which is the same
+arithmetic without per-step gcd work.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     NonPositiveLength,
     OutOfDomain,
 )
-from .perm import Permutation, omega
+from .perm import Permutation, _omega_times, _scaled
 
 __all__ = [
     "Scalar",
@@ -48,9 +50,6 @@ __all__ = [
 # boundary (binary floats convert exactly) and never compared by tolerance.
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str, float]
-
-# Interval lookup scans linearly up to this many intervals, then bisects.
-_LINEAR_SCAN_MAX = 16
 
 
 def as_scalar(value: ScalarLike) -> Fraction:
@@ -115,7 +114,7 @@ def _partial_sums(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def build_iet(sigma: Permutation, a: Sequence[ScalarLike]) -> Iet:
-    """Construct the exchange for (sigma, a), verifying both translation formulas.
+    """Construct the exchange for (sigma, a); translations are -Omega a^T.
 
     >>> from ietkit.perm import validate_permutation
     >>> t = build_iet(validate_permutation([2, 1]), [1, 2])
@@ -123,27 +122,12 @@ def build_iet(sigma: Permutation, a: Sequence[ScalarLike]) -> Iet:
     (Fraction(2, 1), Fraction(-1, 1))
     """
     lengths = _checked_lengths(sigma, a)
-    d = sigma.d
     disc_top = _partial_sums(lengths)
-    disc_bottom = _partial_sums([lengths[sigma.inverse[j] - 1] for j in range(d)])
-    om = omega(sigma)
-    translations = tuple(
-        sum((lengths[i] * om.entries[i][j] for i in range(d)), Fraction(0)) for j in range(d)
-    )
-    for j in range(d):
-        # x + (a Omega)_j and x - x_j + x'_{sigma(j)} must be the same map.
-        assert translations[j] == disc_bottom[sigma(j + 1) - 1] - disc_top[j]
+    disc_bottom = _partial_sums([lengths[s - 1] for s in sigma.inverse])
+    # Omega is antisymmetric, so the row vector a Omega is -(Omega a^T).
+    denom, scaled = _scaled(lengths)
+    translations = tuple(Fraction(-v, denom) for v in _omega_times(sigma, scaled))
     return Iet(sigma, lengths, disc_top, disc_bottom, translations)
-
-
-def _interval_index(disc: Sequence[Fraction], x: Fraction) -> int:
-    """0-based index j with x in [x_j's left endpoint, disc[j])."""
-    if len(disc) <= _LINEAR_SCAN_MAX:
-        for j, right in enumerate(disc):
-            if x < right:
-                return j
-        raise AssertionError("point past the final break despite domain check")
-    return bisect_right(disc, x)
 
 
 def _check_domain(t: Iet, x: Fraction) -> None:
@@ -155,15 +139,14 @@ def apply(t: Iet, x: ScalarLike) -> Fraction:
     """Evaluate the exchange at x; points on a break belong to the right piece."""
     x = as_scalar(x)
     _check_domain(t, x)
-    return x + t.translations[_interval_index(t.disc_top, x)]
+    return x + t.translations[bisect_right(t.disc_top, x)]
 
 
 def apply_inverse(t: Iet, y: ScalarLike) -> Fraction:
     """The unique x with apply(t, x) == y, found through the image partition."""
     y = as_scalar(y)
     _check_domain(t, y)
-    k = _interval_index(t.disc_bottom, y)
-    source = t.sigma.inverse[k]
+    source = t.sigma.inverse[bisect_right(t.disc_bottom, y)]
     return y - t.translations[source - 1]
 
 
@@ -184,14 +167,9 @@ def image_partition(t: Iet) -> list[tuple[tuple[Fraction, Fraction], int]]:
 
 def _scaled_ints(t: Iet, x0: Fraction) -> tuple[int, int, list[int], list[int]]:
     """Everything over one denominator: (x0, total, breaks, translations) as ints."""
-    denom = math.lcm(
-        x0.denominator,
-        *(v.denominator for v in t.disc_top),
-        *(v.denominator for v in t.translations),
-    )
-    breaks = [int(v * denom) for v in t.disc_top]
-    trans = [int(v * denom) for v in t.translations]
-    return int(x0 * denom), breaks[-1], breaks, trans
+    _, ints = _scaled([x0, *t.disc_top, *t.translations])
+    breaks, trans = ints[1 : t.d + 1], ints[t.d + 1 :]
+    return ints[0], breaks[-1], breaks, trans
 
 
 def orbit_coding(t: Iet, x0: ScalarLike, n: int) -> list[int]:
@@ -205,15 +183,9 @@ def orbit_coding(t: Iet, x0: ScalarLike, n: int) -> list[int]:
     x0 = as_scalar(x0)
     _check_domain(t, x0)
     x, _, breaks, trans = _scaled_ints(t, x0)
-    bisecting = len(breaks) > _LINEAR_SCAN_MAX
     codes = []
     for _ in range(n):
-        if bisecting:
-            j = bisect_right(breaks, x)
-        else:
-            j = 0
-            while breaks[j] <= x:
-                j += 1
+        j = bisect_right(breaks, x)
         codes.append(j + 1)
         x += trans[j]
     return codes
@@ -232,18 +204,11 @@ def find_connections(t: Iet, max_m: int) -> list[Connection]:
     d = t.d
     if d >= 2:
         _, _, breaks, trans = _scaled_ints(t, Fraction(0))
-        bisecting = len(breaks) > _LINEAR_SCAN_MAX
         targets = {breaks[j]: j + 1 for j in range(d - 1)}
         for i in range(1, d):
             x = breaks[i - 1]
             for m in range(1, max_m + 1):
-                if bisecting:
-                    j = bisect_right(breaks, x)
-                else:
-                    j = 0
-                    while breaks[j] <= x:
-                        j += 1
-                x += trans[j]
+                x += trans[bisect_right(breaks, x)]
                 hit = targets.get(x)
                 if hit is not None:
                     found.append(Connection(m, i, hit))

@@ -6,6 +6,9 @@ provides:
 
 * the antisymmetric exchange matrix ``omega``, whose rows give the per-interval
   translations of the exchange map;
+* the one integer kernel the exact code shares: ``_scaled`` puts rationals
+  over their common denominator, and ``_omega_times`` evaluates Omega v^T on
+  the resulting integers in O(d);
 * the irreducibility test (no proper prefix {1..k} is invariant);
 * symbol removal (``restrict``) and the decomposition into consecutive
   irreducible blocks, the two tools the inductive simplicity argument uses;
@@ -22,9 +25,12 @@ True
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import EmptyResult, InvalidSize, NotABijection
@@ -127,6 +133,28 @@ def omega(sigma: Permutation) -> OmegaMatrix:
                 row.append(0)
         rows.append(tuple(row))
     return OmegaMatrix(d, tuple(rows))
+
+
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the denominators and every value as an integer over it."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return denom, [v.numerator * (denom // v.denominator) for v in values]
+
+
+def _omega_times(sigma: Permutation, values: Sequence[int]) -> list[int]:
+    """The integer vector Omega v^T, in O(d).
+
+    Entry i is y_i - y'_{sigma(i)}, with y and y' the partial sums of v in
+    identity and exchanged order; the matrix product must agree with it.
+
+    >>> _omega_times(validate_permutation([3, 2, 1]), [1, 0, -1])
+    [1, 2, 1]
+    """
+    y = list(accumulate(values))
+    y_ex = list(accumulate(values[s - 1] for s in sigma.inverse))
+    out = [y[i] - y_ex[sigma(i + 1) - 1] for i in range(sigma.d)]
+    assert out == [sum(e * v for e, v in zip(row, values)) for row in omega(sigma).entries]
+    return out
 
 
 def is_irreducible(sigma: Permutation) -> bool:

@@ -20,16 +20,14 @@ scaled to the common denominator of the heights.  No epsilon appears anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence, Union
 
 from .errors import DegenerateSegment, DimensionMismatch
 from .iet import ScalarLike, _checked_lengths, as_scalar
-from .perm import Permutation, omega
+from .perm import Permutation, _omega_times, _scaled
 
 __all__ = [
     "Point",
@@ -135,22 +133,15 @@ def _checked_heights(sigma: Permutation, b: Sequence[ScalarLike]) -> tuple[Fract
 def return_time_profile(sigma: Permutation, b: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
     """The vector Omega b^T of per-interval return times.
 
-    Computed as y_i - y'_{sigma(i)} with y, y' the partial sums of b in
-    identity and exchanged order, in integers scaled to the common denominator
-    of b; the matrix product Omega b^T must agree with it in the same integers.
+    Computed in integers scaled to the common denominator of b, by the same
+    O(d) kernel that gives an exchange its translations.
 
     >>> from ietkit.perm import validate_permutation
     >>> return_time_profile(validate_permutation([3, 2, 1]), [1, 0, -1])
     (Fraction(1, 1), Fraction(2, 1), Fraction(1, 1))
     """
-    heights = _checked_heights(sigma, b)
-    denom = math.lcm(*(h.denominator for h in heights))
-    scaled = [h.numerator * (denom // h.denominator) for h in heights]
-    y = list(accumulate(scaled))
-    y_ex = list(accumulate(scaled[s - 1] for s in sigma.inverse))
-    by_sums = [y[i] - y_ex[sigma(i + 1) - 1] for i in range(sigma.d)]
-    assert by_sums == [sum(e * v for e, v in zip(row, scaled)) for row in omega(sigma).entries]
-    return tuple(Fraction(v, denom) for v in by_sums)
+    denom, scaled = _scaled(_checked_heights(sigma, b))
+    return tuple(Fraction(v, denom) for v in _omega_times(sigma, scaled))
 
 
 def _sign(value: Fraction) -> int:
@@ -250,15 +241,9 @@ def segment_relation(
 
 
 def _scaled_chains(diagram: SuspensionDiagram) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    denom = math.lcm(
-        *(c.denominator for pt in diagram.top_chain for c in pt),
-        *(c.denominator for pt in diagram.bottom_chain for c in pt),
-    )
-    scale = lambda pts: [  # noqa: E731
-        (x.numerator * (denom // x.denominator), y.numerator * (denom // y.denominator))
-        for x, y in pts
-    ]
-    return scale(diagram.top_chain), scale(diagram.bottom_chain)
+    _, ints = _scaled([c for pt in diagram.top_chain + diagram.bottom_chain for c in pt])
+    points = list(zip(ints[0::2], ints[1::2]))
+    return points[: diagram.d + 1], points[diagram.d + 1 :]
 
 
 def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:

@@ -5,8 +5,9 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from jsonschema import Draft202012Validator
 
-from ietkit.cli import main
+from ietkit.cli import _load_schema, main
 
 from conftest import FROZEN_CROSSING
 
@@ -49,6 +50,17 @@ def test_bad_permutation_is_a_validation_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_seed_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["omega", "--perm", "2,1", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_shipped_schema_is_a_valid_schema():
+    Draft202012Validator.check_schema(_load_schema())
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ from ietkit import (
     SegmentRelation,
     Verdict,
     Witness,
+    build_suspension,
     convexity_criterion,
     curve_point,
     curve_spec,
     mahler_curve,
     mahler_spec,
     scan_curve,
+    self_intersects,
     slope_monotonicity,
     validate_permutation,
 )
@@ -34,7 +36,7 @@ from ietkit.errors import (
     ReduciblePermutation,
 )
 
-from conftest import SEED, monotone_instance
+from conftest import FROZEN_CROSSING, SEED, monotone_instance
 
 F = Fraction
 
@@ -135,6 +137,14 @@ def test_lemma_violation_is_raised_for_a_monotone_curve_that_is_not_simple(
     direction = "decreasing" if decreasing else "increasing"
     with pytest.raises(LemmaViolation, match=f"^{direction} slopes but self-intersecting curve"):
         convexity_criterion(sigma, a, b)
+
+
+def test_report_carries_the_diagram_it_decided_on():
+    sigma = validate_permutation(FROZEN_CROSSING["perm"])
+    a, b = FROZEN_CROSSING["lengths"], FROZEN_CROSSING["heights"]
+    report = convexity_criterion(sigma, a, b)
+    assert report.diagram == build_suspension(sigma, a, b)
+    assert report.witness == self_intersects(report.diagram).witness
 
 
 def test_report_is_scale_invariant():

@@ -8,12 +8,14 @@ import pytest
 from ietkit import (
     build_iet,
     discrepancy_trend,
+    orbit_coding,
+    random_irreducible,
     validate_permutation,
     visit_frequencies,
 )
 from ietkit.errors import InvalidBound, OutOfDomain
 
-from conftest import SEED
+from conftest import SEED, random_length
 
 F = Fraction
 
@@ -80,6 +82,22 @@ def test_trend_is_prefix_consistent_with_frequencies():
     trend = discrepancy_trend(t, F(1, 3), [10, 100, 500])
     for n, disc in trend:
         assert disc == visit_frequencies(t, F(1, 3), n).discrepancy
+
+
+def test_frequencies_and_trend_match_orbit_coding_at_d20():
+    rng = random.Random(f"{SEED}/coding-d20")
+    d, n = 20, 2000
+    sigma = random_irreducible(d, rng.getrandbits(32))
+    t = build_iet(sigma, [random_length(rng) for _ in range(d)])
+    x0 = t.total * F(rng.randint(0, 999), 1000)
+    codes = orbit_coding(t, x0, n)
+    stats = visit_frequencies(t, x0, n)
+    assert stats.frequencies == tuple(F(codes.count(j), n) for j in range(1, d + 1))
+    schedule = [1, 7, 100, 999, n]
+    for m, disc in discrepancy_trend(t, x0, schedule):
+        prefix = codes[:m]
+        expected = max(abs(F(prefix.count(j), m) - e) for j, e in enumerate(stats.expected, 1))
+        assert disc == expected == visit_frequencies(t, x0, m).discrepancy
 
 
 def test_trend_edge_cases():

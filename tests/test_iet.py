@@ -153,6 +153,20 @@ def test_orbit_coding_matches_direct_iteration():
             x = apply(t, x)
 
 
+@pytest.mark.parametrize("d", [17, 20, 24])
+def test_orbit_coding_matches_apply_at_large_d(d):
+    rng = random.Random(f"{SEED}/coding-large/{d}")
+    for _ in range(3):
+        sigma = random_irreducible(d, rng.getrandbits(32))
+        t = build_iet(sigma, [random_length(rng) for _ in range(d)])
+        x = x0 = t.total * F(rng.randint(0, 999), 1000)
+        codes = orbit_coding(t, x0, 300)
+        for code in codes:
+            assert code == 1 + sum(1 for right in t.disc_top if right <= x)
+            x = apply(t, x)
+        assert len(codes) == 300
+
+
 def test_connection_of_the_unit_swap():
     t = _swap(1, 1)
     assert Connection(2, 1, 1) in find_connections(t, 2)
@@ -177,3 +191,16 @@ def test_find_connections_matches_oracle():
         t = build_iet(sigma, a)
         got = [(c.m, c.i, c.j) for c in find_connections(t, 60)]
         assert got == oracle_connections(sigma.images, a, 60)
+
+
+@pytest.mark.parametrize("d", [17, 20])
+def test_find_connections_matches_oracle_at_large_d(d):
+    rng = random.Random(f"{SEED}/connections-large/{d}")
+    hits = 0
+    for _ in range(3):
+        sigma = random_irreducible(d, rng.getrandbits(32))
+        a = [F(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(d)]
+        got = [(c.m, c.i, c.j) for c in find_connections(build_iet(sigma, a), 60)]
+        assert got == oracle_connections(sigma.images, a, 60)
+        hits += len(got)
+    assert hits > 0

@@ -12,6 +12,7 @@ from ietkit import (
     PositivityClass,
     SegmentClass,
     Witness,
+    build_iet,
     build_suspension,
     mahler_curve,
     omega,
@@ -32,7 +33,7 @@ from conftest import (
     random_height,
     random_length,
 )
-from oracles import oracle_profile, oracle_simple
+from oracles import oracle_omega, oracle_profile, oracle_simple
 
 F = Fraction
 
@@ -86,15 +87,22 @@ def test_return_time_profile_examples():
     st.lists(
         st.builds(F, st.integers(-9, 9), st.integers(1, 12)), min_size=d, max_size=d
     ),
+    st.lists(
+        st.builds(F, st.integers(1, 9), st.integers(1, 12)), min_size=d, max_size=d
+    ),
 )))
 def test_profile_matches_sign_condition_oracle(case):
-    images, b = case
+    images, b, a = case
     sigma = validate_permutation(images)
     got = return_time_profile(sigma, b)
     assert list(got) == oracle_profile(images, b)
     by_matrix = [sum((e * v for e, v in zip(row, b)), F(0)) for row in omega(sigma).entries]
     assert list(got) == by_matrix
     assert all(type(v) is F for v in got)
+    # The same kernel gives an exchange its translations, the row vector a Omega.
+    om = oracle_omega(images)
+    a_omega = [sum((a[i] * om[i][j] for i in range(len(a))), F(0)) for j in range(len(a))]
+    assert list(build_iet(sigma, a).translations) == a_omega
 
 
 def test_chain_closure_on_random_data():
