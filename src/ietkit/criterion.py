@@ -200,7 +200,7 @@ def mahler_curve(d: int, s: ScalarLike) -> tuple[tuple[Fraction, ...], tuple[Fra
     if s <= 0:
         raise NonPositiveParameter(f"curve parameter {s} is not positive")
     a = tuple(s**i for i in range(1, d + 1))
-    b = tuple(i * s ** (i - 1) for i in range(1, d + 1))
+    b = tuple(i * power for i, power in enumerate((Fraction(1),) + a[:-1], start=1))
     return a, b
 
 

@@ -8,14 +8,16 @@ their union is a closed curve.  When that curve is simple it bounds a polygon
 whose vertical flow suspends the exchange, and the per-interval return time of
 that flow is the profile L = Omega b^T.
 
-Everything here is decided in exact rational arithmetic.  Every a_i is
-positive, so both chains are strictly x-monotone, and the intersection test
-only compares top and bottom segments whose closed x-ranges meet: a window
-over the bottom chain that two pointers advance left to right, about 3d pairs
-in all.  It rescales every vertex to a common denominator and runs the
-orientation tests in plain integers; a witness, if any, is re-derived on the
-original coordinates.  The return profile is likewise summed in integers
-scaled to the common denominator of the heights.  No epsilon appears anywhere.
+Everything here is decided in exact rational arithmetic.  The lengths are
+scaled once to integers over their lcm, and the heights over theirs; both
+chains are accumulated from those integers, x over the one denominator and y
+over the other, and the return profile is Omega applied to the same scaled
+heights.  Every a_i is positive, so both chains are strictly x-monotone, and
+the intersection test only compares top and bottom segments whose closed
+x-ranges meet: a window over the bottom chain that two pointers advance left
+to right, about 3d pairs in all.  It runs the orientation tests on the
+integer vertices; a witness, if any, is re-derived on the original
+coordinates.  No epsilon appears anywhere.
 """
 
 from __future__ import annotations
@@ -141,11 +143,44 @@ def return_time_profile(sigma: Permutation, b: Sequence[ScalarLike]) -> tuple[Fr
     (Fraction(1, 1), Fraction(2, 1), Fraction(1, 1))
     """
     denom, scaled = _scaled(_checked_heights(sigma, b))
-    return tuple(Fraction(v, denom) for v in _omega_times(sigma, scaled))
+    return _profile(sigma, denom, scaled)
+
+
+def _profile(sigma: Permutation, denom: int, scaled_heights: list[int]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v, denom) for v in _omega_times(sigma, scaled_heights))
 
 
 def _sign(value: Fraction) -> int:
     return (value > 0) - (value < 0)
+
+
+_IntChain = list[tuple[int, int]]
+
+
+def _integer_chains(
+    sigma: Permutation, lengths: Sequence[Fraction], heights: Sequence[Fraction]
+) -> tuple[int, int, list[int], _IntChain, _IntChain]:
+    """Both chains in integers: ``(da, db, scaled heights, top, bottom)``.
+
+    Vertex (X, Y) stands for (X / da, Y / db), where da is the lcm of the
+    length denominators and db that of the height denominators.
+    """
+    da, xs = _scaled(lengths)
+    db, ys = _scaled(heights)
+
+    def chain(order: Sequence[int]) -> _IntChain:
+        x = y = 0
+        pts = [(0, 0)]
+        for s in order:
+            x += xs[s - 1]
+            y += ys[s - 1]
+            pts.append((x, y))
+        return pts
+
+    top = chain(range(1, sigma.d + 1))
+    bottom = chain(sigma.inverse)
+    assert top[-1] == bottom[-1]
+    return da, db, ys, top, bottom
 
 
 def build_suspension(
@@ -155,28 +190,21 @@ def build_suspension(
     lengths = _checked_lengths(sigma, a)
     heights = _checked_heights(sigma, b)
     d = sigma.d
-    zeta = tuple((lengths[i], heights[i]) for i in range(d))
+    da, db, ys, top, bottom = _integer_chains(sigma, lengths, heights)
+
+    def rational(chain: _IntChain) -> tuple[Point, ...]:
+        return tuple((Fraction(x, da), Fraction(y, db)) for x, y in chain)
+
     slopes = tuple(heights[i] / lengths[i] for i in range(d))
-
-    def chain(order: Sequence[int]) -> tuple[Point, ...]:
-        pts = [(Fraction(0), Fraction(0))]
-        for s in order:
-            x, y = pts[-1]
-            pts.append((x + zeta[s - 1][0], y + zeta[s - 1][1]))
-        return tuple(pts)
-
-    top = chain(range(1, d + 1))
-    bottom = chain(sigma.inverse)
-    assert top[-1] == bottom[-1]
     return SuspensionDiagram(
         sigma=sigma,
         lengths=lengths,
         heights=heights,
-        zeta=zeta,
+        zeta=tuple(zip(lengths, heights)),
         slopes=slopes,
-        top_chain=top,
-        bottom_chain=bottom,
-        return_profile=return_time_profile(sigma, heights),
+        top_chain=rational(top),
+        bottom_chain=rational(bottom),
+        return_profile=_profile(sigma, db, ys),
         first_slope_vs_bottom_first=_sign(slopes[0] - slopes[sigma.inverse[0] - 1]),
         first_slope_vs_bottom_last=_sign(slopes[0] - slopes[sigma.inverse[d - 1] - 1]),
     )
@@ -240,12 +268,6 @@ def segment_relation(
     return SegmentRelation(SegmentClass.DISJOINT, None)
 
 
-def _scaled_chains(diagram: SuspensionDiagram) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    _, ints = _scaled([c for pt in diagram.top_chain + diagram.bottom_chain for c in pt])
-    points = list(zip(ints[0::2], ints[1::2]))
-    return points[: diagram.d + 1], points[diagram.d + 1 :]
-
-
 def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
     """Decide whether the union of the two chains is a simple closed curve.
 
@@ -263,9 +285,18 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
     i is compared with the window of bottom segments over [x_{i-1}, x_i],
     which two pointers advance; about 3d pairs are examined instead of
     d(2d-1), and the first offender is the same pair.
+
+    The tests run on the integer chains of ``build_suspension``, x scaled by
+    the lcm of the length denominators and y by that of the heights.  Scaling
+    each axis by its own positive factor keeps the sign of every orientation
+    test, so every crossing, collinearity and contact point stays as it was.
+    Every segment has positive x-extent, so two collinear segments overlap
+    in the same end points whichever axis they are measured along.  The
+    classifications, the start and end allowances and the first offender
+    are those of the rational chains, on which the witness is re-derived.
     """
     d = diagram.d
-    top, bottom = _scaled_chains(diagram)
+    _, _, _, top, bottom = _integer_chains(diagram.sigma, diagram.lengths, diagram.heights)
     start = top[0]
     end = top[d]
 

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
+import ietkit
 from ietkit.cli import _load_schema, main
 
 from conftest import FROZEN_CROSSING
@@ -175,6 +180,25 @@ def test_check_accepts_rational_and_decimal_scalars(capsys):
     assert payload["slopes"][0] == "1/1"
 
 
+@pytest.mark.parametrize("args", [
+    ["--perm", "3,2,1", "--lengths", "1,1,1", "--heights", "1,0,-1"],
+    _frozen_args(),
+], ids=["simple", "self-intersecting"])
+def test_check_output_does_not_depend_on_asserts(args):
+    # python -O strips every assert, so no result may be computed inside one.
+    env = dict(os.environ, PYTHONPATH=str(Path(ietkit.__file__).parents[1]))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "ietkit", "check", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout != ""
+    assert runs[0].stderr == runs[1].stderr == ""
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -332,6 +356,18 @@ def test_orbit_periodic_rotation(capsys):
     assert payload["discrepancy_float"] == 0.0
     assert payload["refinement_cells"] == 2
     assert payload["empirical"] is True
+
+
+def test_orbit_refinement_is_bounded_by_the_schema(capsys):
+    # The refinement allocates one counter per cell, so its size is capped.
+    args = ["orbit", "--perm", "2,1", "--lengths", "1,1", "--x0", "0", "--iters", "1"]
+    code, out, err = run_cli(capsys, *args, "--refine", "2000000")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    code, out, _ = run_cli(capsys, *args, "--refine", "1048576")
+    assert code == 0
+    assert json.loads(out)["refinement_cells"] == 1048576
 
 
 def test_orbit_rejects_point_outside_domain(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ietkit import (
+    apply,
     build_iet,
     discrepancy_trend,
     orbit_coding,
@@ -60,6 +61,24 @@ def test_refinement_matching_intervals_gives_same_discrepancy():
     # Two unit intervals and two refinement cells describe the same partition.
     stats = visit_frequencies(rotation(F(1)), F(1, 4), 137, cells=2)
     assert stats.refinement_discrepancy == stats.discrepancy
+
+
+def test_refinement_discrepancy_is_the_max_over_every_cell():
+    # The deviation of every cell, empty ones included, from a Fraction orbit.
+    rng = random.Random(f"{SEED}/refinement-cells")
+    for _ in range(40):
+        d = rng.randint(2, 6)
+        images = list(range(1, d + 1))
+        rng.shuffle(images)
+        t = build_iet(validate_permutation(images), [random_length(rng) for _ in range(d)])
+        x = t.total * F(rng.randint(0, 99), 100)
+        n, cells = rng.randint(1, 200), rng.choice([1, 2, 7, 64, 500])
+        counts = [0] * cells
+        stats = visit_frequencies(t, x, n, cells=cells)
+        for _ in range(n):
+            counts[int(x * cells / t.total)] += 1
+            x = apply(t, x)
+        assert stats.refinement_discrepancy == max(abs(F(c, n) - F(1, cells)) for c in counts)
 
 
 def test_near_golden_rotation_equidistributes():

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ietkit import perm as _perm
 from ietkit import (
+    build_iet,
     irreducible_component_containing,
     is_irreducible,
     omega,
     random_irreducible,
     restrict,
+    return_time_profile,
     validate_permutation,
 )
 from ietkit.errors import EmptyResult, InvalidSize, NotABijection
@@ -71,6 +74,42 @@ def test_omega_upper_entries_flag_inversions(images):
     for i in range(1, p.d + 1):
         for j in range(i + 1, p.d + 1):
             assert (m[i - 1][j - 1] == -1) == (p(i) > p(j))
+
+
+# ---------------------------------------------------------------------------
+# the Omega v^T kernel and the Fenwick evaluator that checks it
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 64).flatmap(lambda d: st.tuples(
+    st.permutations(range(1, d + 1)),
+    st.lists(st.integers(-(10**40), 10**40), min_size=d, max_size=d),
+)))
+def test_omega_times_by_inversions_matches_matrix_products(case):
+    images, values = case
+    p = validate_permutation(images)
+    got = _perm._omega_times_by_inversions(p, values)
+    assert got == [sum(e * v for e, v in zip(row, values)) for row in omega(p).entries]
+    assert got == [sum(e * v for e, v in zip(row, values)) for row in oracle_omega(images)]
+    assert got == _perm._omega_times(p, values)
+
+
+def test_omega_times_check_is_live(monkeypatch):
+    # The kernel's assert compares against the evaluator on every call, so a
+    # wrong evaluator must stop both of the kernel's callers.
+    real = _perm._omega_times_by_inversions
+
+    def perturbed(sigma, values):
+        out = real(sigma, values)
+        out[0] += 1
+        return out
+
+    monkeypatch.setattr(_perm, "_omega_times_by_inversions", perturbed)
+    p = validate_permutation([3, 1, 2])
+    with pytest.raises(AssertionError):
+        return_time_profile(p, [1, 2, 3])
+    with pytest.raises(AssertionError):
+        build_iet(p, [1, 2, 3])
 
 
 @pytest.mark.parametrize(

@@ -105,6 +105,49 @@ def test_profile_matches_sign_condition_oracle(case):
     assert list(build_iet(sigma, a).translations) == a_omega
 
 
+def fraction_chains(sigma, lengths, heights):
+    """Both chains by adding the zeta vectors as Fractions, the way
+    ``build_suspension`` accumulated them before it summed scaled integers."""
+    def chain(order):
+        pts = [(F(0), F(0))]
+        for s in order:
+            x, y = pts[-1]
+            pts.append((x + F(lengths[s - 1]), y + F(heights[s - 1])))
+        return tuple(pts)
+
+    return chain(range(1, sigma.d + 1)), chain(sigma.inverse)
+
+
+scalars = st.one_of(
+    st.integers(-50, 50),
+    st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**6)),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-999, 999), st.integers(1, 999)),
+)
+
+
+def positive(value):
+    return value if F(value) > 0 else 1
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 24).flatmap(lambda d: st.tuples(
+    st.permutations(range(1, d + 1)),
+    st.lists(scalars.map(positive), min_size=d, max_size=d),
+    st.lists(scalars, min_size=d, max_size=d),
+)))
+def test_integer_chains_match_fraction_chains(case):
+    images, a, b = case
+    sigma = validate_permutation(images)
+    diagram = build_suspension(sigma, a, b)
+    top, bottom = fraction_chains(sigma, a, b)
+    assert diagram.top_chain == top
+    assert diagram.bottom_chain == bottom
+    assert all(type(c) is F for pt in diagram.top_chain + diagram.bottom_chain for c in pt)
+    assert diagram.return_profile == return_time_profile(sigma, b)
+    assert list(diagram.return_profile) == oracle_profile(images, b)
+
+
 def test_chain_closure_on_random_data():
     rng = random.Random(f"{SEED}/closure")
     for _ in range(200):
@@ -312,7 +355,7 @@ def test_window_matches_all_pairs_on_small_integer_diagrams(case):
     assert_matches_references(*case)
 
 
-@pytest.mark.parametrize("d", [8, 32])
+@pytest.mark.parametrize("d", [8, 32, 128])
 def test_window_matches_all_pairs_on_power_curves(d):
     rng = random.Random(f"{SEED}/window-power/{d}")
     for s in (F(1, 2), F(13, 11), F(3)):
