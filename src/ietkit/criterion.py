@@ -18,6 +18,7 @@ grid point before deciding.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -271,10 +272,7 @@ class ScanSummary:
 
     @property
     def verdict_fractions(self) -> dict[Verdict, Fraction]:
-        out: dict[Verdict, Fraction] = {}
-        for v in self.verdicts:
-            out[v] = out.get(v, Fraction(0)) + Fraction(1, self.samples)
-        return out
+        return {v: Fraction(n, self.samples) for v, n in Counter(self.verdicts).items()}
 
 
 def scan_curve(

@@ -4,9 +4,10 @@ An exchange is specified by a permutation ``sigma`` and a positive length
 vector ``a``.  The interval [0, sum(a)) is cut into half-open pieces
 I_j = [x_{j-1}, x_j) at the partial sums x_j, and each piece is translated so
 that the pieces stack in the order prescribed by sigma.  The translation of
-I_j is x'_{sigma(j)} - x_j, the j-th entry of the row vector a Omega;
-construction evaluates it once, as -Omega a^T in integers, with the O(d)
-kernel that the return profile of a suspension shares.
+I_j is x'_{sigma(j)} - x_j, the j-th entry of the row vector a Omega.
+Construction scales the lengths to integers once; both sets of break points
+and the translations, -Omega a^T, are read off the same two partial-sum lists,
+the kernel that the chains and the return profile of a suspension share.
 
 All dynamics here is exact: lengths are ``fractions.Fraction`` values and
 points are compared by rational equality, never by tolerance.  A point x lies
@@ -30,7 +31,7 @@ from .errors import (
     NonPositiveLength,
     OutOfDomain,
 )
-from .perm import Permutation, _omega_times, _scaled
+from .perm import Permutation, _omega_times, _scaled, _sums
 
 __all__ = [
     "Scalar",
@@ -104,15 +105,6 @@ def _checked_lengths(sigma: Permutation, a: Sequence[ScalarLike]) -> tuple[Fract
     return lengths
 
 
-def _partial_sums(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    sums = []
-    acc = Fraction(0)
-    for v in values:
-        acc += v
-        sums.append(acc)
-    return tuple(sums)
-
-
 def build_iet(sigma: Permutation, a: Sequence[ScalarLike]) -> Iet:
     """Construct the exchange for (sigma, a); translations are -Omega a^T.
 
@@ -122,11 +114,11 @@ def build_iet(sigma: Permutation, a: Sequence[ScalarLike]) -> Iet:
     (Fraction(2, 1), Fraction(-1, 1))
     """
     lengths = _checked_lengths(sigma, a)
-    disc_top = _partial_sums(lengths)
-    disc_bottom = _partial_sums([lengths[s - 1] for s in sigma.inverse])
-    # Omega is antisymmetric, so the row vector a Omega is -(Omega a^T).
     denom, scaled = _scaled(lengths)
-    translations = tuple(Fraction(-v, denom) for v in _omega_times(sigma, scaled))
+    sums = _sums(sigma, scaled)
+    disc_top, disc_bottom = (tuple(Fraction(x, denom) for x in part[1:]) for part in sums)
+    # Omega is antisymmetric, so the row vector a Omega is -(Omega a^T).
+    translations = tuple(Fraction(-v, denom) for v in _omega_times(sigma, sums))
     return Iet(sigma, lengths, disc_top, disc_bottom, translations)
 
 

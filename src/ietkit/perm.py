@@ -7,11 +7,12 @@ provides:
 * the antisymmetric exchange matrix ``omega``, whose rows give the per-interval
   translations of the exchange map;
 * the one integer kernel the exact code shares: ``_scaled`` puts rationals
-  over their common denominator, and ``_omega_times`` evaluates Omega v^T on
-  the resulting integers in O(d) by partial sums.  Its ``assert`` checks every
-  result against ``_omega_times_by_inversions``, which sums the sign
-  definition of Omega with a Fenwick tree in O(d log d), so the check costs
-  little more than the kernel and ``python -O`` drops it;
+  over their common denominator, ``_sums`` adds them up in identity and in
+  exchanged order, and ``_omega_times`` reads Omega v^T off those two sums in
+  O(d).  Its ``assert`` checks every result against
+  ``_omega_times_by_inversions``, which sums the sign definition of Omega
+  with a Fenwick tree in O(d log d), so the check costs little more than the
+  kernel and ``python -O`` drops it;
 * the irreducibility test (no proper prefix {1..k} is invariant);
 * symbol removal (``restrict``) and the decomposition into consecutive
   irreducible blocks, the two tools the inductive simplicity argument uses;
@@ -144,19 +145,30 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return denom, [v.numerator * (denom // v.denominator) for v in values]
 
 
-def _omega_times(sigma: Permutation, values: Sequence[int]) -> list[int]:
-    """The integer vector Omega v^T, in O(d).
+def _sums(sigma: Permutation, ints: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Partial sums of ``ints`` in identity order and in exchanged order.
 
-    Entry i is y_i - y'_{sigma(i)}, with y and y' the partial sums of v in
-    identity and exchanged order; the matrix product must agree with it.
+    Both lists start at 0 and have d + 1 entries; the exchanged order visits
+    the symbols as ``sigma.inverse`` lists them.
 
-    >>> _omega_times(validate_permutation([3, 2, 1]), [1, 0, -1])
+    >>> _sums(validate_permutation([3, 1, 2]), [1, 2, 4])
+    ([0, 1, 3, 7], [0, 2, 6, 7])
+    """
+    return [0, *accumulate(ints)], [0, *accumulate(ints[s - 1] for s in sigma.inverse)]
+
+
+def _omega_times(sigma: Permutation, sums: tuple[list[int], list[int]]) -> list[int]:
+    """The integer vector Omega v^T, in O(d), from ``sums = _sums(sigma, v)``.
+
+    Entry i is top[i] - bottom[sigma(i)]; the sign definition must agree.
+
+    >>> p = validate_permutation([3, 2, 1])
+    >>> _omega_times(p, _sums(p, [1, 0, -1]))
     [1, 2, 1]
     """
-    y = list(accumulate(values))
-    y_ex = list(accumulate(values[s - 1] for s in sigma.inverse))
-    out = [y[i] - y_ex[sigma(i + 1) - 1] for i in range(sigma.d)]
-    assert out == _omega_times_by_inversions(sigma, values)
+    top, bottom = sums
+    out = [top[i] - bottom[s] for i, s in enumerate(sigma.images, start=1)]
+    assert out == _omega_times_by_inversions(sigma, [y - x for x, y in zip(top, top[1:])])
     return out
 
 

@@ -1,35 +1,37 @@
 """Suspension polygons over an interval exchange, tested exactly for simplicity.
 
-Each symbol i carries a plane vector ``zeta_i = (a_i, b_i)`` with slope
-``kappa_i = b_i / a_i``.  Concatenating the zeta in identity order gives the
-top chain; concatenating them in exchanged (sigma-inverse) order gives the
-bottom chain.  Both run from the origin to the common endpoint sum(zeta), and
+Each symbol i carries the plane vector (a_i, b_i) with slope
+``kappa_i = b_i / a_i``.  Adding the vectors up in identity order gives the
+top chain; adding them up in exchanged (sigma-inverse) order gives the bottom
+chain.  Both run from the origin to the common endpoint sum((a_i, b_i)), and
 their union is a closed curve.  When that curve is simple it bounds a polygon
 whose vertical flow suspends the exchange, and the per-interval return time of
 that flow is the profile L = Omega b^T.
 
-Everything here is decided in exact rational arithmetic.  The lengths are
-scaled once to integers over their lcm, and the heights over theirs; both
-chains are accumulated from those integers, x over the one denominator and y
-over the other, and the return profile is Omega applied to the same scaled
-heights.  Every a_i is positive, so both chains are strictly x-monotone, and
-the intersection test only compares top and bottom segments whose closed
-x-ranges meet: a window over the bottom chain that two pointers advance left
-to right, about 3d pairs in all.  It runs the orientation tests on the
-integer vertices; a witness, if any, is re-derived on the original
-coordinates.  No epsilon appears anywhere.
+Everything here is decided in exact rational arithmetic.  A diagram stores
+only (sigma, a, b).  On first need the lengths are scaled once to integers
+over their lcm, and the heights over theirs, and ``perm._sums`` adds each up
+in both orders: the x and y partial sums are the two integer chains, and the
+return profile is read off the y sums.  The rational chains, the slopes and
+the profile are derived from that integer state when first read.  Every a_i
+is positive, so both chains are strictly x-monotone, and the intersection test
+only compares top and bottom segments whose closed x-ranges meet: a window
+over the bottom chain that two pointers advance left to right, about 3d pairs
+in all.  It runs the orientation tests on the integer vertices; a witness, if
+any, is re-derived on the original coordinates.  No epsilon appears anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import DegenerateSegment, DimensionMismatch
 from .iet import ScalarLike, _checked_lengths, as_scalar
-from .perm import Permutation, _omega_times, _scaled
+from .perm import Permutation, _omega_times, _scaled, _sums
 
 __all__ = [
     "Point",
@@ -90,6 +92,13 @@ class IntersectionReport:
         assert self.simple == (self.witness is None)
 
 
+_IntChain = list[tuple[int, int]]
+
+
+def _sign(value: Fraction) -> int:
+    return (value > 0) - (value < 0)
+
+
 class PositivityClass(Enum):
     ALL_POSITIVE = "AllPositive"
     ALL_NEGATIVE = "AllNegative"
@@ -101,10 +110,13 @@ class PositivityClass(Enum):
 class SuspensionDiagram:
     """An exchange together with heights: vectors, slopes, chains, return profile.
 
+    Construct through :func:`build_suspension`; the constructor itself does
+    not re-check its inputs.  Only ``sigma``, ``lengths`` and ``heights`` are
+    stored; every other attribute is derived from them when first read.
     ``top_chain`` lists the d+1 vertices reached by the identity-order
     concatenation, ``bottom_chain`` those of the exchanged-order one; the two
     share their first and last vertices.  ``first_slope_vs_bottom_first`` and
-    ``first_slope_vs_bottom_last`` store the signs of kappa_1 minus the slope
+    ``first_slope_vs_bottom_last`` are the signs of kappa_1 minus the slope
     of, respectively, the first and the last bottom-chain segment.  Both
     comparisons are kept because either one may be used to decide which chain
     deserves to be called upper; this module takes no side.
@@ -113,17 +125,51 @@ class SuspensionDiagram:
     sigma: Permutation
     lengths: tuple[Fraction, ...]
     heights: tuple[Fraction, ...]
-    zeta: tuple[Point, ...]
-    slopes: tuple[Fraction, ...]
-    top_chain: tuple[Point, ...]
-    bottom_chain: tuple[Point, ...]
-    return_profile: tuple[Fraction, ...]
-    first_slope_vs_bottom_first: int
-    first_slope_vs_bottom_last: int
 
     @property
     def d(self) -> int:
         return self.sigma.d
+
+    @cached_property
+    def _integers(self) -> tuple[int, int, _IntChain, _IntChain, list[int]]:
+        """``(da, db, top, bottom, Omega b)``: vertex (X, Y) stands for
+        (X / da, Y / db), with da and db the lcms of the length and the height
+        denominators, and each profile entry is over db."""
+        da, xs = _scaled(self.lengths)
+        db, ys = _scaled(self.heights)
+        x_top, x_bottom = _sums(self.sigma, xs)
+        y_sums = _sums(self.sigma, ys)
+        top = list(zip(x_top, y_sums[0]))
+        bottom = list(zip(x_bottom, y_sums[1]))
+        assert top[-1] == bottom[-1]
+        return da, db, top, bottom, _omega_times(self.sigma, y_sums)
+
+    @cached_property
+    def top_chain(self) -> tuple[Point, ...]:
+        da, db, top, _, _ = self._integers
+        return tuple((Fraction(x, da), Fraction(y, db)) for x, y in top)
+
+    @cached_property
+    def bottom_chain(self) -> tuple[Point, ...]:
+        da, db, _, bottom, _ = self._integers
+        return tuple((Fraction(x, da), Fraction(y, db)) for x, y in bottom)
+
+    @cached_property
+    def return_profile(self) -> tuple[Fraction, ...]:
+        _, db, _, _, profile = self._integers
+        return tuple(Fraction(v, db) for v in profile)
+
+    @cached_property
+    def slopes(self) -> tuple[Fraction, ...]:
+        return tuple(h / a for a, h in zip(self.lengths, self.heights))
+
+    @cached_property
+    def first_slope_vs_bottom_first(self) -> int:
+        return _sign(self.slopes[0] - self.slopes[self.sigma.inverse[0] - 1])
+
+    @cached_property
+    def first_slope_vs_bottom_last(self) -> int:
+        return _sign(self.slopes[0] - self.slopes[self.sigma.inverse[-1] - 1])
 
 
 def _checked_heights(sigma: Permutation, b: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
@@ -143,71 +189,14 @@ def return_time_profile(sigma: Permutation, b: Sequence[ScalarLike]) -> tuple[Fr
     (Fraction(1, 1), Fraction(2, 1), Fraction(1, 1))
     """
     denom, scaled = _scaled(_checked_heights(sigma, b))
-    return _profile(sigma, denom, scaled)
-
-
-def _profile(sigma: Permutation, denom: int, scaled_heights: list[int]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v, denom) for v in _omega_times(sigma, scaled_heights))
-
-
-def _sign(value: Fraction) -> int:
-    return (value > 0) - (value < 0)
-
-
-_IntChain = list[tuple[int, int]]
-
-
-def _integer_chains(
-    sigma: Permutation, lengths: Sequence[Fraction], heights: Sequence[Fraction]
-) -> tuple[int, int, list[int], _IntChain, _IntChain]:
-    """Both chains in integers: ``(da, db, scaled heights, top, bottom)``.
-
-    Vertex (X, Y) stands for (X / da, Y / db), where da is the lcm of the
-    length denominators and db that of the height denominators.
-    """
-    da, xs = _scaled(lengths)
-    db, ys = _scaled(heights)
-
-    def chain(order: Sequence[int]) -> _IntChain:
-        x = y = 0
-        pts = [(0, 0)]
-        for s in order:
-            x += xs[s - 1]
-            y += ys[s - 1]
-            pts.append((x, y))
-        return pts
-
-    top = chain(range(1, sigma.d + 1))
-    bottom = chain(sigma.inverse)
-    assert top[-1] == bottom[-1]
-    return da, db, ys, top, bottom
+    return tuple(Fraction(v, denom) for v in _omega_times(sigma, _sums(sigma, scaled)))
 
 
 def build_suspension(
     sigma: Permutation, a: Sequence[ScalarLike], b: Sequence[ScalarLike]
 ) -> SuspensionDiagram:
-    """Assemble the full diagram for (sigma, a, b)."""
-    lengths = _checked_lengths(sigma, a)
-    heights = _checked_heights(sigma, b)
-    d = sigma.d
-    da, db, ys, top, bottom = _integer_chains(sigma, lengths, heights)
-
-    def rational(chain: _IntChain) -> tuple[Point, ...]:
-        return tuple((Fraction(x, da), Fraction(y, db)) for x, y in chain)
-
-    slopes = tuple(heights[i] / lengths[i] for i in range(d))
-    return SuspensionDiagram(
-        sigma=sigma,
-        lengths=lengths,
-        heights=heights,
-        zeta=tuple(zip(lengths, heights)),
-        slopes=slopes,
-        top_chain=rational(top),
-        bottom_chain=rational(bottom),
-        return_profile=_profile(sigma, db, ys),
-        first_slope_vs_bottom_first=_sign(slopes[0] - slopes[sigma.inverse[0] - 1]),
-        first_slope_vs_bottom_last=_sign(slopes[0] - slopes[sigma.inverse[d - 1] - 1]),
-    )
+    """Validate (sigma, a, b) and wrap it as a diagram."""
+    return SuspensionDiagram(sigma, _checked_lengths(sigma, a), _checked_heights(sigma, b))
 
 
 def _orient(o: _RawPoint, p: _RawPoint, q: _RawPoint) -> _Coord:
@@ -286,17 +275,18 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
     which two pointers advance; about 3d pairs are examined instead of
     d(2d-1), and the first offender is the same pair.
 
-    The tests run on the integer chains of ``build_suspension``, x scaled by
-    the lcm of the length denominators and y by that of the heights.  Scaling
-    each axis by its own positive factor keeps the sign of every orientation
-    test, so every crossing, collinearity and contact point stays as it was.
+    The tests run on the diagram's integer chains, x scaled by the lcm of the
+    length denominators and y by that of the heights.  Scaling each axis by
+    its own positive factor keeps the sign of every orientation test, so
+    every crossing, collinearity and contact point stays as it was.
     Every segment has positive x-extent, so two collinear segments overlap
     in the same end points whichever axis they are measured along.  The
     classifications, the start and end allowances and the first offender
-    are those of the rational chains, on which the witness is re-derived.
+    are those of the rational chains.  The witness is re-derived on those,
+    because the scaled axes can list an overlap's two ends in reverse order.
     """
     d = diagram.d
-    _, _, _, top, bottom = _integer_chains(diagram.sigma, diagram.lengths, diagram.heights)
+    _, _, top, bottom, _ = diagram._integers
     start = top[0]
     end = top[d]
 

@@ -180,23 +180,28 @@ def test_check_accepts_rational_and_decimal_scalars(capsys):
     assert payload["slopes"][0] == "1/1"
 
 
-@pytest.mark.parametrize("args", [
-    ["--perm", "3,2,1", "--lengths", "1,1,1", "--heights", "1,0,-1"],
-    _frozen_args(),
-], ids=["simple", "self-intersecting"])
-def test_check_output_does_not_depend_on_asserts(args):
+@pytest.mark.parametrize("argv", [
+    ["check", "--perm", "3,2,1", "--lengths", "1,1,1", "--heights", "1,0,-1"],
+    ["check", *_frozen_args()],
+    ["suspend", *_frozen_args(), "--svg", "{svg}"],
+    ["connections", "--perm", "4,3,2,1", "--lengths", "1,2/3,3/2,1", "--max-m", "40"],
+], ids=["check-simple", "check-self-intersecting", "suspend-svg", "connections"])
+def test_output_does_not_depend_on_asserts(argv, tmp_path):
     # python -O strips every assert, so no result may be computed inside one.
     env = dict(os.environ, PYTHONPATH=str(Path(ietkit.__file__).parents[1]))
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, "-m", "ietkit", "check", *args],
+    runs = []
+    for k, flags in enumerate(([], ["-O"])):
+        svg = tmp_path / f"run{k}.svg"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "ietkit", *(arg.format(svg=svg) for arg in argv)],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        for flags in ([], ["-O"])
-    ]
-    assert runs[0].returncode == runs[1].returncode == 0
-    assert runs[0].stdout == runs[1].stdout != ""
-    assert runs[0].stderr == runs[1].stderr == ""
+        runs.append((proc.returncode, proc.stdout, proc.stderr,
+                     svg.read_text() if svg.exists() else None))
+    assert runs[0] == runs[1]
+    code, out, err, svg_text = runs[0]
+    assert code == 0 and out != "" and err == ""
+    assert (svg_text is not None) == ("--svg" in argv)
 
 
 # ---------------------------------------------------------------------------

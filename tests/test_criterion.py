@@ -10,6 +10,7 @@ from ietkit import (
     IntersectionReport,
     MonotonicityClass,
     PositivityClass,
+    ScanSummary,
     SegmentClass,
     SegmentRelation,
     Verdict,
@@ -20,6 +21,7 @@ from ietkit import (
     curve_spec,
     mahler_curve,
     mahler_spec,
+    random_irreducible,
     scan_curve,
     self_intersects,
     slope_monotonicity,
@@ -147,6 +149,16 @@ def test_report_carries_the_diagram_it_decided_on():
     assert report.witness == self_intersects(report.diagram).witness
 
 
+def test_criterion_on_a_simple_curve_builds_no_rational_chains():
+    # The verdict reads the slopes, the integer chains and the profile; the
+    # Fraction vertices are only made when something asks for them.
+    a, b = mahler_curve(8, F(15, 11))
+    report = convexity_criterion(random_irreducible(8, 1), a, b)
+    assert report.simple
+    assert "top_chain" not in report.diagram.__dict__
+    assert "bottom_chain" not in report.diagram.__dict__
+
+
 def test_report_is_scale_invariant():
     rng = random.Random(f"{SEED}/scale")
     for _ in range(50):
@@ -265,6 +277,16 @@ def test_scan_flags_degenerate_parameters():
 def test_scan_fractions_sum_to_one():
     summary = scan_curve(mahler_spec(3), validate_permutation([3, 1, 2]), _linspace(F(1), F(2), 17))
     assert sum(summary.verdict_fractions.values(), F(0)) == 1
+
+
+def test_scan_fractions_keep_first_seen_order():
+    lemma, ties, mixed = (
+        Verdict.POSITIVE_PAIR_BY_LEMMA, Verdict.DEGENERATE_TIES, Verdict.INCONCLUSIVE_NON_MONOTONE
+    )
+    summary = ScanSummary((ties, lemma, ties, mixed), (F(1), F(2), F(3), F(4)))
+    assert list(summary.verdict_fractions.items()) == [
+        (ties, F(1, 2)), (lemma, F(1, 4)), (mixed, F(1, 4))
+    ]
 
 
 def test_scan_validates():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ietkit import (
@@ -56,6 +56,38 @@ def test_build_rejects_bad_lengths():
         _swap(1, -2)
     with pytest.raises(DimensionMismatch):
         build_iet(validate_permutation([2, 1]), [1, 1, 1])
+
+
+def fraction_partial_sums(values):
+    """Running sums accumulated as Fractions, the way ``build_iet`` made its
+    break points before it read them off scaled integer sums."""
+    sums, acc = [], F(0)
+    for v in values:
+        acc += F(v)
+        sums.append(acc)
+    return tuple(sums)
+
+
+positive_scalars = st.one_of(
+    st.integers(1, 50),
+    st.builds(F, st.integers(1, 10**12), st.integers(1, 10**6)),
+    st.floats(1e-6, 1e6),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(1, 999), st.integers(1, 999)),
+)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 24).flatmap(lambda d: st.tuples(
+    st.permutations(range(1, d + 1)),
+    st.lists(positive_scalars, min_size=d, max_size=d),
+)))
+def test_break_points_match_fraction_partial_sums(case):
+    images, a = case
+    sigma = validate_permutation(images)
+    t = build_iet(sigma, a)
+    assert t.disc_top == fraction_partial_sums(a)
+    assert t.disc_bottom == fraction_partial_sums([a[s - 1] for s in sigma.inverse])
+    assert all(type(v) is F for v in t.disc_top + t.disc_bottom + t.translations)
 
 
 def test_apply_both_pieces():

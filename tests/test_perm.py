@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ietkit import perm as _perm
 from ietkit import (
     build_iet,
+    build_suspension,
     irreducible_component_containing,
     is_irreducible,
     omega,
@@ -91,12 +92,12 @@ def test_omega_times_by_inversions_matches_matrix_products(case):
     got = _perm._omega_times_by_inversions(p, values)
     assert got == [sum(e * v for e, v in zip(row, values)) for row in omega(p).entries]
     assert got == [sum(e * v for e, v in zip(row, values)) for row in oracle_omega(images)]
-    assert got == _perm._omega_times(p, values)
+    assert got == _perm._omega_times(p, _perm._sums(p, values))
 
 
 def test_omega_times_check_is_live(monkeypatch):
     # The kernel's assert compares against the evaluator on every call, so a
-    # wrong evaluator must stop both of the kernel's callers.
+    # wrong evaluator must stop each of the kernel's callers.
     real = _perm._omega_times_by_inversions
 
     def perturbed(sigma, values):
@@ -110,6 +111,8 @@ def test_omega_times_check_is_live(monkeypatch):
         return_time_profile(p, [1, 2, 3])
     with pytest.raises(AssertionError):
         build_iet(p, [1, 2, 3])
+    with pytest.raises(AssertionError):
+        build_suspension(p, [1, 2, 3], [1, 2, 3]).return_profile
 
 
 @pytest.mark.parametrize(

@@ -106,7 +106,7 @@ def test_profile_matches_sign_condition_oracle(case):
 
 
 def fraction_chains(sigma, lengths, heights):
-    """Both chains by adding the zeta vectors as Fractions, the way
+    """Both chains by adding the (a_i, b_i) vectors as Fractions, the way
     ``build_suspension`` accumulated them before it summed scaled integers."""
     def chain(order):
         pts = [(F(0), F(0))]
@@ -116,6 +116,32 @@ def fraction_chains(sigma, lengths, heights):
         return tuple(pts)
 
     return chain(range(1, sigma.d + 1)), chain(sigma.inverse)
+
+
+def eager_attributes(sigma, a, b):
+    """Every public attribute of a diagram, built eagerly the way
+    ``build_suspension`` filled them in before they were derived on first read:
+    ``Fraction`` chains and slopes, and the profile from the sign conditions."""
+    lengths = tuple(F(v) for v in a)
+    heights = tuple(F(v) for v in b)
+    slopes = tuple(h / x for x, h in zip(lengths, heights))
+    top, bottom = fraction_chains(sigma, lengths, heights)
+
+    def sign(v):
+        return (v > 0) - (v < 0)
+
+    return {
+        "d": sigma.d,
+        "sigma": sigma,
+        "lengths": lengths,
+        "heights": heights,
+        "slopes": slopes,
+        "top_chain": top,
+        "bottom_chain": bottom,
+        "return_profile": tuple(oracle_profile(list(sigma.images), heights)),
+        "first_slope_vs_bottom_first": sign(slopes[0] - slopes[sigma.inverse[0] - 1]),
+        "first_slope_vs_bottom_last": sign(slopes[0] - slopes[sigma.inverse[-1] - 1]),
+    }
 
 
 scalars = st.one_of(
@@ -146,6 +172,11 @@ def test_integer_chains_match_fraction_chains(case):
     assert all(type(c) is F for pt in diagram.top_chain + diagram.bottom_chain for c in pt)
     assert diagram.return_profile == return_time_profile(sigma, b)
     assert list(diagram.return_profile) == oracle_profile(images, b)
+    # Every public attribute, read in a fresh diagram, equals the eager build.
+    fresh = build_suspension(sigma, a, b)
+    public = {name: getattr(fresh, name) for name in dir(fresh) if not name.startswith("_")}
+    assert public == eager_attributes(sigma, a, b)
+    assert all(type(v) is F for v in fresh.slopes + fresh.return_profile)
 
 
 def test_chain_closure_on_random_data():
@@ -326,23 +357,45 @@ def test_window_matches_all_pairs_on_criterion_9_stream():
 
 def test_window_matches_all_pairs_on_touches_and_overlaps():
     # Small integers put vertices on other segments and segments on one line.
-    rng = random.Random(f"{SEED}/window-degenerate")
-    seen = {c: 0 for c in SegmentClass}
-    simple = 0
-    for _ in range(500):
-        d = rng.randint(2, 12)
-        images = list(range(1, d + 1))
-        rng.shuffle(images)
-        a = [rng.randint(1, 3) for _ in range(d)]
-        b = [rng.randint(-3, 3) for _ in range(d)]
-        report = assert_matches_references(images, a, b)
-        if report.simple:
-            simple += 1
-        else:
-            seen[report.witness.relation.classification] += 1
-    # Simple curves and every kind of offender were actually exercised.
-    assert simple > 50
-    assert min(seen[c] for c in SegmentClass if c is not SegmentClass.DISJOINT) > 50
+    # The second pass divides every a_i by 3 and every b_i by 10: that keeps
+    # each touch and overlap but scales the axes apart, so da != db there.
+    for a_den, b_den in ((1, 1), (3, 10)):
+        rng = random.Random(f"{SEED}/window-degenerate")
+        seen = {c: 0 for c in SegmentClass}
+        simple = 0
+        for _ in range(500):
+            d = rng.randint(2, 12)
+            images = list(range(1, d + 1))
+            rng.shuffle(images)
+            a = [F(rng.randint(1, 3), a_den) for _ in range(d)]
+            b = [F(rng.randint(-3, 3), b_den) for _ in range(d)]
+            report = assert_matches_references(images, a, b)
+            if report.simple:
+                simple += 1
+            else:
+                seen[report.witness.relation.classification] += 1
+        # Simple curves and every kind of offender were actually exercised.
+        assert simple > 50
+        assert min(seen[c] for c in SegmentClass if c is not SegmentClass.DISJOINT) > 50
+
+
+def test_steep_decreasing_overlap_keeps_the_rational_locus_order():
+    # segment_relation orders overlap ends along the dominant axis of p.
+    # Scaling y by 10 makes this slope -1/2 segment y-dominant, and the ends
+    # come back reversed; so a witness must not be mapped back from integers.
+    p0, p1, q0, q1 = (0, 0), (1, F(-1, 2)), (F(1, 2), F(-1, 4)), (2, -1)
+    assert segment_relation(p0, p1, q0, q1).locus == ((F(1, 2), F(-1, 4)), (1, F(-1, 2)))
+    scaled = [(x, 10 * y) for x, y in (p0, p1, q0, q1)]
+    assert segment_relation(*scaled).locus == ((1, -5), (F(1, 2), F(-5, 2)))
+    # A diagram whose first offender is such an overlap: top 1 and bottom 1
+    # both leave the origin with slope -1/2, over da = 2 and db = 20.
+    a, b = [1, F(3, 2), 1], [F(-1, 2), F(-3, 4), F(1, 5)]
+    report = assert_matches_references([3, 1, 2], a, b)
+    w = report.witness
+    assert (w.chain_a, w.index_a, w.chain_b, w.index_b) == ("top", 1, "bottom", 1)
+    assert w.relation == segment_relation((0, 0), (1, F(-1, 2)), (0, 0), (F(3, 2), F(-3, 4)))
+    assert w.relation.classification is SegmentClass.COLLINEAR_OVERLAP
+    assert w.relation.locus == ((0, 0), (1, F(-1, 2)))
 
 
 @settings(max_examples=200)
