@@ -30,11 +30,10 @@ from .errors import (
     InvalidBound,
     InvalidSize,
     LemmaViolation,
-    NonPositiveLength,
     NonPositiveParameter,
     ReduciblePermutation,
 )
-from .iet import ScalarLike, as_scalar
+from .iet import ScalarLike, _positive_lengths, as_scalar
 from .perm import Permutation, is_irreducible
 from .suspension import (
     PositivityClass,
@@ -136,12 +135,7 @@ def slope_monotonicity(a: Sequence[ScalarLike], b: Sequence[ScalarLike]) -> Mono
     """
     if len(a) != len(b):
         raise DimensionMismatch(f"{len(a)} lengths vs {len(b)} heights")
-    if not a:
-        raise NonPositiveLength("empty length vector")
-    lengths = [as_scalar(v) for v in a]
-    for i, v in enumerate(lengths, start=1):
-        if v <= 0:
-            raise NonPositiveLength(f"a_{i} = {v} is not positive")
+    lengths = _positive_lengths(a)
     heights = [as_scalar(v) for v in b]
     return _classify_slopes([h / l for h, l in zip(heights, lengths)])
 

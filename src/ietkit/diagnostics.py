@@ -4,6 +4,15 @@ These are evidence, not proof: a unique ergodicity claim is never emitted.
 The orbit is iterated in exact arithmetic (rescaled to one common integer
 denominator, so cost per step stays flat) and compared against the Lebesgue
 prediction a_j / |I| per interval, plus a uniform refinement into equal cells.
+
+Over that denominator the exchange is a bijection of the finite set of
+integers in [0, total), so the orbit is purely periodic and first returns to
+its own start.  When cells^2 <= n, the interior breaks and the cell starts
+cut [0, total) into pieces that each lie in one interval and one cell; the
+loop then makes one lookup per step, stops at the first return, and counts
+n steps as q periods plus the first n mod p steps.  The sqrt(n) gate keeps
+the partition, of size below d + cells, small against the orbit; with more
+cells the plain loop takes all n steps.
 """
 
 from __future__ import annotations
@@ -40,17 +49,53 @@ class OrbitStats:
     refinement_discrepancy: Fraction
 
 
+def _piece_counts(points: list[int], shift: list[int], start: int, n: int) -> tuple[list[int], int]:
+    """Visits per piece of the orbit of start, for at most n steps.
+
+    Piece k is the k-th gap of the sorted ``points`` and moves by ``shift[k]``.
+    Returns the counts and the steps taken, which fall short of n only when
+    the orbit returns to start: then the steps taken are its period.
+    """
+    counts = [0] * len(shift)
+    x = start
+    for step in range(n):
+        k = bisect_right(points, x)
+        counts[k] += 1
+        x += shift[k]
+        if x == start:
+            return counts, step + 1
+    return counts, n
+
+
 def _orbit_counts(
     t: Iet, x0: Fraction, n: int, cells: int
 ) -> tuple[list[int], list[int]]:
     x, total, breaks, trans = _scaled_ints(t, x0)
     interval_counts = [0] * t.d
     cell_counts = [0] * cells
-    for _ in range(n):
-        j = bisect_right(breaks, x)
-        interval_counts[j] += 1
-        cell_counts[x * cells // total] += 1
-        x += trans[j]
+    if cells * cells > n:
+        for _ in range(n):
+            j = bisect_right(breaks, x)
+            interval_counts[j] += 1
+            cell_counts[x * cells // total] += 1
+            x += trans[j]
+        return interval_counts, cell_counts
+    # Cell c holds the integers from ceil(c * total / cells) on; cut at those
+    # starts and at the interior breaks, each piece lies in one interval and
+    # one cell.  When cells > total, some starts coincide or reach total.
+    cuts = {-(-c * total // cells) for c in range(1, cells)}
+    points = sorted(cuts.union(breaks[:-1]).difference((total,)))
+    starts = [0, *points]
+    intervals = [bisect_right(breaks, s) for s in starts]
+    shift = [trans[j] for j in intervals]
+    counts, period = _piece_counts(points, shift, x, n)
+    if period < n:
+        q, r = divmod(n, period)
+        rest, _ = _piece_counts(points, shift, x, r)
+        counts = [c * q + e for c, e in zip(counts, rest)]
+    for s, j, c in zip(starts, intervals, counts):
+        interval_counts[j] += c
+        cell_counts[s * cells // total] += c
     return interval_counts, cell_counts
 
 
@@ -58,6 +103,10 @@ def visit_frequencies(
     t: Iet, x0: ScalarLike, n: int, cells: int = DEFAULT_REFINEMENT
 ) -> OrbitStats:
     """Exact visit fractions of the first n orbit points, against Lebesgue.
+
+    The orbit is periodic, so with at most sqrt(n) cells its counts are read
+    off one period and the remainder; the statistics are the same as those of
+    n plain steps.
 
     >>> from ietkit.perm import validate_permutation
     >>> from ietkit.iet import build_iet

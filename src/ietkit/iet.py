@@ -95,14 +95,21 @@ class Connection:
     j: int
 
 
-def _checked_lengths(sigma: Permutation, a: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
-    if len(a) != sigma.d:
-        raise DimensionMismatch(f"{len(a)} lengths for {sigma.d} symbols")
+def _positive_lengths(a: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
+    """The exact lengths, each checked positive: the package's one length check."""
+    if not a:
+        raise NonPositiveLength("empty length vector")
     lengths = tuple(as_scalar(v) for v in a)
     for i, v in enumerate(lengths, start=1):
         if v <= 0:
             raise NonPositiveLength(f"a_{i} = {v} is not positive")
     return lengths
+
+
+def _checked_lengths(sigma: Permutation, a: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
+    if len(a) != sigma.d:
+        raise DimensionMismatch(f"{len(a)} lengths for {sigma.d} symbols")
+    return _positive_lengths(a)
 
 
 def build_iet(sigma: Permutation, a: Sequence[ScalarLike]) -> Iet:

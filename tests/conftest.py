@@ -1,4 +1,5 @@
-"""Shared fixtures: seeded generators and the frozen intersection fixture.
+"""Shared fixtures: seeded generators, the frozen intersection fixture and
+the frequency loop that steps through every iterate, kept as a reference.
 
 Set the SEED environment variable to rerun every randomized suite on a
 different deterministic stream; the default keeps CI byte-stable.
@@ -8,12 +9,21 @@ from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
-from ietkit import build_suspension, random_irreducible, validate_permutation
+from ietkit import (
+    OrbitStats,
+    apply,
+    build_iet,
+    build_suspension,
+    random_irreducible,
+    validate_permutation,
+)
+from ietkit.iet import _scaled_ints
 
 SEED = int(os.environ.get("SEED", "57721"))
 
@@ -92,3 +102,68 @@ def increasing_suite():
 @pytest.fixture()
 def rng():
     return random.Random(SEED)
+
+
+# ---------------------------------------------------------------------------
+# Orbit reference: the frequency loop that takes every one of the n steps,
+# so it does not rely on periodicity.
+
+
+def reference_visit_frequencies(t, x0, n: int, cells: int = 64) -> OrbitStats:
+    x, total, breaks, trans = _scaled_ints(t, Fraction(x0))
+    interval_counts = [0] * t.d
+    cell_counts = [0] * cells
+    for _ in range(n):
+        j = bisect_right(breaks, x)
+        interval_counts[j] += 1
+        cell_counts[x * cells // total] += 1
+        x += trans[j]
+    frequencies = tuple(Fraction(c, n) for c in interval_counts)
+    expected = tuple(length / t.total for length in t.lengths)
+    return OrbitStats(
+        n_iterations=n,
+        frequencies=frequencies,
+        expected=expected,
+        discrepancy=max(abs(f - e) for f, e in zip(frequencies, expected)),
+        refinement_cells=cells,
+        refinement_discrepancy=max(abs(Fraction(c, n) - Fraction(1, cells)) for c in cell_counts),
+    )
+
+
+def period_of(t, x0, cap: int = 3000) -> int | None:
+    """Steps until the orbit of x0 first returns, by ``apply`` on Fractions;
+    None when it has not returned within cap steps."""
+    x = x0
+    for p in range(1, cap + 1):
+        x = apply(t, x)
+        if x == x0:
+            return p
+    return None
+
+
+def across_periods(p: int | None, rng: random.Random) -> set[int]:
+    """Step counts n < p, n = p, n = k p and n = k p + r, plus one drawn at random."""
+    counts = {1, rng.randint(1, 4000)}
+    if p is not None:
+        k = rng.randint(2, 5)
+        counts |= {p - 1, p, p + 1, k * p, k * p + rng.randint(1, p)}
+    return {n for n in counts if n >= 1}
+
+
+def random_rational_exchange(rng: random.Random, digits: int, start: str):
+    """(t, x0): d <= 24 and each length p/q with q up to 10^digits; x0 is 0,
+    a break point or an interior rational point as ``start`` says."""
+    d = rng.randint(2, 24)
+    sigma = random_irreducible(d, rng.getrandbits(32))
+    top = 10 ** digits
+    lengths = []
+    for _ in range(d):
+        q = rng.randint(1, top)
+        lengths.append(Fraction(rng.randint(1, 3 * q), q))
+    t = build_iet(sigma, lengths)
+    x0 = {
+        "zero": Fraction(0),
+        "break": rng.choice(t.disc_top[:-1]),
+        "interior": t.total * Fraction(rng.randint(0, 999), 1000),
+    }[start]
+    return t, x0

@@ -12,9 +12,10 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import ietkit
-from ietkit.cli import _load_schema, main
+from ietkit import build_iet, validate_permutation
+from ietkit.cli import _load_schema, canonical_json, main
 
-from conftest import FROZEN_CROSSING
+from conftest import FROZEN_CROSSING, reference_visit_frequencies
 
 F = Fraction
 
@@ -373,6 +374,35 @@ def test_orbit_refinement_is_bounded_by_the_schema(capsys):
     code, out, _ = run_cli(capsys, *args, "--refine", "1048576")
     assert code == 0
     assert json.loads(out)["refinement_cells"] == 1048576
+
+
+@pytest.mark.parametrize("lengths, iters, refine", [
+    ("1,1597/987", 7769, None),
+    ("1,1", 1, 1048576),
+], ids=["three-periods-and-17", "cells-above-sqrt-n"])
+def test_orbit_output_matches_the_full_loop(capsys, lengths, iters, refine):
+    # The rotation has period 2584 and 7769 = 3 * 2584 + 17; the second case
+    # has cells^2 > n, so the plain loop runs.
+    refine_args = [] if refine is None else ["--refine", str(refine)]
+    code, out, err = run_cli(
+        capsys, "orbit", "--perm", "2,1", "--lengths", lengths, "--x0", "0",
+        "--iters", str(iters), *refine_args,
+    )
+    refine = refine or 64
+    t = build_iet(validate_permutation([2, 1]), [F(v) for v in lengths.split(",")])
+    stats = reference_visit_frequencies(t, F(0), iters, refine)
+    expected = {
+        "iterations": iters,
+        "frequencies": list(stats.frequencies),
+        "expected": list(stats.expected),
+        "discrepancy": stats.discrepancy,
+        "discrepancy_float": float(stats.discrepancy),
+        "refinement_cells": refine,
+        "refinement_discrepancy": stats.refinement_discrepancy,
+        "refinement_discrepancy_float": float(stats.refinement_discrepancy),
+        "empirical": True,
+    }
+    assert (code, out, err) == (0, canonical_json(expected) + "\n", "")
 
 
 def test_orbit_rejects_point_outside_domain(capsys):

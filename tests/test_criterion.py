@@ -15,6 +15,7 @@ from ietkit import (
     SegmentRelation,
     Verdict,
     Witness,
+    build_iet,
     build_suspension,
     convexity_criterion,
     curve_point,
@@ -61,8 +62,31 @@ def test_slope_monotonicity_single_interval_is_vacuously_decreasing():
 def test_slope_monotonicity_validates():
     with pytest.raises(NonPositiveLength):
         slope_monotonicity([1, 0], [1, 1])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^2 lengths vs 1 heights$"):
         slope_monotonicity([1, 1], [1])
+    with pytest.raises(NonPositiveLength, match="^empty length vector$"):
+        slope_monotonicity([], [])
+
+
+@pytest.mark.parametrize("lengths, message", [
+    ([1, 0], "a_2 = 0 is not positive"),
+    ([-2, 1], "a_1 = -2 is not positive"),
+    ([1, -0.5], "a_2 = -1/2 is not positive"),
+])
+def test_slopes_and_exchanges_reject_lengths_alike(lengths, message):
+    sigma = validate_permutation([2, 1])
+    raised = []
+    for call in (
+        lambda: slope_monotonicity(lengths, [1, 1]),
+        lambda: build_iet(sigma, lengths),
+        lambda: build_suspension(sigma, lengths, [1, 1]),
+    ):
+        with pytest.raises(NonPositiveLength) as info:
+            call()
+        raised.append(str(info.value))
+    assert raised == [message] * 3
+    with pytest.raises(DimensionMismatch, match="^3 lengths for 2 symbols$"):
+        build_iet(sigma, [*lengths, 1])
 
 
 # ---------------------------------------------------------------------------

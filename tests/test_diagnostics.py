@@ -16,7 +16,14 @@ from ietkit import (
 )
 from ietkit.errors import InvalidBound, OutOfDomain
 
-from conftest import SEED, random_length
+from conftest import (
+    SEED,
+    across_periods,
+    period_of,
+    random_length,
+    random_rational_exchange,
+    reference_visit_frequencies,
+)
 
 F = Fraction
 
@@ -79,6 +86,40 @@ def test_refinement_discrepancy_is_the_max_over_every_cell():
             counts[int(x * cells / t.total)] += 1
             x = apply(t, x)
         assert stats.refinement_discrepancy == max(abs(F(c, n) - F(1, cells)) for c in counts)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 5, 7, 64])
+def test_frequencies_match_the_full_loop_around_the_gate_and_the_period(cells):
+    # Counting by pieces needs cells^2 <= n: n = cells^2 - 1, cells^2 and
+    # cells^2 + 1 straddle the gate, and the rest straddle the period.  The
+    # unit swap has scaled total 2 at x0 = 0 and 1, below every cells > 2, so
+    # several cell starts collapse onto one integer or onto total.
+    rng = random.Random(f"{SEED}/frequencies-gate/{cells}")
+    for a2 in (F(1), F(2, 3), F(1597, 987)):
+        t = rotation(a2)
+        for x0 in (F(0), F(1), t.total / 3):
+            p = period_of(t, x0)
+            assert p is not None
+            counts = across_periods(p, rng) | {cells * cells - 1, cells * cells, cells * cells + 1}
+            for n in counts - {0}:
+                got = visit_frequencies(t, x0, n, cells=cells)
+                assert got == reference_visit_frequencies(t, x0, n, cells)
+
+
+def test_frequencies_match_the_full_loop_on_random_exchanges():
+    # Every pair of denominator size (10^0 to 10^6) and start kind occurs
+    # three times, whatever the seed.  Integer lengths of at most 3 with x0 = 0
+    # or a break scale to a total, and so a period, of at most 72, so short
+    # periods are always drawn; large denominators give orbits that do not
+    # return within n.
+    rng = random.Random(f"{SEED}/frequencies-random")
+    for k in range(63):
+        start = ("zero", "break", "interior")[k % 3]
+        t, x0 = random_rational_exchange(rng, k % 7, start)
+        cells = rng.choice([1, 2, 3, 10, 64, 100])
+        for n in across_periods(period_of(t, x0), rng) | {cells * cells}:
+            got = visit_frequencies(t, x0, n, cells=cells)
+            assert got == reference_visit_frequencies(t, x0, n, cells)
 
 
 def test_near_golden_rotation_equidistributes():

@@ -25,7 +25,7 @@ from ietkit.errors import (
     OutOfDomain,
 )
 
-from conftest import SEED, random_length
+from conftest import SEED, period_of, random_length
 from oracles import oracle_connections
 
 F = Fraction
@@ -236,3 +236,20 @@ def test_find_connections_matches_oracle_at_large_d(d):
         assert got == oracle_connections(sigma.images, a, 60)
         hits += len(got)
     assert hits > 0
+
+
+def test_find_connections_repeats_hits_past_the_period():
+    # max_m is several periods, so every hit recurs; the return hit (m, i, i)
+    # is itself a connection and is reported at every multiple of the period.
+    rng = random.Random(f"{SEED}/connections-repeat")
+    for _ in range(20):
+        d = rng.randint(2, 6)
+        sigma = random_irreducible(d, rng.getrandbits(32))
+        a = [F(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(d)]
+        t = build_iet(sigma, a)
+        periods = {i: period_of(t, t.disc_top[i - 1]) for i in range(1, d)}
+        max_m = 4 * max(periods.values()) + rng.randint(1, 5)
+        got = [(c.m, c.i, c.j) for c in find_connections(t, max_m)]
+        assert got == oracle_connections(sigma.images, a, max_m)
+        for i, p in periods.items():
+            assert [m for m, hi, j in got if hi == i == j] == list(range(p, max_m + 1, p))
