@@ -264,9 +264,7 @@ def cmd_scan(job: dict, schema: dict) -> int:
     if workers > 1:
         chunk_size = (len(grid) + workers - 1) // workers
         chunks = [grid[k : k + chunk_size] for k in range(0, len(grid), chunk_size)]
-        # Probe the first sample serially so domain and validation errors
-        # surface with clean exit codes instead of a pool traceback.
-        _criterion.scan_curve(spec, sigma, grid[:1])
+        # pool.map re-raises a worker's error here, so exit codes match --jobs 1.
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_scan_chunk, [(spec, sigma, c) for c in chunks])
             verdicts = [v for part in parts for v in part]

@@ -6,13 +6,14 @@ denominator, so cost per step stays flat) and compared against the Lebesgue
 prediction a_j / |I| per interval, plus a uniform refinement into equal cells.
 
 Over that denominator the exchange is a bijection of the finite set of
-integers in [0, total), so the orbit is purely periodic and first returns to
-its own start.  When cells^2 <= n, the interior breaks and the cell starts
-cut [0, total) into pieces that each lie in one interval and one cell; the
-loop then makes one lookup per step, stops at the first return, and counts
-n steps as q periods plus the first n mod p steps.  The sqrt(n) gate keeps
-the partition, of size below d + cells, small against the orbit; with more
-cells the plain loop takes all n steps.
+integers in [0, total), so the orbit is purely periodic.  One walk counts
+visits per piece of a sorted partition: it stops at the first return and
+counts n steps as q periods plus one rerun of the first n mod p steps, which
+is shorter than the period and so never returns early.  The trend walks the
+breaks from mark to mark.  ``visit_frequencies`` with cells^2 <= n walks the
+breaks and the cell starts, whose pieces each lie in one interval and one
+cell; the sqrt(n) gate keeps that partition small against the orbit, and with
+more cells the plain loop takes all n steps.
 """
 
 from __future__ import annotations
@@ -49,22 +50,28 @@ class OrbitStats:
     refinement_discrepancy: Fraction
 
 
-def _piece_counts(points: list[int], shift: list[int], start: int, n: int) -> tuple[list[int], int]:
-    """Visits per piece of the orbit of start, for at most n steps.
+def _walk(points: list[int], shift: list[int], x: int, n: int) -> tuple[list[int], int]:
+    """Visits per piece over n steps from x, and the point reached.
 
     Piece k is the k-th gap of the sorted ``points`` and moves by ``shift[k]``.
-    Returns the counts and the steps taken, which fall short of n only when
-    the orbit returns to start: then the steps taken are its period.
+    If the orbit returns to x after p steps, the counts are q periods plus
+    one rerun of r steps, q, r = divmod(n, p), and the point reached is the
+    end of that rerun.
+
+    >>> _walk([1], [1, -1], 0, 5)
+    ([3, 2], 1)
     """
     counts = [0] * len(shift)
-    x = start
-    for step in range(n):
+    start = x
+    for step in range(1, n + 1):
         k = bisect_right(points, x)
         counts[k] += 1
         x += shift[k]
         if x == start:
-            return counts, step + 1
-    return counts, n
+            q, r = divmod(n, step)
+            rest, x = _walk(points, shift, x, r)
+            return [c * q + e for c, e in zip(counts, rest)], x
+    return counts, x
 
 
 def _orbit_counts(
@@ -88,11 +95,7 @@ def _orbit_counts(
     starts = [0, *points]
     intervals = [bisect_right(breaks, s) for s in starts]
     shift = [trans[j] for j in intervals]
-    counts, period = _piece_counts(points, shift, x, n)
-    if period < n:
-        q, r = divmod(n, period)
-        rest, _ = _piece_counts(points, shift, x, r)
-        counts = [c * q + e for c, e in zip(counts, rest)]
+    counts, _ = _walk(points, shift, x, n)
     for s, j, c in zip(starts, intervals, counts):
         interval_counts[j] += c
         cell_counts[s * cells // total] += c
@@ -142,6 +145,8 @@ def discrepancy_trend(
 
     The schedule must be strictly increasing positive counts; the value at
     each n equals visit_frequencies(t, x0, n).discrepancy (prefix consistency).
+    One walk runs from mark to mark: a stretch longer than the period stops
+    at the first return and adds at most one rerun of the remainder.
     """
     if not schedule:
         return []
@@ -155,14 +160,8 @@ def discrepancy_trend(
     expected = tuple(length / t.total for length in t.lengths)
     counts = [0] * t.d
     out = []
-    marks = iter(schedule)
-    mark = next(marks)
-    for step in range(1, schedule[-1] + 1):
-        j = bisect_right(breaks, x)
-        counts[j] += 1
-        x += trans[j]
-        if step == mark:
-            disc = max(abs(Fraction(c, step) - e) for c, e in zip(counts, expected))
-            out.append((step, disc))
-            mark = next(marks, None)
+    for done, mark in zip([0, *schedule], schedule):
+        steps, x = _walk(breaks[:-1], trans, x, mark - done)
+        counts = [c + s for c, s in zip(counts, steps)]
+        out.append((mark, max(abs(Fraction(c, mark) - e) for c, e in zip(counts, expected))))
     return out

@@ -35,7 +35,8 @@ class DimensionMismatch(IetkitError):
 
 
 class OutOfDomain(IetkitError):
-    """A point lies outside the half-open interval [0, |I|)."""
+    """A point lies outside the half-open interval [0, |I|), or a scalar is
+    not a finite rational."""
 
 
 class InvalidBound(IetkitError):

@@ -54,12 +54,16 @@ ScalarLike = Union[Fraction, int, str, float]
 
 
 def as_scalar(value: ScalarLike) -> Fraction:
-    """Coerce to an exact rational; binary floats convert without rounding."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise OutOfDomain(f"non-finite scalar {value!r}")
+    """Coerce to an exact rational; binary floats convert without rounding.
+
+    Non-finite floats and malformed values ("abc", "1/0") raise OutOfDomain.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise OutOfDomain(f"non-finite scalar {value!r}")
+    try:
         return Fraction(value)
-    return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise OutOfDomain(f"malformed scalar {value!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Shared fixtures: seeded generators, the frozen intersection fixture and
-the frequency loop that steps through every iterate, kept as a reference.
+the frequency and trend loops that step through every iterate, kept as
+references.
 
 Set the SEED environment variable to rerun every randomized suite on a
 different deterministic stream; the default keeps CI byte-stable.
@@ -105,8 +106,8 @@ def rng():
 
 
 # ---------------------------------------------------------------------------
-# Orbit reference: the frequency loop that takes every one of the n steps,
-# so it does not rely on periodicity.
+# Orbit references: the frequency and trend loops that take every one of the
+# n steps, so they do not rely on periodicity.
 
 
 def reference_visit_frequencies(t, x0, n: int, cells: int = 64) -> OrbitStats:
@@ -128,6 +129,23 @@ def reference_visit_frequencies(t, x0, n: int, cells: int = 64) -> OrbitStats:
         refinement_cells=cells,
         refinement_discrepancy=max(abs(Fraction(c, n) - Fraction(1, cells)) for c in cell_counts),
     )
+
+
+def reference_discrepancy_trend(t, x0, schedule) -> list[tuple[int, Fraction]]:
+    x, _, breaks, trans = _scaled_ints(t, Fraction(x0))
+    expected = tuple(length / t.total for length in t.lengths)
+    counts = [0] * t.d
+    out = []
+    marks = iter(schedule)
+    mark = next(marks)
+    for step in range(1, schedule[-1] + 1):
+        j = bisect_right(breaks, x)
+        counts[j] += 1
+        x += trans[j]
+        if step == mark:
+            out.append((step, max(abs(Fraction(c, step) - e) for c, e in zip(counts, expected))))
+            mark = next(marks, None)
+    return out
 
 
 def period_of(t, x0, cap: int = 3000) -> int | None:

@@ -320,6 +320,23 @@ def test_scan_domain_violation_same_under_jobs(capsys, tmp_path):
         "--from", "-1", "--to", "1", "--samples", "5", "--jobs", "4",
     )
     assert code == 5
+    # A worker's error reaches the same handler as a serial one: a violation
+    # at sample 0, one at sample 3 (a = (2 - s, s), in the second of two
+    # chunks) and a reducible permutation.
+    late = tmp_path / "late.json"
+    late.write_text(json.dumps({"d": 2, "coeffs": [[2, -1], [0, 1]]}))
+    cases = [
+        ("2,1", curve, "-1", "1", 5),
+        ("2,1", str(late), "0.5", "3", 5),
+        ("1,2", curve, "1", "2", 4),
+    ]
+    for perm, path, lo, hi, exit_code in cases:
+        argv = ["scan", "--perm", perm, "--curve", path, "--from", lo, "--to", hi, "--samples", "5"]
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        assert serial[0] == exit_code
+        assert serial[2].startswith("error:")
+        assert run_cli(capsys, *argv, "--jobs", "2") == serial
+        assert run_cli(capsys, *argv, "--jobs", "4") == serial
 
 
 def test_scan_curve_file_problems_are_validation_errors(capsys, tmp_path):

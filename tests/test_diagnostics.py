@@ -22,6 +22,7 @@ from conftest import (
     period_of,
     random_length,
     random_rational_exchange,
+    reference_discrepancy_trend,
     reference_visit_frequencies,
 )
 
@@ -142,6 +143,37 @@ def test_trend_is_prefix_consistent_with_frequencies():
     trend = discrepancy_trend(t, F(1, 3), [10, 100, 500])
     for n, disc in trend:
         assert disc == visit_frequencies(t, F(1, 3), n).discrepancy
+
+
+def trend_schedules(p: int | None, rng: random.Random) -> list[list[int]]:
+    """The marks across the period as one schedule and one at a time, plus a
+    dense schedule 1..k with k above 2p."""
+    marks = sorted(across_periods(p, rng))
+    k = 2 * p + rng.randint(1, p) if p is not None else rng.randint(1, 200)
+    return [marks, list(range(1, k + 1)), *([n] for n in marks)]
+
+
+def test_trend_matches_the_full_loop_on_random_exchanges():
+    # Every pair of denominator size (10^0 to 10^6) and start kind occurs
+    # three times, whatever the seed, so short periods are always drawn (see
+    # the frequency test above); each stretch between marks may return.
+    rng = random.Random(f"{SEED}/trend-random")
+    for k in range(63):
+        start = ("zero", "break", "interior")[k % 3]
+        t, x0 = random_rational_exchange(rng, k % 7, start)
+        for schedule in trend_schedules(period_of(t, x0), rng):
+            assert discrepancy_trend(t, x0, schedule) == reference_discrepancy_trend(t, x0, schedule)
+
+
+def test_trend_matches_the_full_loop_on_rotations():
+    rng = random.Random(f"{SEED}/trend-rotations")
+    for a2 in (F(1), F(2, 3), F(1597, 987)):
+        t = rotation(a2)
+        for x0 in (F(0), F(1), t.total / 3):
+            for schedule in trend_schedules(period_of(t, x0), rng):
+                assert discrepancy_trend(t, x0, schedule) == reference_discrepancy_trend(t, x0, schedule)
+    t, schedule = rotation(F(1597, 987)), [1000, 10_000, 200_000]
+    assert discrepancy_trend(t, F(0), schedule) == reference_discrepancy_trend(t, F(0), schedule)
 
 
 def test_frequencies_and_trend_match_orbit_coding_at_d20():

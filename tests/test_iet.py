@@ -11,7 +11,9 @@ from ietkit import (
     Connection,
     apply,
     apply_inverse,
+    as_scalar,
     build_iet,
+    convexity_criterion,
     find_connections,
     image_partition,
     orbit_coding,
@@ -56,6 +58,20 @@ def test_build_rejects_bad_lengths():
         _swap(1, -2)
     with pytest.raises(DimensionMismatch):
         build_iet(validate_permutation([2, 1]), [1, 1, 1])
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc"])
+def test_malformed_scalars_are_input_errors(text):
+    # Fraction raises ZeroDivisionError or a bare ValueError; the package
+    # re-raises its own input error, chained from the original.
+    with pytest.raises(OutOfDomain) as info:
+        as_scalar(text)
+    assert isinstance(info.value.__cause__, (ZeroDivisionError, ValueError))
+    assert not isinstance(info.value.__cause__, OutOfDomain)
+    with pytest.raises(OutOfDomain):
+        _swap(1, text)
+    with pytest.raises(OutOfDomain):
+        convexity_criterion(validate_permutation([2, 1]), [1, 1], [text, 1])
 
 
 def fraction_partial_sums(values):
