@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
+import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
 from typing import Any, Sequence
-
-import jsonschema
 
 from . import criterion as _criterion
 from . import diagnostics as _diagnostics
@@ -91,8 +90,111 @@ def _load_schema() -> dict:
     return json.loads(text)
 
 
-def _validate_job(job: dict, schema: dict) -> None:
-    jsonschema.Draft202012Validator(schema).validate(job)
+class SchemaRejection(IetkitError):
+    """A job or curve file that the shipped schema rejects; the message is
+    ``jsonschema``'s own."""
+
+
+def _is_number(x: Any) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+# JSON Schema Draft 2020-12 types as jsonschema 4 checks them: bool is neither
+# integer nor number, and an integral float such as 1.0 is an integer.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "integer": lambda x: not isinstance(x, bool)
+    and (isinstance(x, int) or (isinstance(x, float) and x.is_integer())),
+}
+
+
+def _ref(x: Any, ref: str, schema: dict, root: dict) -> bool:
+    # Only local JSON pointers without escapes: any other $ref is not understood.
+    if not ref.startswith("#/") or any(c in ref for c in "~%"):
+        return False
+    target: Any = root
+    for part in ref[2:].split("/"):
+        if not isinstance(target, dict) or part not in target:
+            return False
+        target = target[part]
+    return _accepts(x, target, root)
+
+
+def _properties(x: Any, props: dict, schema: dict, root: dict) -> bool:
+    return not isinstance(x, dict) or all(
+        _accepts(x[k], sub, root) for k, sub in props.items() if k in x
+    )
+
+
+def _additional(x: Any, sub: Any, schema: dict, root: dict) -> bool:
+    props = schema.get("properties", {})
+    return not isinstance(x, dict) or all(_accepts(x[k], sub, root) for k in x if k not in props)
+
+
+# keyword -> check(instance, keyword value, enclosing schema, root schema)
+_KEYWORDS = {
+    "$ref": _ref,
+    # One type name; a list of names is not understood.
+    "type": lambda x, t, s, r: isinstance(t, str) and t in _TYPES and _TYPES[t](x),
+    # jsonschema compares a string const with plain ==; other consts are not understood.
+    "const": lambda x, c, s, r: isinstance(c, str) and x == c,
+    # re.search, as jsonschema does: "^...$" also matches before a final "\n".
+    "pattern": lambda x, p, s, r: not isinstance(x, str) or re.search(p, x) is not None,
+    "minimum": lambda x, m, s, r: not _is_number(x) or not x < m,
+    "maximum": lambda x, m, s, r: not _is_number(x) or not x > m,
+    "minItems": lambda x, m, s, r: not isinstance(x, list) or len(x) >= m,
+    "minLength": lambda x, m, s, r: not isinstance(x, str) or len(x) >= m,
+    "items": lambda x, sub, s, r: not isinstance(x, list) or all(_accepts(v, sub, r) for v in x),
+    "properties": _properties,
+    "required": lambda x, keys, s, r: not isinstance(x, dict) or all(k in x for k in keys),
+    "additionalProperties": _additional,
+    "anyOf": lambda x, subs, s, r: any(_accepts(x, sub, r) for sub in subs),
+    "oneOf": lambda x, subs, s, r: sum(_accepts(x, sub, r) for sub in subs) == 1,
+}
+_ANNOTATIONS = {"title", "$defs"}
+_DIALECT = "https://json-schema.org/draft/2020-12/schema"
+
+
+def _accepts(instance: Any, schema: Any, root: dict) -> bool:
+    """True only if ``instance`` is valid under ``schema`` (Draft 2020-12).
+
+    False means invalid *or* not understood: a keyword outside ``_KEYWORDS``
+    makes the whole schema unknown.  Every bound, pattern and constant is read
+    from the schema itself.
+    """
+    if isinstance(schema, bool):
+        return schema
+    if not isinstance(schema, dict):
+        return False
+    for key, value in schema.items():
+        check = _KEYWORDS.get(key)
+        if check is not None:
+            if not check(instance, value, schema, root):
+                return False
+        elif key not in _ANNOTATIONS and not (key == "$schema" and value == _DIALECT):
+            return False
+    return True
+
+
+def _validate(instance: Any, schema: dict) -> None:
+    """Raise SchemaRejection unless ``instance`` is valid under ``schema``.
+
+    A valid job is accepted by ``_accepts`` without importing ``jsonschema``;
+    anything else is decided by ``jsonschema``, whose message is kept.
+    """
+    if _accepts(instance, schema, schema):
+        return
+    import jsonschema
+
+    try:
+        jsonschema.Draft202012Validator(schema).validate(instance)
+    except jsonschema.ValidationError as exc:
+        raise SchemaRejection(exc.message) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +335,7 @@ def cmd_check(job: dict) -> int:
 def _load_curve(path: str, schema: dict) -> _criterion.CurveSpec:
     with open(path) as fh:
         raw = json.load(fh)
-    jsonschema.Draft202012Validator(schema["$defs"]["curvespec"]).validate(raw)
+    _validate(raw, schema["$defs"]["curvespec"])
     spec = _criterion.curve_spec(raw["coeffs"])
     if spec.d != raw["d"]:
         raise DimensionMismatch(f'curve file says d={raw["d"]} but has {spec.d} rows')
@@ -254,6 +356,17 @@ def _scan_chunk(args: tuple) -> tuple[_criterion.Verdict, ...]:
     return _criterion.scan_curve(spec, sigma, chunk).verdicts
 
 
+def __getattr__(name: str) -> Any:
+    # The process pool takes tens of milliseconds to import, so only a scan
+    # that forks loads it: cmd_scan reads it as a module attribute, which
+    # lands here unless a test has replaced it.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_scan(job: dict, schema: dict) -> int:
     sigma = validate_permutation(job["perm"])
     spec = _load_curve(job["curve"], schema)
@@ -265,7 +378,7 @@ def cmd_scan(job: dict, schema: dict) -> int:
         chunk_size = (len(grid) + workers - 1) // workers
         chunks = [grid[k : k + chunk_size] for k in range(0, len(grid), chunk_size)]
         # pool.map re-raises a worker's error here, so exit codes match --jobs 1.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_scan_chunk, [(spec, sigma, c) for c in chunks])
             verdicts = [v for part in parts for v in part]
         summary = _criterion.ScanSummary(tuple(verdicts), tuple(grid))
@@ -397,7 +510,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     schema = _load_schema()
     job = _job_from_args(args)
     try:
-        _validate_job(job, schema)
+        _validate(job, schema)
         if args.command == "omega":
             return cmd_omega(job)
         if args.command == "suspend":
@@ -415,9 +528,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (IetkitError, jsonschema.ValidationError, OSError, json.JSONDecodeError) as exc:
-        message = exc.message if isinstance(exc, jsonschema.ValidationError) else str(exc)
-        print(f"error: {message}", file=sys.stderr)
+    except (IetkitError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

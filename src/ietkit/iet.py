@@ -56,13 +56,18 @@ ScalarLike = Union[Fraction, int, str, float]
 def as_scalar(value: ScalarLike) -> Fraction:
     """Coerce to an exact rational; binary floats convert without rounding.
 
-    Non-finite floats and malformed values ("abc", "1/0") raise OutOfDomain.
+    Non-finite floats and malformed values ("abc", "1/0", None, a non-finite
+    Decimal) raise OutOfDomain.  Strings with an exponent ("1e3") are malformed
+    too: Fraction would build 10**exponent, which for "1e999999999999999999"
+    never finishes.
     """
     if isinstance(value, float) and not math.isfinite(value):
         raise OutOfDomain(f"non-finite scalar {value!r}")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise OutOfDomain(f"malformed scalar {value!r}")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise OutOfDomain(f"malformed scalar {value!r}") from exc
 
 

@@ -69,6 +69,80 @@ def test_shipped_schema_is_a_valid_schema():
     Draft202012Validator.check_schema(_load_schema())
 
 
+VALID_RUNS_SCRIPT = """
+import sys
+from ietkit.cli import main
+
+curve, svg = sys.argv[1:]
+runs = [
+    ["omega", "--perm", "3,2,1"],
+    ["suspend", "--perm", "3,2,1", "--lengths", "1,1,1", "--heights", "1,0,-1", "--svg", svg],
+    ["check", "--perm", "3,2,1", "--lengths", "1,1,1", "--heights", "1,0,-1"],
+    ["orbit", "--perm", "2,1", "--lengths", "1,1597/987", "--x0", "0", "--iters", "100"],
+    ["connections", "--perm", "2,1", "--lengths", "1,1", "--max-m", "3"],
+    ["scan", "--perm", "3,2,1", "--curve", curve, "--from", "0.5", "--to", "4",
+     "--samples", "5", "--jobs", "1"],
+]
+heavy = ("jsonschema", "concurrent.futures.process")
+codes = [main(argv) for argv in runs]
+print(codes, [m for m in heavy if m in sys.modules], file=sys.stderr)
+codes = [main(["omega", "--perm", "0,1"])]
+print(codes, [m for m in heavy if m in sys.modules], file=sys.stderr)
+"""
+
+
+def test_valid_jobs_import_neither_jsonschema_nor_the_pool(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(ietkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", VALID_RUNS_SCRIPT, write_power_curve(tmp_path, 3),
+         str(tmp_path / "out.svg")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 0, proc.stderr
+    assert lines[0] == "[0, 0, 0, 0, 0, 0] []"
+    # A rejected job does load jsonschema, for its error message.
+    assert lines[-1] == "[2] ['jsonschema']"
+
+
+NOT_UNDER_ANY = " is not valid under any of the given schemas\n"
+SCAN_ARGS = ["scan", "--perm", "2,1", "--curve", "CURVE", "--from", "1", "--to", "2"]
+POWER2 = {"d": 2, "coeffs": [[0, 1], [0, 0, 1]]}
+
+
+@pytest.mark.parametrize("argv, curve, err", [
+    (["orbit", "--perm", "2,1", "--lengths", "1,1", "--x0", "0", "--iters", "5",
+      "--refine", "2000000"], None,
+     "error: {'command': 'orbit', 'perm': [2, 1], 'lengths': ['1', '1'], 'x0': '0', "
+     "'iters': 5, 'refine': 2000000}" + NOT_UNDER_ANY),
+    ([*SCAN_ARGS, "--samples", "0"], POWER2,
+     "error: {'command': 'scan', 'perm': [2, 1], 'curve': CURVE, 'samples': 0, 'jobs': 1, "
+     "'from': 1.0, 'to': 2.0}" + NOT_UNDER_ANY),
+    ([*SCAN_ARGS, "--samples", "3", "--jobs", "0"], POWER2,
+     "error: {'command': 'scan', 'perm': [2, 1], 'curve': CURVE, 'samples': 3, 'jobs': 0, "
+     "'from': 1.0, 'to': 2.0}" + NOT_UNDER_ANY),
+    (["omega", "--perm", "0,1"], None,
+     "error: {'command': 'omega', 'perm': [0, 1]}" + NOT_UNDER_ANY),
+    (["orbit", "--perm", "2,1", "--lengths", "1,1", "--x0", "abc", "--iters", "5"], None,
+     "error: {'command': 'orbit', 'perm': [2, 1], 'lengths': ['1', '1'], 'x0': 'abc', "
+     "'iters': 5, 'refine': 64}" + NOT_UNDER_ANY),
+    ([*SCAN_ARGS, "--samples", "3"], {**POWER2, "name": "x"},
+     "error: Additional properties are not allowed ('name' was unexpected)\n"),
+    ([*SCAN_ARGS, "--samples", "3"], {**POWER2, "d": 0},
+     "error: 0 is less than the minimum of 1\n"),
+    ([*SCAN_ARGS, "--samples", "3"], {"d": 2, "coeffs": [[0, "1e3"], [0, 0, 1]]},
+     "error: '1e3'" + NOT_UNDER_ANY),
+], ids=["refine", "samples", "jobs", "perm", "x0", "curve-extra-key", "curve-d0", "curve-coeff"])
+def test_rejected_jobs_keep_their_messages(capsys, tmp_path, argv, curve, err):
+    # Messages are jsonschema's own, pinned as the CLI printed them before the
+    # quick schema check existed.
+    path = tmp_path / "curve.json"
+    if curve is not None:
+        path.write_text(json.dumps(curve))
+    argv = [str(path) if arg == "CURVE" else arg for arg in argv]
+    assert run_cli(capsys, *argv) == (2, "", err.replace("CURVE", repr(str(path))))
+
+
 # ---------------------------------------------------------------------------
 # suspend
 

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ietkit
 from ietkit import (
     Connection,
     apply,
@@ -72,6 +78,40 @@ def test_malformed_scalars_are_input_errors(text):
         _swap(1, text)
     with pytest.raises(OutOfDomain):
         convexity_criterion(validate_permutation([2, 1]), [1, 1], [text, 1])
+
+
+@pytest.mark.parametrize("value, cause", [
+    (None, TypeError),
+    ([1], TypeError),
+    (Decimal("Infinity"), OverflowError),
+])
+def test_unconvertible_values_are_input_errors(value, cause):
+    with pytest.raises(OutOfDomain) as info:
+        as_scalar(value)
+    assert type(info.value.__cause__) is cause
+
+
+@pytest.mark.parametrize("text", ["1e3", "1E3", "2.5e-1", "1/2e1"])
+def test_exponent_strings_are_malformed(text):
+    with pytest.raises(OutOfDomain):
+        as_scalar(text)
+
+
+def test_huge_exponent_string_is_rejected_at_once():
+    # Fraction("1e999999999999999999") would build 10 to that power and never
+    # return, so the call runs in a child that a timeout can stop.
+    env = dict(os.environ, PYTHONPATH=str(Path(ietkit.__file__).parents[1]))
+    code = (
+        "from ietkit import as_scalar\n"
+        "from ietkit.errors import OutOfDomain\n"
+        "try:\n"
+        "    as_scalar('1e999999999999999999')\n"
+        "except OutOfDomain:\n"
+        "    print('OutOfDomain')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, "OutOfDomain\n")
 
 
 def fraction_partial_sums(values):
