@@ -12,8 +12,12 @@ lemma itself, so it raises ``LemmaViolation`` instead of returning.
 The power-curve family a_i(s) = s^i with derivative b_i(s) = i s^(i-1) has
 slopes exactly i/s, strictly increasing for every s > 0, which makes the whole
 family certifiable at once; ``scan_curve`` sweeps any polynomial curve family
-the same way, evaluating the derivative symbolically and rationalizing every
-grid point before deciding.
+the same way, rationalizing every grid point before deciding.  A ``CurveSpec``
+keeps each component and its derivative as integer coefficients over one
+denominator per row, so at s = p/q a point is a homogeneous Horner sum in
+integers whose sign is the domain check.  The slope classes, here and in the
+criterion, are signs of integer cross products, and the profile's signs are
+read off the diagram's integer profile.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -34,11 +39,12 @@ from .errors import (
     ReduciblePermutation,
 )
 from .iet import ScalarLike, _positive_lengths, as_scalar
-from .perm import Permutation, is_irreducible
+from .perm import Permutation, _scaled, is_irreducible
 from .suspension import (
     PositivityClass,
     SuspensionDiagram,
     Witness,
+    _sign,
     build_suspension,
     pointwise_positive,
     self_intersects,
@@ -73,6 +79,8 @@ class Verdict(Enum):
     INCONCLUSIVE_NON_MONOTONE = "InconclusiveNonMonotone"
     DEGENERATE_TIES = "DegenerateTies"
 
+
+_IntRow = tuple[int, list[int]]
 
 _POSITIVE_VERDICTS = frozenset(
     {Verdict.POSITIVE_PAIR_BY_LEMMA, Verdict.POSITIVE_PAIR_BY_MIRRORED_LEMMA}
@@ -114,13 +122,21 @@ class CriterionReport:
             assert self.monotonicity is MonotonicityClass.STRICTLY_INCREASING and self.simple
 
 
-def _classify_slopes(slopes: Sequence[Fraction]) -> MonotonicityClass:
-    pairs = list(zip(slopes, slopes[1:]))
-    if any(x == y for x, y in pairs):
+def _classify_slopes(widths: Sequence[int], heights: Sequence[int]) -> MonotonicityClass:
+    """Classify the slopes Y_i / X_i of integer vectors, every width X_i > 0.
+
+    kappa_i - kappa_{i+1} has the sign of Y_i X_{i+1} - Y_{i+1} X_i, and a
+    common positive scale of the widths, or of the heights, changes no sign.
+    """
+    signs = {
+        _sign(y0 * x1 - y1 * x0)
+        for x0, y0, x1, y1 in zip(widths, heights, widths[1:], heights[1:])
+    }
+    if 0 in signs:
         return MonotonicityClass.HAS_TIES
-    if all(x > y for x, y in pairs):
+    if signs <= {1}:
         return MonotonicityClass.STRICTLY_DECREASING
-    if all(x < y for x, y in pairs):
+    if signs == {-1}:
         return MonotonicityClass.STRICTLY_INCREASING
     return MonotonicityClass.NON_MONOTONE
 
@@ -135,9 +151,9 @@ def slope_monotonicity(a: Sequence[ScalarLike], b: Sequence[ScalarLike]) -> Mono
     """
     if len(a) != len(b):
         raise DimensionMismatch(f"{len(a)} lengths vs {len(b)} heights")
-    lengths = _positive_lengths(a)
-    heights = [as_scalar(v) for v in b]
-    return _classify_slopes([h / l for h, l in zip(heights, lengths)])
+    _, widths = _scaled(_positive_lengths(a))
+    _, heights = _scaled([as_scalar(v) for v in b])
+    return _classify_slopes(widths, heights)
 
 
 def convexity_criterion(
@@ -157,7 +173,7 @@ def convexity_criterion(
     if sigma.d < 2:
         raise InvalidSize("the criterion needs at least two symbols")
     diagram = build_suspension(sigma, a, b)
-    monotonicity = _classify_slopes(diagram.slopes)
+    monotonicity = _classify_slopes(*diagram._steps)
     report = self_intersects(diagram)
     positivity = pointwise_positive(diagram)
 
@@ -207,6 +223,19 @@ class CurveSpec:
     d: int
     coeffs: tuple[tuple[Fraction, ...], ...]
 
+    @cached_property
+    def _integer_rows(self) -> tuple[int, tuple[_IntRow, ...], tuple[_IntRow, ...]]:
+        """``(longest, widths, heights)``: ``longest`` is the length of the
+        longest row, and ``widths[i]`` and ``heights[i]`` are a_{i+1} and its
+        derivative as (L, the coefficients times L), L the lcm of that row's
+        denominators.  A constant's derivative row is (0,)."""
+        widths = tuple(_scaled(row) for row in self.coeffs)
+        heights = tuple(
+            _scaled([k * c for k, c in enumerate(row)][1:] or [Fraction(0)])
+            for row in self.coeffs
+        )
+        return max(len(row) for row in self.coeffs), widths, heights
+
 
 def curve_spec(rows: Sequence[Sequence[ScalarLike]]) -> CurveSpec:
     """Validate and freeze polynomial rows into a CurveSpec."""
@@ -225,24 +254,40 @@ def mahler_spec(d: int) -> CurveSpec:
     return CurveSpec(d, tuple((Fraction(0),) * i + (Fraction(1),) for i in range(1, d + 1)))
 
 
-def _poly_eval(coeffs: Sequence[Fraction], s: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
+def _horner(scaled: _IntRow, p: int, q_powers: Sequence[int]) -> tuple[int, int]:
+    """A scaled row's polynomial at p/q as (numerator, positive denominator).
+
+    For the n + 1 coefficients c_k over L, homogeneous Horner gives
+    sum_k c_k p^k q^(n-k) = L q^n c(p/q) in integers; ``q_powers[k]`` is q^k.
+    """
+    denom, row = scaled
+    acc = 0
+    for c, q_k in zip(reversed(row), q_powers):
+        acc = acc * p + c * q_k
+    return acc, denom * q_powers[len(row) - 1]
 
 
 def curve_point(
     spec: CurveSpec, s: ScalarLike
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Evaluate (a(s), da/ds(s)) exactly; raises DomainViolation off the domain."""
+    """Evaluate (a(s), da/ds(s)) exactly; raises DomainViolation off the domain.
+
+    At s = p/q every row is summed in integers over a positive denominator,
+    so a component is off the domain exactly when its numerator is <= 0.
+    """
     s = as_scalar(s)
-    a = tuple(_poly_eval(row, s) for row in spec.coeffs)
-    for i, v in enumerate(a, start=1):
-        if v <= 0:
-            raise DomainViolation(f"component {i} is {v} at s = {s}")
-    b = tuple(_poly_eval([k * c for k, c in enumerate(row)][1:], s) for row in spec.coeffs)
-    return a, b
+    p, q = s.numerator, s.denominator
+    longest, widths, heights = spec._integer_rows
+    q_powers = [1]
+    for _ in range(longest - 1):
+        q_powers.append(q_powers[-1] * q)
+    a = []
+    for i, row in enumerate(widths, start=1):
+        num, den = _horner(row, p, q_powers)
+        if num <= 0:
+            raise DomainViolation(f"component {i} is {Fraction(num, den)} at s = {s}")
+        a.append(Fraction(num, den))
+    return tuple(a), tuple(Fraction(*_horner(row, p, q_powers)) for row in heights)
 
 
 @dataclass(frozen=True)

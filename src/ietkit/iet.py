@@ -20,8 +20,10 @@ arithmetic without per-step gcd work.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -59,12 +61,21 @@ def as_scalar(value: ScalarLike) -> Fraction:
     Non-finite floats and malformed values ("abc", "1/0", None, a non-finite
     Decimal) raise OutOfDomain.  Strings with an exponent ("1e3") are malformed
     too: Fraction would build 10**exponent, which for "1e999999999999999999"
-    never finishes.
+    never finishes.  For the same reason a Decimal whose exponent is larger in
+    magnitude than ``sys.get_int_max_str_digits()`` (4300 where that limit is
+    0 or missing) is malformed, whichever its sign and whatever its digits.
+    A Fraction comes back as it is.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float) and not math.isfinite(value):
         raise OutOfDomain(f"non-finite scalar {value!r}")
     if isinstance(value, str) and ("e" in value or "E" in value):
         raise OutOfDomain(f"malformed scalar {value!r}")
+    if isinstance(value, Decimal) and value.is_finite():
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        if abs(value.as_tuple().exponent) > limit:
+            raise OutOfDomain(f"malformed scalar {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:

@@ -13,7 +13,8 @@ only (sigma, a, b).  On first need the lengths are scaled once to integers
 over their lcm, and the heights over theirs, and ``perm._sums`` adds each up
 in both orders: the x and y partial sums are the two integer chains, and the
 return profile is read off the y sums.  The rational chains, the slopes and
-the profile are derived from that integer state when first read.  Every a_i
+the profile are derived from that integer state when first read; the slope
+signs and the profile's signs are read off the integers directly.  Every a_i
 is positive, so both chains are strictly x-monotone, and the intersection test
 only compares top and bottom segments whose closed x-ranges meet: a window
 over the bottom chain that two pointers advance left to right, about 3d pairs
@@ -95,7 +96,7 @@ class IntersectionReport:
 _IntChain = list[tuple[int, int]]
 
 
-def _sign(value: Fraction) -> int:
+def _sign(value: _Coord) -> int:
     return (value > 0) - (value < 0)
 
 
@@ -160,16 +161,31 @@ class SuspensionDiagram:
         return tuple(Fraction(v, db) for v in profile)
 
     @cached_property
+    def _steps(self) -> tuple[list[int], list[int]]:
+        """The widths X_i and heights Y_i of the integer top chain's segments:
+        each (a_i, b_i) scaled as the chains are, so every X_i is positive."""
+        top = self._integers[2]
+        return (
+            [x1 - x0 for (x0, _), (x1, _) in zip(top, top[1:])],
+            [y1 - y0 for (_, y0), (_, y1) in zip(top, top[1:])],
+        )
+
+    @cached_property
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(h / a for a, h in zip(self.lengths, self.heights))
 
+    def _first_slope_vs(self, j: int) -> int:
+        """sign(kappa_1 - kappa_j) = sign(Y_1 X_j - Y_j X_1), as X_1, X_j > 0."""
+        xs, ys = self._steps
+        return _sign(ys[0] * xs[j - 1] - ys[j - 1] * xs[0])
+
     @cached_property
     def first_slope_vs_bottom_first(self) -> int:
-        return _sign(self.slopes[0] - self.slopes[self.sigma.inverse[0] - 1])
+        return self._first_slope_vs(self.sigma.inverse[0])
 
     @cached_property
     def first_slope_vs_bottom_last(self) -> int:
-        return _sign(self.slopes[0] - self.slopes[self.sigma.inverse[-1] - 1])
+        return self._first_slope_vs(self.sigma.inverse[-1])
 
 
 def _checked_heights(sigma: Permutation, b: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
@@ -327,9 +343,13 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
 
 
 def pointwise_positive(diagram: SuspensionDiagram) -> PositivityClass:
-    """Sign classification of the return profile; a zero anywhere wins."""
-    profile = diagram.return_profile
-    if any(v == 0 for v in profile):
+    """Sign classification of the return profile; a zero anywhere wins.
+
+    The signs are read off the integer profile, whose common denominator is
+    positive, so no ``Fraction`` is built.
+    """
+    profile = diagram._integers[4]
+    if 0 in profile:
         return PositivityClass.HAS_ZERO
     if all(v > 0 for v in profile):
         return PositivityClass.ALL_POSITIVE

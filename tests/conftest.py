@@ -1,6 +1,7 @@
-"""Shared fixtures: seeded generators, the frozen intersection fixture and
-the frequency and trend loops that step through every iterate, kept as
-references.
+"""Shared fixtures: seeded generators, the frozen intersection fixture, and
+references kept from the paths they were replaced by: the frequency and trend
+loops that step through every iterate, and the ``Fraction`` Horner and slope
+classifier of the curve scan.
 
 Set the SEED environment variable to rerun every randomized suite on a
 different deterministic stream; the default keeps CI byte-stable.
@@ -17,13 +18,16 @@ import pytest
 from hypothesis import settings
 
 from ietkit import (
+    MonotonicityClass,
     OrbitStats,
     apply,
+    as_scalar,
     build_iet,
     build_suspension,
     random_irreducible,
     validate_permutation,
 )
+from ietkit.errors import DomainViolation
 from ietkit.iet import _scaled_ints
 
 SEED = int(os.environ.get("SEED", "57721"))
@@ -103,6 +107,39 @@ def increasing_suite():
 @pytest.fixture()
 def rng():
     return random.Random(SEED)
+
+
+# ---------------------------------------------------------------------------
+# Scan references: Horner's rule over Fractions, which rebuilds the derivative
+# rows on every call, and the slope classifier that compares Fraction slopes.
+
+
+def reference_poly_eval(coeffs, s: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
+
+
+def reference_curve_point(spec, s):
+    s = as_scalar(s)
+    a = tuple(reference_poly_eval(row, s) for row in spec.coeffs)
+    for i, v in enumerate(a, start=1):
+        if v <= 0:
+            raise DomainViolation(f"component {i} is {v} at s = {s}")
+    b = tuple(reference_poly_eval([k * c for k, c in enumerate(row)][1:], s) for row in spec.coeffs)
+    return a, b
+
+
+def reference_classify_slopes(slopes) -> MonotonicityClass:
+    pairs = list(zip(slopes, slopes[1:]))
+    if any(x == y for x, y in pairs):
+        return MonotonicityClass.HAS_TIES
+    if all(x > y for x, y in pairs):
+        return MonotonicityClass.STRICTLY_DECREASING
+    if all(x < y for x, y in pairs):
+        return MonotonicityClass.STRICTLY_INCREASING
+    return MonotonicityClass.NON_MONOTONE
 
 
 # ---------------------------------------------------------------------------

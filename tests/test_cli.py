@@ -255,20 +255,33 @@ def test_check_accepts_rational_and_decimal_scalars(capsys):
     assert payload["slopes"][0] == "1/1"
 
 
+# A curve whose verdict changes along the scan grid: ties at s = 1, where the
+# first two slopes meet, and samples of every kind on either side of it.
+_MIXED_CURVE = {"d": 3, "coeffs": [[1, 1], [0, 2, "1/2"], ["3/2", 0, 0, 1]]}
+_SCAN = ["scan", "--perm", "3,2,1", "--curve", "{curve}", "--from", "0.25", "--to", "3.25",
+         "--samples", "25"]
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--perm", "3,2,1", "--lengths", "1,1,1", "--heights", "1,0,-1"],
     ["check", *_frozen_args()],
     ["suspend", *_frozen_args(), "--svg", "{svg}"],
     ["connections", "--perm", "4,3,2,1", "--lengths", "1,2/3,3/2,1", "--max-m", "40"],
-], ids=["check-simple", "check-self-intersecting", "suspend-svg", "connections"])
+    [*_SCAN, "--jobs", "1"],
+    [*_SCAN, "--jobs", "2"],
+], ids=["check-simple", "check-self-intersecting", "suspend-svg", "connections",
+        "scan-jobs-1", "scan-jobs-2"])
 def test_output_does_not_depend_on_asserts(argv, tmp_path):
     # python -O strips every assert, so no result may be computed inside one.
     env = dict(os.environ, PYTHONPATH=str(Path(ietkit.__file__).parents[1]))
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(_MIXED_CURVE))
     runs = []
     for k, flags in enumerate(([], ["-O"])):
         svg = tmp_path / f"run{k}.svg"
+        args = [arg.format(svg=svg, curve=curve) for arg in argv]
         proc = subprocess.run(
-            [sys.executable, *flags, "-m", "ietkit", *(arg.format(svg=svg) for arg in argv)],
+            [sys.executable, *flags, "-m", "ietkit", *args],
             capture_output=True, text=True, env=env, timeout=60,
         )
         runs.append((proc.returncode, proc.stdout, proc.stderr,

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ietkit import (
     CurveSpec,
@@ -22,6 +25,7 @@ from ietkit import (
     curve_spec,
     mahler_curve,
     mahler_spec,
+    pointwise_positive,
     random_irreducible,
     scan_curve,
     self_intersects,
@@ -39,7 +43,14 @@ from ietkit.errors import (
     ReduciblePermutation,
 )
 
-from conftest import FROZEN_CROSSING, SEED, monotone_instance
+from conftest import (
+    FROZEN_CROSSING,
+    SEED,
+    monotone_instance,
+    reference_classify_slopes,
+    reference_curve_point,
+)
+from oracles import oracle_profile
 
 F = Fraction
 
@@ -174,13 +185,14 @@ def test_report_carries_the_diagram_it_decided_on():
 
 
 def test_criterion_on_a_simple_curve_builds_no_rational_chains():
-    # The verdict reads the slopes, the integer chains and the profile; the
-    # Fraction vertices are only made when something asks for them.
+    # The verdict reads the slope and profile signs off the integer chains;
+    # the Fraction vertices, slopes and profile are only made when something
+    # asks for them.
     a, b = mahler_curve(8, F(15, 11))
     report = convexity_criterion(random_irreducible(8, 1), a, b)
     assert report.simple
-    assert "top_chain" not in report.diagram.__dict__
-    assert "bottom_chain" not in report.diagram.__dict__
+    for name in ("top_chain", "bottom_chain", "slopes", "return_profile"):
+        assert name not in report.diagram.__dict__
 
 
 def test_report_is_scale_invariant():
@@ -258,6 +270,107 @@ def test_curve_point_rejects_nonpositive_widths():
         curve_point(spec, F(1, 2))
     a, _ = curve_point(spec, 2)
     assert a == (F(1), F(1))
+
+
+small_rationals = st.builds(F, st.integers(-4, 9), st.integers(1, 6))
+
+# Up to five components of degree up to four; rows of different lengths, and
+# constants, whose derivative row is empty in the Fraction reference.
+curve_rows = st.lists(
+    st.lists(small_rationals, min_size=1, max_size=5), min_size=1, max_size=5
+)
+
+curve_parameters = st.one_of(
+    st.floats(-4, 4, allow_nan=False),
+    st.builds(F, st.integers(-40, 40), st.integers(1, 12)),
+    st.sampled_from([0, F(0), 0.0, -0.0, -1, F(-1, 3)]),
+)
+
+
+@settings(max_examples=400)
+@given(curve_rows, curve_parameters)
+def test_integer_curve_point_matches_fraction_horner(rows, s):
+    spec = curve_spec(rows)
+    try:
+        expected = reference_curve_point(spec, s)
+    except DomainViolation as exc:
+        with pytest.raises(DomainViolation) as info:
+            curve_point(spec, s)
+        assert str(info.value) == str(exc)
+        return
+    got = curve_point(spec, s)
+    assert got == expected
+    assert all(type(v) is F for v in got[0] + got[1])
+
+
+def test_curve_point_on_constant_rows_and_zero_parameter():
+    spec = curve_spec([[3], [F(1, 2), 0, 0, 0, -1], [2, F(-1, 3)]])
+    assert curve_point(spec, 0) == ((F(3), F(1, 2), F(2)), (F(0), F(0), F(-1, 3)))
+    assert curve_point(spec, 0) == reference_curve_point(spec, 0)
+    for s in (F(1, 2), -0.75, F(-5, 3)):
+        try:
+            expected = reference_curve_point(spec, s)
+        except DomainViolation as exc:
+            with pytest.raises(DomainViolation, match=f"^{re.escape(str(exc))}$"):
+                curve_point(spec, s)
+        else:
+            assert curve_point(spec, s) == expected
+
+
+def test_curve_point_message_names_the_first_bad_component():
+    spec = curve_spec([[1], [F(1, 3), -1], [-1]])
+    with pytest.raises(DomainViolation, match="^component 2 is -5/12 at s = 3/4$"):
+        curve_point(spec, 0.75)
+
+
+# Slopes from a small pool, so that ties are common; sorted either way or not
+# at all.  Each height is slope times length, so the height denominators, and
+# with them db, differ from those of the lengths.
+slope_cases = st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.lists(st.builds(F, st.integers(1, 12), st.integers(1, 7)), min_size=d, max_size=d),
+    st.lists(st.sampled_from([F(-3), F(-1, 2), F(0), F(1, 3), F(2, 3), F(5, 2)]),
+             min_size=d, max_size=d),
+    st.sampled_from([None, False, True]),
+))
+
+
+@settings(max_examples=300)
+@given(slope_cases, st.integers(0, 2**32))
+def test_integer_slope_classifier_matches_fraction_reference(case, seed):
+    a, kappa, decreasing = case
+    if decreasing is not None:
+        kappa = sorted(kappa, reverse=decreasing)
+    b = [k * x for k, x in zip(kappa, a)]
+    expected = reference_classify_slopes(kappa)
+    assert slope_monotonicity(a, b) is expected
+    if len(a) >= 2:
+        sigma = random_irreducible(len(a), seed)
+        report = convexity_criterion(sigma, a, b)
+        assert report.monotonicity is expected
+        for name, j in (("first", 0), ("last", -1)):
+            gap = kappa[0] - kappa[sigma.inverse[j] - 1]
+            sign = getattr(report.diagram, f"first_slope_vs_bottom_{name}")
+            assert sign == (gap > 0) - (gap < 0)
+
+
+def _sign_class(values) -> PositivityClass:
+    if any(v == 0 for v in values):
+        return PositivityClass.HAS_ZERO
+    if all(v > 0 for v in values):
+        return PositivityClass.ALL_POSITIVE
+    if all(v < 0 for v in values):
+        return PositivityClass.ALL_NEGATIVE
+    return PositivityClass.MIXED
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 5).flatmap(lambda d: st.lists(
+    st.builds(F, st.integers(-3, 3), st.integers(1, 4)), min_size=d, max_size=d
+)), st.integers(0, 2**32))
+def test_profile_signs_match_oracle(b, seed):
+    sigma = random_irreducible(len(b), seed)
+    diagram = build_suspension(sigma, [F(1, k) for k in range(1, len(b) + 1)], b)
+    assert pointwise_positive(diagram) is _sign_class(oracle_profile(list(sigma.images), b))
 
 
 def test_curve_spec_validates_shape():

@@ -114,6 +114,39 @@ def test_huge_exponent_string_is_rejected_at_once():
     assert (proc.returncode, proc.stdout) == (0, "OutOfDomain\n")
 
 
+@pytest.mark.parametrize("text", ["1e999999999", "-7.5e-999999999"])
+def test_huge_exponent_decimal_is_rejected_at_once(text):
+    # Fraction(Decimal) builds 10 to the exponent's magnitude, which for these
+    # never returns; the child runs under a timeout so a regression cannot hang.
+    env = dict(os.environ, PYTHONPATH=str(Path(ietkit.__file__).parents[1]))
+    code = (
+        "from decimal import Decimal\n"
+        "from ietkit import as_scalar\n"
+        "from ietkit.errors import OutOfDomain\n"
+        "try:\n"
+        f"    as_scalar(Decimal({text!r}))\n"
+        "except OutOfDomain as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, f"malformed scalar {Decimal(text)!r}\n")
+
+
+@pytest.mark.parametrize("limit", [0, 50])
+def test_decimal_exponent_bound_follows_the_int_digit_limit(monkeypatch, limit):
+    # An exponent of magnitude up to the limit converts exactly; one past it,
+    # of either sign, is malformed.  A limit of 0 means 4300.
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+    bound = limit or 4300
+    assert as_scalar(Decimal(f"3e{bound}")) == 3 * 10**bound
+    assert as_scalar(Decimal(f"3e-{bound}")) == F(3, 10**bound)
+    for text in (f"3e{bound + 1}", f"3e-{bound + 1}"):
+        with pytest.raises(OutOfDomain, match="^malformed scalar "):
+            as_scalar(Decimal(text))
+    assert as_scalar(Decimal("-2.75")) == F(-11, 4)
+
+
 def fraction_partial_sums(values):
     """Running sums accumulated as Fractions, the way ``build_iet`` made its
     break points before it read them off scaled integer sums."""
