@@ -148,14 +148,14 @@ def discrepancy_trend(
     One walk runs from mark to mark: a stretch longer than the period stops
     at the first return and adds at most one rerun of the remainder.
     """
-    if not schedule:
-        return []
     if any(n < 1 for n in schedule) or any(
         a >= b for a, b in zip(schedule, schedule[1:])
     ):
         raise InvalidBound(f"schedule must be strictly increasing and positive: {schedule}")
     x0 = as_scalar(x0)
     _check_domain(t, x0)
+    if not schedule:
+        return []
     x, _, breaks, trans = _scaled_ints(t, x0)
     expected = tuple(length / t.total for length in t.lengths)
     counts = [0] * t.d

@@ -9,17 +9,18 @@ whose vertical flow suspends the exchange, and the per-interval return time of
 that flow is the profile L = Omega b^T.
 
 Everything here is decided in exact rational arithmetic.  A diagram stores
-only (sigma, a, b).  On first need the lengths are scaled once to integers
-over their lcm, and the heights over theirs, and ``perm._sums`` adds each up
-in both orders: the x and y partial sums are the two integer chains, and the
-return profile is read off the y sums.  The rational chains, the slopes and
-the profile are derived from that integer state when first read; the slope
-signs and the profile's signs are read off the integers directly.  Every a_i
-is positive, so both chains are strictly x-monotone, and the intersection test
-only compares top and bottom segments whose closed x-ranges meet: a window
-over the bottom chain that two pointers advance left to right, about 3d pairs
-in all.  It runs the orientation tests on the integer vertices; a witness, if
-any, is re-derived on the original coordinates.  No epsilon appears anywhere.
+only (sigma, a, b).  On first need the lengths and heights are scaled once to
+integers over one common denominator D, the lcm of all their denominators,
+and ``perm._sums`` adds each up in both orders: the x and y partial sums are
+the two integer chains, and the return profile is read off the y sums.  The
+rational chains, the slopes and the profile are derived from that integer
+state when first read; the slope signs and the profile's signs are read off
+the integers directly.  Every a_i is positive, so both chains are strictly
+x-monotone, and the intersection test only compares top and bottom segments
+whose closed x-ranges meet: a window over the bottom chain that two pointers
+advance left to right, about 3d pairs in all.  It runs the orientation tests
+on the integer vertices, and a witness, if any, is the integer relation with
+every coordinate divided by D.  No epsilon appears anywhere.
 """
 
 from __future__ import annotations
@@ -100,6 +101,10 @@ def _sign(value: _Coord) -> int:
     return (value > 0) - (value < 0)
 
 
+def _unscaled(pt: _RawPoint, denom: int) -> Point:
+    return Fraction(pt[0], denom), Fraction(pt[1], denom)
+
+
 class PositivityClass(Enum):
     ALL_POSITIVE = "AllPositive"
     ALL_NEGATIVE = "AllNegative"
@@ -132,39 +137,38 @@ class SuspensionDiagram:
         return self.sigma.d
 
     @cached_property
-    def _integers(self) -> tuple[int, int, _IntChain, _IntChain, list[int]]:
-        """``(da, db, top, bottom, Omega b)``: vertex (X, Y) stands for
-        (X / da, Y / db), with da and db the lcms of the length and the height
-        denominators, and each profile entry is over db."""
-        da, xs = _scaled(self.lengths)
-        db, ys = _scaled(self.heights)
-        x_top, x_bottom = _sums(self.sigma, xs)
-        y_sums = _sums(self.sigma, ys)
+    def _integers(self) -> tuple[int, _IntChain, _IntChain, list[int]]:
+        """``(D, top, bottom, Omega b)``: vertex (X, Y) stands for
+        (X / D, Y / D) and each profile entry is over D, with D the lcm of
+        every length and height denominator."""
+        denom, scaled = _scaled(self.lengths + self.heights)
+        x_top, x_bottom = _sums(self.sigma, scaled[: self.d])
+        y_sums = _sums(self.sigma, scaled[self.d :])
         top = list(zip(x_top, y_sums[0]))
         bottom = list(zip(x_bottom, y_sums[1]))
         assert top[-1] == bottom[-1]
-        return da, db, top, bottom, _omega_times(self.sigma, y_sums)
+        return denom, top, bottom, _omega_times(self.sigma, y_sums)
 
     @cached_property
     def top_chain(self) -> tuple[Point, ...]:
-        da, db, top, _, _ = self._integers
-        return tuple((Fraction(x, da), Fraction(y, db)) for x, y in top)
+        denom, top, _, _ = self._integers
+        return tuple(_unscaled(pt, denom) for pt in top)
 
     @cached_property
     def bottom_chain(self) -> tuple[Point, ...]:
-        da, db, _, bottom, _ = self._integers
-        return tuple((Fraction(x, da), Fraction(y, db)) for x, y in bottom)
+        denom, _, bottom, _ = self._integers
+        return tuple(_unscaled(pt, denom) for pt in bottom)
 
     @cached_property
     def return_profile(self) -> tuple[Fraction, ...]:
-        _, db, _, _, profile = self._integers
-        return tuple(Fraction(v, db) for v in profile)
+        denom, _, _, profile = self._integers
+        return tuple(Fraction(v, denom) for v in profile)
 
     @cached_property
     def _steps(self) -> tuple[list[int], list[int]]:
         """The widths X_i and heights Y_i of the integer top chain's segments:
         each (a_i, b_i) scaled as the chains are, so every X_i is positive."""
-        top = self._integers[2]
+        top = self._integers[1]
         return (
             [x1 - x0 for (x0, _), (x1, _) in zip(top, top[1:])],
             [y1 - y0 for (_, y0), (_, y1) in zip(top, top[1:])],
@@ -291,18 +295,16 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
     which two pointers advance; about 3d pairs are examined instead of
     d(2d-1), and the first offender is the same pair.
 
-    The tests run on the diagram's integer chains, x scaled by the lcm of the
-    length denominators and y by that of the heights.  Scaling each axis by
-    its own positive factor keeps the sign of every orientation test, so
-    every crossing, collinearity and contact point stays as it was.
-    Every segment has positive x-extent, so two collinear segments overlap
-    in the same end points whichever axis they are measured along.  The
-    classifications, the start and end allowances and the first offender
-    are those of the rational chains.  The witness is re-derived on those,
-    because the scaled axes can list an overlap's two ends in reverse order.
+    The tests run on the diagram's integer chains, both axes scaled by one
+    common denominator D.  Scaling both axes by the same positive factor
+    keeps the sign of every orientation test, the crossing parameter and
+    the dominant axis along which ``segment_relation`` orders an overlap's
+    ends.  So the classifications, the start and end allowances and the
+    first offender are those of the rational chains, and the witness is the
+    integer relation with every coordinate divided by D.
     """
     d = diagram.d
-    _, _, top, bottom, _ = diagram._integers
+    denom, top, bottom, _ = diagram._integers
     start = top[0]
     end = top[d]
 
@@ -331,13 +333,11 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
             rel = segment_relation(top[i - 1], top[i], bottom[j - 1], bottom[j])
             if allowed(rel, i, j):
                 continue
-            # Re-derive the witness on the original (unscaled) coordinates.
-            exact = segment_relation(
-                diagram.top_chain[i - 1],
-                diagram.top_chain[i],
-                diagram.bottom_chain[j - 1],
-                diagram.bottom_chain[j],
-            )
+            if rel.classification is SegmentClass.COLLINEAR_OVERLAP:
+                locus = tuple(_unscaled(pt, denom) for pt in rel.locus)
+            else:
+                locus = _unscaled(rel.locus, denom)
+            exact = SegmentRelation(rel.classification, locus)
             return IntersectionReport(False, Witness("top", i, "bottom", j, exact))
     return IntersectionReport(True, None)
 
@@ -348,7 +348,7 @@ def pointwise_positive(diagram: SuspensionDiagram) -> PositivityClass:
     The signs are read off the integer profile, whose common denominator is
     positive, so no ``Fraction`` is built.
     """
-    profile = diagram._integers[4]
+    profile = diagram._integers[3]
     if 0 in profile:
         return PositivityClass.HAS_ZERO
     if all(v > 0 for v in profile):

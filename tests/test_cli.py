@@ -13,7 +13,7 @@ from jsonschema import Draft202012Validator
 
 import ietkit
 from ietkit import build_iet, validate_permutation
-from ietkit.cli import _load_schema, canonical_json, main
+from ietkit.cli import SchemaRejection, _load_schema, _validate, canonical_json, main
 
 from conftest import FROZEN_CROSSING, reference_visit_frequencies
 
@@ -118,6 +118,9 @@ POWER2 = {"d": 2, "coeffs": [[0, 1], [0, 0, 1]]}
     ([*SCAN_ARGS, "--samples", "0"], POWER2,
      "error: {'command': 'scan', 'perm': [2, 1], 'curve': CURVE, 'samples': 0, 'jobs': 1, "
      "'from': 1.0, 'to': 2.0}" + NOT_UNDER_ANY),
+    ([*SCAN_ARGS, "--samples", "1048577"], POWER2,
+     "error: {'command': 'scan', 'perm': [2, 1], 'curve': CURVE, 'samples': 1048577, "
+     "'jobs': 1, 'from': 1.0, 'to': 2.0}" + NOT_UNDER_ANY),
     ([*SCAN_ARGS, "--samples", "3", "--jobs", "0"], POWER2,
      "error: {'command': 'scan', 'perm': [2, 1], 'curve': CURVE, 'samples': 3, 'jobs': 0, "
      "'from': 1.0, 'to': 2.0}" + NOT_UNDER_ANY),
@@ -132,7 +135,8 @@ POWER2 = {"d": 2, "coeffs": [[0, 1], [0, 0, 1]]}
      "error: 0 is less than the minimum of 1\n"),
     ([*SCAN_ARGS, "--samples", "3"], {"d": 2, "coeffs": [[0, "1e3"], [0, 0, 1]]},
      "error: '1e3'" + NOT_UNDER_ANY),
-], ids=["refine", "samples", "jobs", "perm", "x0", "curve-extra-key", "curve-d0", "curve-coeff"])
+], ids=["refine", "samples", "samples-max", "jobs", "perm", "x0", "curve-extra-key", "curve-d0",
+        "curve-coeff"])
 def test_rejected_jobs_keep_their_messages(capsys, tmp_path, argv, curve, err):
     # Messages are jsonschema's own, pinned as the CLI printed them before the
     # quick schema check existed.
@@ -141,6 +145,16 @@ def test_rejected_jobs_keep_their_messages(capsys, tmp_path, argv, curve, err):
         path.write_text(json.dumps(curve))
     argv = [str(path) if arg == "CURVE" else arg for arg in argv]
     assert run_cli(capsys, *argv) == (2, "", err.replace("CURVE", repr(str(path))))
+
+
+def test_scan_samples_are_bounded_by_the_schema():
+    # The scan builds its whole grid before the first sample, so the grid's
+    # size is capped; the largest allowed job is validated but not run.
+    job = {"command": "scan", "perm": [2, 1], "curve": "c.json", "from": 1.0, "to": 2.0,
+           "samples": 1048576, "jobs": 1}
+    _validate(job, _load_schema())
+    with pytest.raises(SchemaRejection):
+        _validate({**job, "samples": 1048577}, _load_schema())
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +272,9 @@ def test_check_accepts_rational_and_decimal_scalars(capsys):
 # A curve whose verdict changes along the scan grid: ties at s = 1, where the
 # first two slopes meet, and samples of every kind on either side of it.
 _MIXED_CURVE = {"d": 3, "coeffs": [[1, 1], [0, 2, "1/2"], ["3/2", 0, 0, 1]]}
+# A curve whose first offender is a collinear overlap of slope -1/2, with
+# length and height denominators 2 and 20.
+_STEEP_OVERLAP = ["--perm", "3,1,2", "--lengths", "1,3/2,1", "--heights=-1/2,-3/4,1/5"]
 _SCAN = ["scan", "--perm", "3,2,1", "--curve", "{curve}", "--from", "0.25", "--to", "3.25",
          "--samples", "25"]
 
@@ -266,10 +283,13 @@ _SCAN = ["scan", "--perm", "3,2,1", "--curve", "{curve}", "--from", "0.25", "--t
     ["check", "--perm", "3,2,1", "--lengths", "1,1,1", "--heights", "1,0,-1"],
     ["check", *_frozen_args()],
     ["suspend", *_frozen_args(), "--svg", "{svg}"],
+    ["check", *_STEEP_OVERLAP],
+    ["suspend", *_STEEP_OVERLAP, "--svg", "{svg}"],
     ["connections", "--perm", "4,3,2,1", "--lengths", "1,2/3,3/2,1", "--max-m", "40"],
     [*_SCAN, "--jobs", "1"],
     [*_SCAN, "--jobs", "2"],
-], ids=["check-simple", "check-self-intersecting", "suspend-svg", "connections",
+], ids=["check-simple", "check-self-intersecting", "suspend-svg", "check-overlap",
+        "suspend-overlap-svg", "connections",
         "scan-jobs-1", "scan-jobs-2"])
 def test_output_does_not_depend_on_asserts(argv, tmp_path):
     # python -O strips every assert, so no result may be computed inside one.

@@ -195,6 +195,26 @@ def test_criterion_on_a_simple_curve_builds_no_rational_chains():
         assert name not in report.diagram.__dict__
 
 
+@pytest.mark.parametrize("images, a, b, kind, locus", [
+    ([2, 3, 1], [F(1, 2)] * 3, [F(-1, 3), F(1, 3), 0],
+     SegmentClass.PROPER_CROSSING, (F(3, 4), F(-1, 6))),
+    ([2, 3, 1], [F(1, 2)] * 3, [F(-1, 3), 0, 0],
+     SegmentClass.ENDPOINT_TOUCH, (F(1), F(-1, 3))),
+    ([2, 1], [1, 1], [F(-1, 3), F(-1, 3)],
+     SegmentClass.COLLINEAR_OVERLAP, ((F(0), F(0)), (F(1), F(-1, 3)))),
+    ([3, 1, 2], [1, F(3, 2), 1], [F(-1, 2), F(-3, 4), F(1, 5)],
+     SegmentClass.COLLINEAR_OVERLAP, ((F(0), F(0)), (F(1), F(-1, 2)))),
+], ids=["crossing", "touch", "overlap", "steep-overlap"])
+def test_criterion_on_a_failing_curve_builds_no_rational_chains(images, a, b, kind, locus):
+    # The witness is the integer relation divided by the one denominator of
+    # both axes, so neither Fraction chain is built to find it.
+    report = convexity_criterion(validate_permutation(images), a, b)
+    assert not report.simple
+    assert report.witness.relation == SegmentRelation(kind, locus)
+    for name in ("top_chain", "bottom_chain"):
+        assert name not in report.diagram.__dict__
+
+
 def test_report_is_scale_invariant():
     rng = random.Random(f"{SEED}/scale")
     for _ in range(50):

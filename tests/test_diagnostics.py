@@ -201,6 +201,16 @@ def test_trend_edge_cases():
         discrepancy_trend(t, F(1, 4), [0, 3])
 
 
+@pytest.mark.parametrize("x0", [5, "abc"])
+def test_empty_trend_still_checks_the_start_point(x0):
+    # An empty schedule rejects a start point as orbit_coding(t, x0, 0) does.
+    t = rotation(F(1))
+    with pytest.raises(OutOfDomain):
+        orbit_coding(t, x0, 0)
+    with pytest.raises(OutOfDomain):
+        discrepancy_trend(t, x0, [])
+
+
 def test_diagnostics_validate_inputs():
     t = rotation(F(1))
     with pytest.raises(InvalidBound):

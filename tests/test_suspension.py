@@ -341,6 +341,10 @@ def assert_matches_references(images, a, b) -> IntersectionReport:
     if not simple:
         w = report.witness
         assert (w.chain_a, w.index_a, w.chain_b, w.index_b) == offenders[0][:4]
+        # An int equals a Fraction but prints as 1, not "1/1", in canonical JSON.
+        locus = w.relation.locus
+        points = locus if w.relation.classification is SegmentClass.COLLINEAR_OVERLAP else (locus,)
+        assert all(type(c) is F for pt in points for c in pt)
     return report
 
 
@@ -358,7 +362,8 @@ def test_window_matches_all_pairs_on_criterion_9_stream():
 def test_window_matches_all_pairs_on_touches_and_overlaps():
     # Small integers put vertices on other segments and segments on one line.
     # The second pass divides every a_i by 3 and every b_i by 10: that keeps
-    # each touch and overlap but scales the axes apart, so da != db there.
+    # each touch and overlap, with coprime length and height denominators,
+    # so a per-axis scaling would stretch the axes apart there.
     for a_den, b_den in ((1, 1), (3, 10)):
         rng = random.Random(f"{SEED}/window-degenerate")
         seen = {c: 0 for c in SegmentClass}
@@ -381,14 +386,16 @@ def test_window_matches_all_pairs_on_touches_and_overlaps():
 
 def test_steep_decreasing_overlap_keeps_the_rational_locus_order():
     # segment_relation orders overlap ends along the dominant axis of p.
-    # Scaling y by 10 makes this slope -1/2 segment y-dominant, and the ends
-    # come back reversed; so a witness must not be mapped back from integers.
+    # Scaling y alone by 10 makes this slope -1/2 segment y-dominant, and the
+    # ends come back reversed; so the witness is mapped back from chains that
+    # scale both axes by one common denominator, which keeps the axis.
     p0, p1, q0, q1 = (0, 0), (1, F(-1, 2)), (F(1, 2), F(-1, 4)), (2, -1)
     assert segment_relation(p0, p1, q0, q1).locus == ((F(1, 2), F(-1, 4)), (1, F(-1, 2)))
     scaled = [(x, 10 * y) for x, y in (p0, p1, q0, q1)]
     assert segment_relation(*scaled).locus == ((1, -5), (F(1, 2), F(-5, 2)))
     # A diagram whose first offender is such an overlap: top 1 and bottom 1
-    # both leave the origin with slope -1/2, over da = 2 and db = 20.
+    # both leave the origin with slope -1/2; the length denominators' lcm is
+    # 2 and the heights' is 20, and the chains are scaled by 20.
     a, b = [1, F(3, 2), 1], [F(-1, 2), F(-3, 4), F(1, 5)]
     report = assert_matches_references([3, 1, 2], a, b)
     w = report.witness
