@@ -127,11 +127,11 @@ SCAN = {"command": "scan", "perm": [2, 1], "curve": "c.json", "from": 1.0, "to":
     ({**ORBIT, "x0": ".5"}, False),
     ({**SCAN, "from": math.nan, "to": math.nan}, True),
     ({**SCAN, "samples": 0}, False),
-    ({**SCAN, "samples": 1048576}, True),
-    ({**SCAN, "samples": 1048577}, False),
     ({**SCAN, "jobs": False}, False),
     ({**SCAN, "seed": 3}, False),
     ({"command": "omega"}, False),
+    ({**SCAN, "samples": 1048576}, True),
+    ({**SCAN, "samples": 1048577}, False),
 ])
 def test_quick_check_named_cases(job, valid):
     assert JOB_VALIDATOR.is_valid(job) == valid
