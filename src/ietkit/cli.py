@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import os
 import re
@@ -343,6 +344,9 @@ def _load_curve(path: str, schema: dict) -> _criterion.CurveSpec:
 
 
 def _grid(start: float, stop: float, samples: int) -> list[float]:
+    for name, bound in (("from", start), ("to", stop)):
+        if not math.isfinite(bound):
+            raise InvalidBound(f"scan bound --{name} is not finite: {bound}")
     if stop < start:
         raise InvalidBound(f"empty scan range [{start}, {stop}]")
     if samples == 1:
@@ -438,6 +442,29 @@ def _split_strs(text: str) -> list[str]:
     return [v.strip() for v in text.split(",")]
 
 
+# Options whose value may start with "-".  argparse takes a token such as
+# "-1,1", "-1/2" or "-inf" for an option, as it is not a plain negative number.
+_SIGNED_OPTIONS = ("--lengths", "--heights", "--from", "--to")
+
+
+def _attach_signed_values(argv: Sequence[str]) -> list[str]:
+    """Spell ``--heights -1,1`` as ``--heights=-1,1``, which argparse reads
+    as one option and its value.  A next token that starts with "--", or is
+    "-h", is left alone.
+
+    >>> _attach_signed_values(["check", "--heights", "-1,1", "--lengths", "1,1"])
+    ['check', '--heights=-1,1', '--lengths', '1,1']
+    """
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in _SIGNED_OPTIONS and token.startswith("-")
+                and not token.startswith("--") and token != "-h"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ietkit",
@@ -506,7 +533,8 @@ def _job_from_args(args: argparse.Namespace) -> dict:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_signed_values(argv))
     schema = _load_schema()
     job = _job_from_args(args)
     try:

@@ -15,12 +15,19 @@ and ``perm._sums`` adds each up in both orders: the x and y partial sums are
 the two integer chains, and the return profile is read off the y sums.  The
 rational chains, the slopes and the profile are derived from that integer
 state when first read; the slope signs and the profile's signs are read off
-the integers directly.  Every a_i is positive, so both chains are strictly
-x-monotone, and the intersection test only compares top and bottom segments
-whose closed x-ranges meet: a window over the bottom chain that two pointers
-advance left to right, about 3d pairs in all.  It runs the orientation tests
-on the integer vertices, and a witness, if any, is the integer relation with
-every coordinate divided by D.  No epsilon appears anywhere.
+the integers directly.
+
+Every a_i is positive, so both chains are graphs of piecewise-linear
+functions over one interval that agree at its ends.  The curve is simple
+exactly when the top chain lies strictly on one side of the bottom chain at
+every interior vertex of either chain: 2(d - 1) integer cross products in
+one left-to-right sweep that stops at the first zero or change of sign.
+With d = 1 there is no interior vertex and the two chains coincide.  Only
+when the sweep finds a contact does the witness search run: a window over
+the bottom chain that two pointers advance left to right, comparing top and
+bottom segments whose closed x-ranges meet.  It runs the orientation tests
+on the integer vertices, and the witness is the first offending integer
+relation with every coordinate divided by D.  No epsilon appears anywhere.
 """
 
 from __future__ import annotations
@@ -277,6 +284,42 @@ def segment_relation(
     return SegmentRelation(SegmentClass.DISJOINT, None)
 
 
+def _chains_apart(top: _IntChain, bottom: _IntChain) -> bool:
+    """True if the two chains meet only at their shared ends.
+
+    Both chains are graphs over [0, X] of piecewise-linear functions T and B
+    with T = B at 0 and X, and T - B is linear between consecutive vertex
+    x-coordinates of the two chains taken together.  So the chains meet
+    nowhere else exactly when T - B has one strict sign at every interior
+    vertex of both chains.  The vertices are visited left to right; each is
+    tested against the segment of the other chain whose closed x-range holds
+    it, by one cross product whose sign is that of T - B there.  A zero or a
+    change of sign stops the sweep.  With one symbol there is no interior
+    vertex and the chains coincide, so the answer is False.
+
+    >>> _chains_apart([(0, 0), (1, 1), (3, 0)], [(0, 0), (2, -1), (3, 0)])
+    True
+    >>> _chains_apart([(0, 0), (1, 1), (3, 0)], [(0, 0), (2, 1), (3, 0)])
+    False
+    >>> _chains_apart([(0, 0), (2, 0)], [(0, 0), (2, 0)])
+    False
+    """
+    d = len(top) - 1
+    i = j = 1
+    above = None
+    while i < d or j < d:
+        if j == d or (i < d and top[i][0] <= bottom[j][0]):
+            gap = _orient(bottom[j - 1], bottom[j], top[i])
+            i += 1
+        else:
+            gap = -_orient(top[i - 1], top[i], bottom[j])
+            j += 1
+        if gap == 0 or (above is not None and (gap > 0) != above):
+            return False
+        above = gap > 0
+    return above is not None
+
+
 def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
     """Decide whether the union of the two chains is a simple closed curve.
 
@@ -289,11 +332,19 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
 
     Precondition: both chains are strictly x-monotone, which holds for every
     diagram from ``build_suspension`` because every a_i is positive.  Then
-    two segments of one chain meet only at a shared vertex, and a top and a
-    bottom segment can meet only if their closed x-ranges do.  So top segment
-    i is compared with the window of bottom segments over [x_{i-1}, x_i],
-    which two pointers advance; about 3d pairs are examined instead of
-    d(2d-1), and the first offender is the same pair.
+    two segments of one chain meet only at a shared vertex, and the curve is
+    simple exactly when the top chain lies strictly on one side of the
+    bottom chain at every interior vertex of either chain, which
+    ``_chains_apart`` decides with 2(d - 1) sign tests.  A simple curve is
+    reported from those signs alone.  With d = 1 there is no interior vertex
+    and the one top segment overlaps the one bottom segment.
+
+    Otherwise the first offender is looked for.  A top and a bottom segment
+    can meet only if their closed x-ranges do, so top segment i is compared
+    with the window of bottom segments over [x_{i-1}, x_i], which two
+    pointers advance: about 3d pairs instead of d(2d-1), and the first
+    offender is the same pair.  A contact that the signs find and the window
+    does not raises ``AssertionError``.
 
     The tests run on the diagram's integer chains, both axes scaled by one
     common denominator D.  Scaling both axes by the same positive factor
@@ -305,6 +356,8 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
     """
     d = diagram.d
     denom, top, bottom, _ = diagram._integers
+    if _chains_apart(top, bottom):
+        return IntersectionReport(True, None)
     start = top[0]
     end = top[d]
 
@@ -339,7 +392,7 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
                 locus = _unscaled(rel.locus, denom)
             exact = SegmentRelation(rel.classification, locus)
             return IntersectionReport(False, Witness("top", i, "bottom", j, exact))
-    return IntersectionReport(True, None)
+    raise AssertionError("the vertex signs found a contact that no segment pair shows")
 
 
 def pointwise_positive(diagram: SuspensionDiagram) -> PositivityClass:

@@ -135,8 +135,10 @@ POWER2 = {"d": 2, "coeffs": [[0, 1], [0, 0, 1]]}
      "error: 0 is less than the minimum of 1\n"),
     ([*SCAN_ARGS, "--samples", "3"], {"d": 2, "coeffs": [[0, "1e3"], [0, 0, 1]]},
      "error: '1e3'" + NOT_UNDER_ANY),
+    (["scan", "--perm", "2,1", "--curve", "CURVE", "--from", "1", "--to", "inf", "--samples", "3"],
+     POWER2, "error: scan bound --to is not finite: inf\n"),
 ], ids=["refine", "samples", "samples-max", "jobs", "perm", "x0", "curve-extra-key", "curve-d0",
-        "curve-coeff"])
+        "curve-coeff", "scan-bound-inf"])
 def test_rejected_jobs_keep_their_messages(capsys, tmp_path, argv, curve, err):
     # Messages are jsonschema's own, pinned as the CLI printed them before the
     # quick schema check existed.
@@ -155,6 +157,38 @@ def test_scan_samples_are_bounded_by_the_schema():
     _validate(job, _load_schema())
     with pytest.raises(SchemaRejection):
         _validate({**job, "samples": 1048577}, _load_schema())
+
+
+@pytest.mark.parametrize("bounds, err", [
+    (["--from", "1", "--to", "inf"], "scan bound --to is not finite: inf"),
+    (["--from", "-inf", "--to", "2"], "scan bound --from is not finite: -inf"),
+    (["--from", "nan", "--to", "2"], "scan bound --from is not finite: nan"),
+    (["--from", "1", "--to", "nan"], "scan bound --to is not finite: nan"),
+], ids=["to-inf", "from-minus-inf", "from-nan", "to-nan"])
+def test_scan_rejects_a_bound_that_is_not_finite(capsys, tmp_path, bounds, err):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(POWER2))
+    argv = ["scan", "--perm", "2,1", "--curve", str(path), *bounds, "--samples", "3"]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["check", "--perm", "2,1", "--lengths", "1,1"], "--heights", "-1,1"),
+    (["check", "--perm", "3,1,2", "--lengths", "1,3/2,1"], "--heights", "-1/2,-3/4,1/5"),
+    (["suspend", "--perm", "2,1", "--lengths", "1,1", "--require-simple"], "--heights", "-1,-2"),
+    (["check", "--perm", "2,1", "--heights", "1,1"], "--lengths", "-1,1"),
+    (["scan", "--perm", "2,1", "--curve", "{curve}", "--to", "2", "--samples", "3"],
+     "--from", "-inf"),
+], ids=["heights", "heights-fractions", "suspend-heights", "negative-length", "scan-from"])
+def test_a_value_may_start_with_a_minus_sign(capsys, tmp_path, argv, option, value):
+    # "--heights -1,1" reads as "--heights=-1,1": argparse alone would take
+    # "-1,1" for an option, as it is not a plain negative number.
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(POWER2))
+    argv = [arg.format(curve=curve) for arg in argv]
+    spaced = run_cli(capsys, *argv, option, value)
+    assert spaced == run_cli(capsys, *argv, f"{option}={value}")
+    assert "expected one argument" not in spaced[2]
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +257,17 @@ def test_suspend_svg_geometry(capsys, tmp_path):
     assert x < 0 < x + w and y < 0 < y + h
 
 
+def test_suspend_one_symbol_reports_the_overlap(capsys):
+    code, out, _ = run_cli(capsys, "suspend", "--perm", "1", "--lengths", "1", "--heights", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["simple"] is False
+    assert payload["witness"] == {
+        "chain_a": "top", "index_a": 1, "chain_b": "bottom", "index_b": 1,
+        "classification": "CollinearOverlap", "locus": [["0/1", "0/1"], ["1/1", "1/1"]],
+    }
+
+
 def test_suspend_svg_for_simple_curve_has_no_marks(capsys, tmp_path):
     svg_path = tmp_path / "simple.svg"
     run_cli(capsys, "suspend", "--perm", "2,1", "--lengths", "1,1",
@@ -275,6 +320,9 @@ _MIXED_CURVE = {"d": 3, "coeffs": [[1, 1], [0, 2, "1/2"], ["3/2", 0, 0, 1]]}
 # A curve whose first offender is a collinear overlap of slope -1/2, with
 # length and height denominators 2 and 20.
 _STEEP_OVERLAP = ["--perm", "3,1,2", "--lengths", "1,3/2,1", "--heights=-1/2,-3/4,1/5"]
+# A curve whose first contact is bottom vertex 2, at (3,1), lying on top
+# segment 3; at every other vertex the top chain is strictly below.
+_VERTEX_ON_CHAIN = ["--perm", "2,3,1", "--lengths", "1,1,2", "--heights", "-1,1,2"]
 _SCAN = ["scan", "--perm", "3,2,1", "--curve", "{curve}", "--from", "0.25", "--to", "3.25",
          "--samples", "25"]
 
@@ -288,9 +336,11 @@ _SCAN = ["scan", "--perm", "3,2,1", "--curve", "{curve}", "--from", "0.25", "--t
     ["connections", "--perm", "4,3,2,1", "--lengths", "1,2/3,3/2,1", "--max-m", "40"],
     [*_SCAN, "--jobs", "1"],
     [*_SCAN, "--jobs", "2"],
+    ["check", *_VERTEX_ON_CHAIN],
+    ["suspend", "--perm", "1", "--lengths", "1", "--heights", "1", "--svg", "{svg}"],
 ], ids=["check-simple", "check-self-intersecting", "suspend-svg", "check-overlap",
         "suspend-overlap-svg", "connections",
-        "scan-jobs-1", "scan-jobs-2"])
+        "scan-jobs-1", "scan-jobs-2", "check-vertex-on-chain", "suspend-one-symbol"])
 def test_output_does_not_depend_on_asserts(argv, tmp_path):
     # python -O strips every assert, so no result may be computed inside one.
     env = dict(os.environ, PYTHONPATH=str(Path(ietkit.__file__).parents[1]))

@@ -14,6 +14,7 @@ from ietkit import (
     Witness,
     build_iet,
     build_suspension,
+    convexity_criterion,
     mahler_curve,
     omega,
     pointwise_positive,
@@ -23,6 +24,7 @@ from ietkit import (
     self_intersects,
     validate_permutation,
 )
+from ietkit import suspension
 from ietkit.errors import DegenerateSegment, DimensionMismatch, NonPositiveLength
 
 from conftest import (
@@ -422,6 +424,71 @@ def test_window_matches_all_pairs_on_power_curves(d):
         images = list(random_irreducible(d, rng.getrandbits(32)).images)
         a, b = mahler_curve(d, s)
         assert assert_matches_references(images, a, b).simple
+
+
+# ---------------------------------------------------------------------------
+# the vertex-sign sweep that decides simplicity before any segment pair
+
+
+def test_simple_curves_run_no_segment_test(monkeypatch):
+    # A simple curve is decided from the signs at the chains' vertices alone;
+    # the segment window runs only to name the witness of a failing curve.
+    def refuse(*args):
+        raise AssertionError("segment_relation ran on a simple curve")
+
+    rng = random.Random(f"{SEED}/sweep-only")
+    draws = []
+    while len(draws) < 50:
+        d = rng.randint(2, 8)
+        sigma = random_irreducible(d, rng.getrandbits(32))
+        a = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(d)]
+        b = [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(d)]
+        if oracle_simple(list(sigma.images), a, b)[0]:
+            draws.append((sigma, a, b))
+    for d in (8, 32):
+        draws.append((random_irreducible(d, rng.getrandbits(32)), *mahler_curve(d, F(13, 11))))
+    monkeypatch.setattr(suspension, "segment_relation", refuse)
+    for sigma, a, b in draws:
+        assert self_intersects(build_suspension(sigma, a, b)) == IntersectionReport(True, None)
+        assert convexity_criterion(sigma, a, b).simple
+
+
+@pytest.mark.parametrize("images, a, b, witness", [
+    # Top (0,0) (2,2) (3,4) (4,3), bottom (0,0) (1,2) (2,1) (4,3): every top
+    # vertex lies above the bottom chain, but bottom vertex 1 pokes above
+    # top segment 1, so a sweep over one chain's vertices would pass it.
+    ([3, 1, 2], [2, 1, 1], [2, 2, -1], ("top", 1, "bottom", 2, SegmentClass.PROPER_CROSSING)),
+    # Bottom vertex 2 at (3,1) lies on top segment 3, from (2,0) to (4,2);
+    # at every other vertex the top chain is strictly below.
+    ([2, 3, 1], [1, 1, 2], [-1, 1, 2], ("top", 3, "bottom", 2, SegmentClass.ENDPOINT_TOUCH)),
+    # Top (0,0) (3,-2) (5,-3) (7,-2) (10,0), bottom (0,0) (3,2) (5,3) (8,1)
+    # (10,0): top and bottom vertices 1 and 2 share x = 3 and x = 5; simple.
+    ([3, 4, 2, 1], [3, 2, 2, 3], [-2, -1, 1, 2], None),
+    # Top vertex 2 and bottom vertex 2 are the same point (3,0), and the two
+    # last segments coincide after it; the touch is the first offender.
+    ([3, 1, 2], [2, 1, 2], [-1, 1, -1], ("top", 2, "bottom", 2, SegmentClass.ENDPOINT_TOUCH)),
+    # One symbol: no interior vertex, and the two one-segment chains coincide.
+    ([1], [1], [1], ("top", 1, "bottom", 1, SegmentClass.COLLINEAR_OVERLAP)),
+    # A reducible sigma, the identity, adds the vectors in one order twice.
+    ([1, 2, 3], [1, 2, 1], [1, -1, 2], ("top", 1, "bottom", 1, SegmentClass.COLLINEAR_OVERLAP)),
+], ids=["bottom-vertex-pokes-through", "vertex-on-the-other-chain", "shared-x-simple",
+        "shared-vertex", "one-symbol", "reducible-coinciding-chains"])
+def test_sweep_named_cases(images, a, b, witness):
+    report = assert_matches_references(images, a, b)
+    if witness is None:
+        assert report.simple
+    else:
+        w = report.witness
+        assert (w.chain_a, w.index_a, w.chain_b, w.index_b, w.relation.classification) == witness
+
+
+def test_a_contact_the_window_misses_is_loud(monkeypatch):
+    # The sweep saw a contact, so a window that reports none is a bug; the
+    # check is a raise, not an assert, so it holds under python -O too.
+    disjoint = suspension.SegmentRelation(SegmentClass.DISJOINT, None)
+    monkeypatch.setattr(suspension, "segment_relation", lambda *args: disjoint)
+    with pytest.raises(AssertionError, match="no segment pair"):
+        self_intersects(frozen_crossing_diagram())
 
 
 # ---------------------------------------------------------------------------
