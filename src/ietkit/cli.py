@@ -352,6 +352,8 @@ def _grid(start: float, stop: float, samples: int) -> list[float]:
     if samples == 1:
         return [start]
     step = (stop - start) / (samples - 1)
+    if not math.isfinite(step):
+        raise InvalidBound(f"scan range [{start}, {stop}] is too wide: its grid step overflows")
     return [start + k * step for k in range(samples)]
 
 
@@ -447,19 +449,47 @@ def _split_strs(text: str) -> list[str]:
 _SIGNED_OPTIONS = ("--lengths", "--heights", "--from", "--to")
 
 
-def _attach_signed_values(argv: Sequence[str]) -> list[str]:
-    """Spell ``--heights -1,1`` as ``--heights=-1,1``, which argparse reads
-    as one option and its value.  A next token that starts with "--", or is
-    "-h", is left alone.
+def _command_options(parser: argparse.ArgumentParser, argv: Sequence[str]) -> list[str]:
+    """The option strings of the subcommand that ``argv`` names, if any."""
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    command = next((token for token in argv if not token.startswith("-")), None)
+    if command not in commands:
+        return []
+    return [o for a in commands[command]._actions for o in a.option_strings]
 
-    >>> _attach_signed_values(["check", "--heights", "-1,1", "--lengths", "1,1"])
+
+def _resolve(token: str, options: list[str]) -> str | None:
+    """The option argparse reads ``token`` as: itself, or the one option that
+    it abbreviates; None when it names none or several."""
+    if token in options:
+        return token
+    if not token.startswith("--"):
+        return None
+    matches = [o for o in options if o.startswith(token)]
+    return matches[0] if len(matches) == 1 else None
+
+
+def _attach_signed_values(argv: Sequence[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Spell ``--heights -1,1`` as ``--heights=-1,1``, which argparse reads
+    as one option and its value.  An option argparse resolves to one of
+    ``_SIGNED_OPTIONS`` by a unique prefix, such as ``--height``, is spelt
+    out in full; an ambiguous one, such as ``--he`` (``--heights`` or
+    ``--help``), is left for argparse to reject.  A next token that starts
+    with "--", or is "-h", is left alone.
+
+    >>> parser = _build_parser()
+    >>> _attach_signed_values(["check", "--heights", "-1,1", "--lengths", "1,1"], parser)
     ['check', '--heights=-1,1', '--lengths', '1,1']
+    >>> _attach_signed_values(["check", "--height", "-1,1", "--he", "-1"], parser)
+    ['check', '--heights=-1,1', '--he', '-1']
     """
+    options = _command_options(parser, argv)
     out: list[str] = []
     for token in argv:
-        if (out and out[-1] in _SIGNED_OPTIONS and token.startswith("-")
+        option = _resolve(out[-1], options) if out else None
+        if (option in _SIGNED_OPTIONS and token.startswith("-")
                 and not token.startswith("--") and token != "-h"):
-            out[-1] = f"{out[-1]}={token}"
+            out[-1] = f"{option}={token}"
         else:
             out.append(token)
     return out
@@ -534,7 +564,8 @@ def _job_from_args(args: argparse.Namespace) -> dict:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_attach_signed_values(argv))
+    parser = _build_parser()
+    args = parser.parse_args(_attach_signed_values(argv, parser))
     schema = _load_schema()
     job = _job_from_args(args)
     try:

@@ -7,24 +7,31 @@ prediction a_j / |I| per interval, plus a uniform refinement into equal cells.
 
 Over that denominator the exchange is a bijection of the finite set of
 integers in [0, total), so the orbit is purely periodic.  One walk counts
-visits per piece of a sorted partition: it stops at the first return and
-counts n steps as q periods plus one rerun of the first n mod p steps, which
-is shorter than the period and so never returns early.  The trend walks the
-breaks from mark to mark.  ``visit_frequencies`` with cells^2 <= n walks the
-breaks and the cell starts, whose pieces each lie in one interval and one
-cell; the sqrt(n) gate keeps that partition small against the orbit, and with
-more cells the plain loop takes all n steps.
+visits per piece of a sorted partition.  It takes k steps per lookup in the
+k-step table of ``ietkit.iet._blocks``, with k derived from the smaller of n
+and the period bound (the number of integers the orbit can reach) and from
+the partition's size.  It counts visits per table piece and, once at the
+end, replays k steps from each visited piece's start to count the
+partition's pieces.  It tests for the first return at block ends, so it sees
+a return after p steps at L = lcm(p, k), and counts n steps as q blocks of L
+plus one rerun of the first n mod L steps, which cannot return early.  The
+trend builds that table once and walks the breaks from mark to mark.
+``visit_frequencies`` with cells^2 <= n walks the breaks and the cell
+starts, whose pieces each lie in one interval and one cell; the sqrt(n) gate
+keeps that partition small against the orbit.  With more cells the plain
+loop takes all n steps and counts only the cells it visits.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidBound
-from .iet import Iet, ScalarLike, _check_domain, _scaled_ints, as_scalar
+from .iet import Iet, ScalarLike, _check_domain, _scaled_ints, _steps, _table, as_scalar
 
 __all__ = ["OrbitStats", "visit_frequencies", "discrepancy_trend"]
 
@@ -50,41 +57,81 @@ class OrbitStats:
     refinement_discrepancy: Fraction
 
 
-def _walk(points: list[int], shift: list[int], x: int, n: int) -> tuple[list[int], int]:
+def _walk(
+    points: list[int], shift: list[int], x: int, n: int, table: tuple[list[int], list[int], int]
+) -> tuple[list[int], int]:
     """Visits per piece over n steps from x, and the point reached.
 
-    Piece k is the k-th gap of the sorted ``points`` and moves by ``shift[k]``.
-    If the orbit returns to x after p steps, the counts are q periods plus
-    one rerun of r steps, q, r = divmod(n, p), and the point reached is the
-    end of that rerun.
+    Piece j is the j-th gap of the sorted ``points`` and moves by
+    ``shift[j]``; ``table`` is their (cuts, moves, k) from
+    ``ietkit.iet._table``.  The walk looks up one table piece per k steps and
+    tests for a return to x at block ends, so it sees a return after
+    L = lcm(p, k) steps when the orbit returns after p; the counts are then
+    q blocks of L plus one rerun of r steps, q, r = divmod(n, L), and the
+    point reached is the end of that rerun.
 
-    >>> _walk([1], [1, -1], 0, 5)
+    >>> _walk([1], [1, -1], 0, 5, ([1], [1, -1], 1))
+    ([3, 2], 1)
+    >>> _walk([1], [1, -1], 0, 5, ([1], [0, 0], 2))
     ([3, 2], 1)
     """
-    counts = [0] * len(shift)
+    cuts, moves, k = table
+    counts = [0] * len(moves)
     start = x
-    for step in range(1, n + 1):
-        k = bisect_right(points, x)
-        counts[k] += 1
-        x += shift[k]
+    blocks = n // k
+    for b in range(1, blocks + 1):
+        p = bisect_right(cuts, x)
+        counts[p] += 1
+        x += moves[p]
         if x == start:
-            q, r = divmod(n, step)
-            rest, x = _walk(points, shift, x, r)
-            return [c * q + e for c, e in zip(counts, rest)], x
+            q, r = divmod(n, b * k)
+            rest, x = _walk(points, shift, x, r, table)
+            return [c * q + e for c, e in zip(_expand(points, shift, counts, table), rest)], x
+    counts = _expand(points, shift, counts, table)
+    for _ in range(n - blocks * k):
+        j = bisect_right(points, x)
+        counts[j] += 1
+        x += shift[j]
     return counts, x
+
+
+def _expand(points: list[int], shift: list[int], counts: list[int], table: tuple) -> list[int]:
+    """Visits per table piece as visits per gap of ``points``: each visited
+    piece's k steps are replayed from its start."""
+    cuts, _, k = table
+    if k == 1:
+        return counts
+    out = [0] * len(shift)
+    for s, c in zip((0, *cuts), counts):
+        if c:
+            for j in _steps(points, shift, s, k):
+                out[j] += c
+    return out
+
+
+def _walk_table(points: list[int], shift: list[int], breaks: list[int], n: int) -> tuple:
+    """The k-step table for a walk of n steps over the gaps of ``points``.
+
+    Every shift is a multiple of g, the gcd of the breaks, so the orbit stays
+    on one residue class mod g and returns within total // g steps; the walk
+    stops there, so its work is the smaller of the two.
+    """
+    total = breaks[-1]
+    return _table(points, shift, total, min(n, total // math.gcd(*breaks)))
 
 
 def _orbit_counts(
     t: Iet, x0: Fraction, n: int, cells: int
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], dict[int, int]]:
     x, total, breaks, trans = _scaled_ints(t, x0)
     interval_counts = [0] * t.d
-    cell_counts = [0] * cells
+    cell_counts: dict[int, int] = {}
     if cells * cells > n:
         for _ in range(n):
             j = bisect_right(breaks, x)
             interval_counts[j] += 1
-            cell_counts[x * cells // total] += 1
+            c = x * cells // total
+            cell_counts[c] = cell_counts.get(c, 0) + 1
             x += trans[j]
         return interval_counts, cell_counts
     # Cell c holds the integers from ceil(c * total / cells) on; cut at those
@@ -95,10 +142,11 @@ def _orbit_counts(
     starts = [0, *points]
     intervals = [bisect_right(breaks, s) for s in starts]
     shift = [trans[j] for j in intervals]
-    counts, _ = _walk(points, shift, x, n)
+    counts, _ = _walk(points, shift, x, n, _walk_table(points, shift, breaks, n))
     for s, j, c in zip(starts, intervals, counts):
         interval_counts[j] += c
-        cell_counts[s * cells // total] += c
+        cell = s * cells // total
+        cell_counts[cell] = cell_counts.get(cell, 0) + c
     return interval_counts, cell_counts
 
 
@@ -124,6 +172,11 @@ def visit_frequencies(
     x0 = as_scalar(x0)
     _check_domain(t, x0)
     interval_counts, cell_counts = _orbit_counts(t, x0, n, cells)
+    # Cells with equal counts share one deviation, so each count is taken
+    # once; a cell the orbit missed counts 0.
+    counts = set(cell_counts.values())
+    if len(cell_counts) < cells:
+        counts.add(0)
     frequencies = tuple(Fraction(c, n) for c in interval_counts)
     expected = tuple(length / t.total for length in t.lengths)
     uniform = Fraction(1, cells)
@@ -133,8 +186,7 @@ def visit_frequencies(
         expected=expected,
         discrepancy=max(abs(f - e) for f, e in zip(frequencies, expected)),
         refinement_cells=cells,
-        # Cells with equal counts share one deviation, so each count is taken once.
-        refinement_discrepancy=max(abs(Fraction(c, n) - uniform) for c in set(cell_counts)),
+        refinement_discrepancy=max(abs(Fraction(c, n) - uniform) for c in counts),
     )
 
 
@@ -157,11 +209,13 @@ def discrepancy_trend(
     if not schedule:
         return []
     x, _, breaks, trans = _scaled_ints(t, x0)
+    points = breaks[:-1]
+    table = _walk_table(points, trans, breaks, schedule[-1])
     expected = tuple(length / t.total for length in t.lengths)
     counts = [0] * t.d
     out = []
     for done, mark in zip([0, *schedule], schedule):
-        steps, x = _walk(breaks[:-1], trans, x, mark - done)
+        steps, x = _walk(points, trans, x, mark - done, table)
         counts = [c + s for c, s in zip(counts, steps)]
         out.append((mark, max(abs(Fraction(c, mark) - e) for c, e in zip(counts, expected))))
     return out

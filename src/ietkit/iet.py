@@ -15,13 +15,22 @@ in piece ``bisect_right(breaks, x)`` (0-based), which is the one lookup rule
 used everywhere, whatever d.  Long orbits rescale every quantity to a common
 denominator once and then iterate in plain integers, which is the same
 arithmetic without per-step gcd work.
+
+Orbit loops take k steps per lookup.  ``_blocks`` refines a sorted integer
+partition into its k-step partition, cut at every T^(-t)(p) with 0 <= t < k;
+on each of its pieces the next k pieces visited are fixed, so the piece moves
+by one k-step shift.  ``_block_length`` derives k from the loop's work and the
+partition's size: the table has at most k times as many pieces and costs
+about k steps per piece to build and read, so k is the largest with
+k^2 * pieces at most 1/32 of the work, and at most 16.  Below k = 2 the
+loop is the plain one, one lookup per step.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -191,22 +200,88 @@ def _scaled_ints(t: Iet, x0: Fraction) -> tuple[int, int, list[int], list[int]]:
     return ints[0], breaks[-1], breaks, trans
 
 
+# A k-step table may cost at most a 1/_TABLE_SHARE share of the steps of the
+# loop it serves; longer blocks than _MAX_BLOCK gain little and cost memory.
+_TABLE_SHARE = 32
+_MAX_BLOCK = 16
+
+
+def _block_length(work: int, pieces: int) -> int:
+    """Steps per lookup for a loop of ``work`` steps over ``pieces`` pieces.
+
+    >>> _block_length(200_000, 20), _block_length(200_000, 83), _block_length(2584, 65)
+    (16, 8, 1)
+    """
+    k = min(_MAX_BLOCK, math.isqrt(work // (_TABLE_SHARE * pieces)))
+    return k if k > 1 else 1
+
+
+def _steps(points: list[int], shift: list[int], x: int, k: int) -> list[int]:
+    """The pieces of x, T(x), ..., T^(k-1)(x) among the gaps of ``points``."""
+    out = []
+    for _ in range(k):
+        j = bisect_right(points, x)
+        out.append(j)
+        x += shift[j]
+    return out
+
+
+def _blocks(points: list[int], shift: list[int], total: int, k: int) -> tuple[list[int], list[int]]:
+    """The k-step partition of [0, total) cut at the sorted integers ``points``.
+
+    Gap j of ``points`` moves by ``shift[j]`` and lies in one exchanged
+    interval.  Returns (cuts, moves): cuts holds every T^(-t)(p) with p in
+    points and 0 <= t < k, sorted, and gap i of cuts moves by moves[i] in k
+    steps.  Each pass follows every piece one step further and splits it
+    where its image crosses a cut of ``points``.
+
+    >>> _blocks([1], [1, -1], 2, 2)
+    ([1], [0, 0])
+    """
+    starts, moves = [0], [0]
+    for _ in range(k):
+        next_starts, next_moves = [], []
+        for s, e, m in zip(starts, starts[1:] + [total], moves):
+            j = bisect_right(points, s + m)
+            next_starts.append(s)
+            next_moves.append(m + shift[j])
+            for c in points[j : bisect_left(points, e + m)]:
+                j += 1
+                next_starts.append(c - m)
+                next_moves.append(m + shift[j])
+        starts, moves = next_starts, next_moves
+    return starts[1:], moves
+
+
+def _table(points: list[int], shift: list[int], total: int, work: int) -> tuple[list[int], list[int], int]:
+    """(cuts, moves, k) for a loop of ``work`` steps; k = 1 is the partition itself."""
+    k = _block_length(work, len(shift))
+    if k == 1:
+        return points, shift, 1
+    return (*_blocks(points, shift, total, k), k)
+
+
 def orbit_coding(t: Iet, x0: ScalarLike, n: int) -> list[int]:
     """Interval indices (1-based) visited by x0 over n steps, computed exactly.
 
     Entry k is the piece containing the k-th iterate, starting with x0 itself;
-    n = 0 gives the empty coding.
+    n = 0 gives the empty coding.  Each lookup in the k-step table adds the
+    piece's k-long word; the last word is cut at n.
     """
     if n < 0:
         raise InvalidBound(f"negative step count {n}")
     x0 = as_scalar(x0)
     _check_domain(t, x0)
-    x, _, breaks, trans = _scaled_ints(t, x0)
-    codes = []
-    for _ in range(n):
-        j = bisect_right(breaks, x)
-        codes.append(j + 1)
-        x += trans[j]
+    x, total, breaks, trans = _scaled_ints(t, x0)
+    points = breaks[:-1]
+    cuts, moves, k = _table(points, trans, total, n)
+    words = [[j + 1 for j in _steps(points, trans, s, k)] for s in (0, *cuts)]
+    codes: list[int] = []
+    for _ in range(-(-n // k)):
+        p = bisect_right(cuts, x)
+        codes += words[p]
+        x += moves[p]
+    del codes[n:]
     return codes
 
 
@@ -215,21 +290,35 @@ def find_connections(t: Iet, max_m: int) -> list[Connection]:
 
     Only the interior break points x_1..x_{d-1} qualify at either end; the
     endpoints 0 and |I| are excluded.  Every hit up to the bound is returned,
-    sorted by (m, i, j).
+    sorted by (m, i, j).  A block of the k-step table covers T^m..T^(m+k-1)
+    of x_i, the last one cut at max_m; T^t(y) = x_j with t < k puts y on a
+    cut of that table, so hits are looked up only at the pieces' starts.
     """
     if max_m < 1:
         raise InvalidBound(f"max_m must be at least 1, got {max_m}")
     found = []
     d = t.d
     if d >= 2:
-        _, _, breaks, trans = _scaled_ints(t, Fraction(0))
-        targets = {breaks[j]: j + 1 for j in range(d - 1)}
+        _, total, breaks, trans = _scaled_ints(t, Fraction(0))
+        points = breaks[:-1]
+        targets = {x: j for j, x in enumerate(points, start=1)}
+        cuts, moves, k = _table(points, trans, total, (d - 1) * max_m)
+        # hits[y]: the (t, j) with T^t(y) = x_j and t < k, for each piece
+        # start y that has one.
+        hits: dict[int, list[tuple[int, int]]] = {}
+        for s in (0, *cuts):
+            y = s
+            for step, j in enumerate(_steps(points, trans, s, k)):
+                if y in targets:
+                    hits.setdefault(s, []).append((step, targets[y]))
+                y += trans[j]
         for i in range(1, d):
             x = breaks[i - 1]
-            for m in range(1, max_m + 1):
-                x += trans[bisect_right(breaks, x)]
-                hit = targets.get(x)
-                if hit is not None:
-                    found.append(Connection(m, i, hit))
+            x += trans[bisect_right(points, x)]
+            for m in range(1, max_m + 1, k):
+                for step, j in hits.get(x, ()):
+                    if m + step <= max_m:
+                        found.append(Connection(m + step, i, j))
+                x += moves[bisect_right(cuts, x)]
     found.sort(key=lambda c: (c.m, c.i, c.j))
     return found

@@ -1,7 +1,7 @@
 """Shared fixtures: seeded generators, the frozen intersection fixture, and
-references kept from the paths they were replaced by: the frequency and trend
-loops that step through every iterate, and the ``Fraction`` Horner and slope
-classifier of the curve scan.
+references kept from the paths they were replaced by: the coding, connection,
+frequency and trend loops that take one lookup per iterate, and the
+``Fraction`` Horner and slope classifier of the curve scan.
 
 Set the SEED environment variable to rerun every randomized suite on a
 different deterministic stream; the default keeps CI byte-stable.
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import settings
 
 from ietkit import (
+    Connection,
     MonotonicityClass,
     OrbitStats,
     apply,
@@ -143,8 +144,32 @@ def reference_classify_slopes(slopes) -> MonotonicityClass:
 
 
 # ---------------------------------------------------------------------------
-# Orbit references: the frequency and trend loops that take every one of the
-# n steps, so they do not rely on periodicity.
+# Orbit references: the coding, connection, frequency and trend loops that
+# take every one of the n steps, one lookup each, so they rely neither on
+# periodicity nor on a k-step table.
+
+
+def reference_orbit_coding(t, x0, n: int) -> list[int]:
+    x, _, breaks, trans = _scaled_ints(t, Fraction(x0))
+    codes = []
+    for _ in range(n):
+        j = bisect_right(breaks, x)
+        codes.append(j + 1)
+        x += trans[j]
+    return codes
+
+
+def reference_find_connections(t, max_m: int) -> list[Connection]:
+    _, _, breaks, trans = _scaled_ints(t, Fraction(0))
+    targets = {breaks[j]: j + 1 for j in range(t.d - 1)}
+    found = []
+    for i in range(1, t.d):
+        x = breaks[i - 1]
+        for m in range(1, max_m + 1):
+            x += trans[bisect_right(breaks, x)]
+            if x in targets:
+                found.append(Connection(m, i, targets[x]))
+    return sorted(found, key=lambda c: (c.m, c.i, c.j))
 
 
 def reference_visit_frequencies(t, x0, n: int, cells: int = 64) -> OrbitStats:

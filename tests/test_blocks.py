@@ -1,0 +1,303 @@
+"""The k-step table of the orbit loops against the loops that take one lookup
+per step.
+
+``ietkit.iet._block_length`` derives k from the work and the partition size;
+the ``block`` fixture replaces it so that every k meets short and long runs.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+import tracemalloc
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+import ietkit.iet as iet
+from ietkit import (
+    build_iet,
+    discrepancy_trend,
+    find_connections,
+    orbit_coding,
+    random_irreducible,
+    validate_permutation,
+    visit_frequencies,
+)
+from ietkit.iet import _blocks, _scaled_ints, _steps
+
+from conftest import (
+    SEED,
+    period_of,
+    random_rational_exchange,
+    reference_discrepancy_trend,
+    reference_find_connections,
+    reference_orbit_coding,
+    reference_visit_frequencies,
+)
+from oracles import oracle_connections
+
+F = Fraction
+KS = [2, 3, 5, 16]
+
+
+@pytest.fixture()
+def block(monkeypatch):
+    def force(k: int) -> None:
+        monkeypatch.setattr(iet, "_block_length", lambda work, pieces: k)
+
+    return force
+
+
+def small_exchange(rng: random.Random, d: int | None = None):
+    """Lengths p/q with q <= 4: the scaled total is small, so orbits return."""
+    d = d or rng.randint(2, 6)
+    sigma = random_irreducible(d, rng.getrandbits(32))
+    return build_iet(sigma, [F(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(d)])
+
+
+def step_counts(k: int, rng: random.Random) -> set[int]:
+    """n < k, n = k and n = j k + r, with 0 included."""
+    return {0, 1, k - 1, k, k + 1, rng.randint(2, 9) * k + rng.randint(1, k - 1), 3 * k}
+
+
+def one_symbol():
+    return build_iet(validate_permutation([1]), [F(5, 3)])
+
+
+# ---------------------------------------------------------------------------
+# the kernel
+
+
+@pytest.mark.parametrize("k", [1, *KS])
+def test_blocks_are_the_coarsest_partition_with_one_k_step_itinerary(k):
+    # On small totals every integer is checked: points of one piece share the
+    # first k pieces visited and move by the piece's shift, and the two sides
+    # of every cut differ, so cuts are exactly the T^(-t)(p) with t < k.
+    rng = random.Random(f"{SEED}/blocks/{k}")
+    for _ in range(25):
+        t = small_exchange(rng)
+        _, total, breaks, trans = _scaled_ints(t, F(0))
+        points = breaks[:-1]
+        cuts, moves = _blocks(points, trans, total, k)
+        assert cuts == sorted(set(cuts)) and all(0 < c < total for c in cuts)
+        assert len(moves) == len(cuts) + 1
+        starts = [0, *cuts]
+        for x in range(total):
+            p = sum(1 for c in cuts if c <= x)
+            word = _steps(points, trans, x, k)
+            assert word == _steps(points, trans, starts[p], k)
+            assert x + moves[p] == x + sum(trans[j] for j in word)
+        for c in cuts:
+            assert _steps(points, trans, c, k) != _steps(points, trans, c - 1, k)
+
+
+def test_blocks_of_one_step_are_the_partition_itself():
+    _, total, breaks, trans = _scaled_ints(build_iet(validate_permutation([3, 1, 2]), [1, 2, 3]), F(0))
+    assert _blocks(breaks[:-1], trans, total, 1) == (breaks[:-1], trans)
+    assert _blocks([], [0], 7, 4) == ([], [0])
+
+
+def test_block_length_is_derived_from_work_and_pieces():
+    assert iet._block_length(0, 1) == 1
+    assert iet._block_length(10**12, 1) == iet._MAX_BLOCK
+    for pieces in (1, 20, 83, 30_000):
+        ks = [iet._block_length(work, pieces) for work in range(0, 10**6, 997)]
+        assert ks == sorted(ks)
+        for work, k in zip(range(0, 10**6, 997), ks):
+            assert k == 1 or k * k * pieces * iet._TABLE_SHARE <= work
+
+
+# ---------------------------------------------------------------------------
+# orbit_coding
+
+
+@pytest.mark.parametrize("k", KS)
+def test_coding_matches_the_plain_loop(k, block):
+    block(k)
+    rng = random.Random(f"{SEED}/coding-blocks/{k}")
+    for case in range(40):
+        t = small_exchange(rng) if case % 2 else random_rational_exchange(rng, case % 7, "interior")[0]
+        x0 = t.total * F(rng.randint(0, 999), 1000)
+        for n in step_counts(k, rng):
+            assert orbit_coding(t, x0, n) == reference_orbit_coding(t, x0, n)
+    for n in step_counts(k, rng):
+        assert orbit_coding(one_symbol(), F(1, 2), n) == [1] * n
+
+
+# ---------------------------------------------------------------------------
+# find_connections
+
+
+@pytest.mark.parametrize("k", KS)
+def test_connections_match_the_plain_loop_and_the_oracle(k, block):
+    block(k)
+    rng = random.Random(f"{SEED}/connections-blocks/{k}")
+    offsets = set()
+    for case in range(40):
+        t = small_exchange(rng) if case % 2 else random_rational_exchange(rng, case % 4, "zero")[0]
+        for max_m in {1, k - 1, k, k + 1, 7 * k + rng.randint(0, k - 1)} - {0}:
+            got = find_connections(t, max_m)
+            assert got == reference_find_connections(t, max_m)
+            offsets |= {(c.m - 1) % k for c in got}
+        if case < 6:
+            images = t.sigma.images
+            got = [(c.m, c.i, c.j) for c in find_connections(t, 5 * k)]
+            assert got == oracle_connections(images, t.lengths, 5 * k)
+    # A block covers T^m..T^(m+k-1): hits occur at every offset in it.
+    assert offsets == set(range(k))
+    assert find_connections(one_symbol(), 3 * k) == []
+
+
+def test_connections_check_the_first_point_of_each_block(block):
+    # A version that looked at offsets 1..k of a block instead of 0..k-1
+    # missed hits on this exchange.
+    block(2)
+    sigma = validate_permutation([3, 1, 4, 2])
+    a = [F(2, 5), F(2, 3), F(1, 5), F(4)]
+    got = find_connections(build_iet(sigma, a), 223)
+    assert got == reference_find_connections(build_iet(sigma, a), 223)
+    assert [(c.m, c.i, c.j) for c in got] == oracle_connections(sigma.images, a, 223)
+    assert got
+
+
+# ---------------------------------------------------------------------------
+# visit_frequencies and discrepancy_trend
+
+
+def walk_counts(t, x0, p: int | None, k: int, rng: random.Random) -> set[int]:
+    """n around the period p and around lcm(p, k), where the walk sees the return."""
+    counts = {1, k - 1, k, k + 1, rng.randint(1, 3000)}
+    if p is not None:
+        lcm = p * k // math.gcd(p, k)
+        counts |= {p - 1, p, p + 1, lcm - 1, lcm, lcm + 1, 3 * lcm + rng.randint(1, lcm)}
+    return {n for n in counts if n >= 1}
+
+
+@pytest.mark.parametrize("k", KS)
+def test_frequencies_match_the_plain_loop(k, block):
+    block(k)
+    rng = random.Random(f"{SEED}/frequencies-blocks/{k}")
+    for case in range(30):
+        if case % 3:
+            t = small_exchange(rng)
+            x0 = t.total * F(rng.randint(0, 99), 100)
+            p = period_of(t, x0)
+            assert p is not None
+        else:
+            # Large denominators: the orbit does not return within n.
+            t, x0 = random_rational_exchange(rng, 6, "interior")
+            p = None
+        cells = rng.choice([1, 2, 7, 10, 64])
+        for n in walk_counts(t, x0, p, k, rng) | {cells * cells}:
+            assert visit_frequencies(t, x0, n, cells) == reference_visit_frequencies(t, x0, n, cells)
+    for n in (1, k, 5 * k + 1):
+        assert visit_frequencies(one_symbol(), F(1, 3), n, 1) == reference_visit_frequencies(
+            one_symbol(), F(1, 3), n, 1)
+
+
+@pytest.mark.parametrize("k", KS)
+def test_frequencies_keep_the_first_return(k, block):
+    # 10^15 steps finish only if the walk stops at its first return: the
+    # counts are q whole periods plus the first r steps.
+    block(k)
+    rng = random.Random(f"{SEED}/frequencies-return/{k}")
+    n = 10**15 + rng.randint(0, 10**6)
+    for _ in range(10):
+        t = small_exchange(rng)
+        x0 = t.total * F(rng.randint(0, 99), 100)
+        p = period_of(t, x0)
+        q, r = divmod(n, p)
+        whole = Counter(reference_orbit_coding(t, x0, p))
+        rest = Counter(reference_orbit_coding(t, x0, r))
+        got = visit_frequencies(t, x0, n, 4)
+        assert [f * n for f in got.frequencies] == [q * whole[j] + rest[j] for j in range(1, t.d + 1)]
+
+
+@pytest.mark.parametrize("k", KS)
+def test_trend_matches_the_plain_loop(k, block):
+    block(k)
+    rng = random.Random(f"{SEED}/trend-blocks/{k}")
+    for case in range(30):
+        if case % 2:
+            t = small_exchange(rng)
+            x0 = t.total * F(rng.randint(0, 99), 100)
+        else:
+            t, x0 = random_rational_exchange(rng, case % 7, ("zero", "break", "interior")[case % 3])
+        # Marks that are not multiples of k, a stretch shorter than k, and one
+        # of exactly k.
+        schedule = sorted({1, k - 1, k + 1, 2 * k + 1, 3 * k + 1, rng.randint(4 * k, 400)} - {0})
+        assert discrepancy_trend(t, x0, schedule) == reference_discrepancy_trend(t, x0, schedule)
+    assert discrepancy_trend(one_symbol(), F(0), [1, k, k + 3]) == [(1, F(0)), (k, F(0)), (k + 3, F(0))]
+
+
+def test_trend_builds_one_table_per_call(block, monkeypatch):
+    block(4)
+    built = []
+    kernel = iet._blocks
+    monkeypatch.setattr(iet, "_blocks", lambda *args: built.append(args) or kernel(*args))
+    t, x0 = random_rational_exchange(random.Random(f"{SEED}/trend-once"), 6, "interior")
+    schedule = [3, 10, 17, 100, 101, 350]
+    assert discrepancy_trend(t, x0, schedule) == reference_discrepancy_trend(t, x0, schedule)
+    assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# derived k and memory
+
+
+def test_derived_k_on_long_orbits_matches_the_plain_loops():
+    rng = random.Random(f"{SEED}/derived-k")
+    sigma = random_irreducible(20, rng.getrandbits(32))
+    t = build_iet(sigma, [F(rng.randint(10**6, 2 * 10**6), 999_983) for _ in range(20)])
+    x0 = t.total * F(rng.randint(0, 999), 1000)
+    n = 30_011
+    assert iet._block_length(n, 20) > 1
+    assert orbit_coding(t, x0, n) == reference_orbit_coding(t, x0, n)
+    assert visit_frequencies(t, x0, n, 16) == reference_visit_frequencies(t, x0, n, 16)
+    assert find_connections(t, 1601) == reference_find_connections(t, 1601)
+    schedule = [1000, 7777, n]
+    assert discrepancy_trend(t, x0, schedule) == reference_discrepancy_trend(t, x0, schedule)
+
+
+def test_short_periodic_walk_keeps_the_plain_loop(monkeypatch):
+    # The golden rotation's orbits return within 2584 integers: no table.
+    def refuse(*args):
+        raise AssertionError("no k-step table expected")
+
+    monkeypatch.setattr(iet, "_blocks", refuse)
+    t = build_iet(validate_permutation([2, 1]), [F(1), F(1597, 987)])
+    x0 = t.total * F(331, 1000)
+    assert visit_frequencies(t, x0, 200_000) == reference_visit_frequencies(t, x0, 200_000)
+
+
+def test_walk_table_stores_no_itinerary(block):
+    # x0 = 1/7919 scales the golden rotation to a total of 2584 * 7919, so
+    # 512 cells and k = 16 give a table of about 8,000 pieces.  Its cuts,
+    # shifts and counts take well under 400 bytes per piece; a stored
+    # 16-long itinerary per piece would take more.
+    block(16)
+    t = build_iet(validate_permutation([2, 1]), [F(1), F(1597, 987)])
+    cells = 512
+    tracemalloc.start()
+    try:
+        visit_frequencies(t, F(1, 7919), cells * cells, cells)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 16 * cells
+
+
+def test_sparse_cells_are_counted_without_a_list_per_cell():
+    t = build_iet(validate_permutation([3, 1, 2]), [F(1), F(2, 7), F(5, 3)])
+    x0 = t.total / 3
+    for n, cells in [(1, 2), (5, 3), (9, 100), (40, 41), (300, 1000), (17, 1 << 20)]:
+        assert visit_frequencies(t, x0, n, cells) == reference_visit_frequencies(t, x0, n, cells)
+    tracemalloc.start()
+    try:
+        visit_frequencies(t, x0, 3, 1 << 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -172,6 +172,16 @@ def test_scan_rejects_a_bound_that_is_not_finite(capsys, tmp_path, bounds, err):
     assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
+def test_scan_rejects_a_range_whose_grid_step_overflows(capsys, tmp_path):
+    # Both bounds are finite, but their difference is not a float.
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(POWER2))
+    argv = ["scan", "--perm", "2,1", "--curve", str(path), "--from", "-1e308", "--to", "1e308",
+            "--samples", "3"]
+    err = "error: scan range [-1e+308, 1e+308] is too wide: its grid step overflows\n"
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
 @pytest.mark.parametrize("argv, option, value", [
     (["check", "--perm", "2,1", "--lengths", "1,1"], "--heights", "-1,1"),
     (["check", "--perm", "3,1,2", "--lengths", "1,3/2,1"], "--heights", "-1/2,-3/4,1/5"),
@@ -189,6 +199,35 @@ def test_a_value_may_start_with_a_minus_sign(capsys, tmp_path, argv, option, val
     spaced = run_cli(capsys, *argv, option, value)
     assert spaced == run_cli(capsys, *argv, f"{option}={value}")
     assert "expected one argument" not in spaced[2]
+
+
+@pytest.mark.parametrize("argv, prefix, option, value", [
+    (["check", "--perm", "2,1", "--lengths", "1,1"], "--height", "--heights", "-1,1"),
+    (["check", "--perm", "2,1", "--heights", "1,1"], "--len", "--lengths", "-1,1"),
+    (["scan", "--perm", "2,1", "--curve", "{curve}", "--to", "2", "--samples", "3"],
+     "--f", "--from", "-inf"),
+    (["scan", "--perm", "2,1", "--curve", "{curve}", "--from", "-3", "--samples", "3"],
+     "--t", "--to", "-2"),
+], ids=["heights", "lengths", "scan-from", "scan-to"])
+def test_an_abbreviated_option_may_take_a_value_with_a_minus_sign(capsys, tmp_path, argv, prefix,
+                                                                   option, value):
+    # argparse reads a unique prefix as the option it abbreviates, so
+    # "--height -1,1" is "--heights=-1,1".
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(POWER2))
+    argv = [arg.format(curve=curve) for arg in argv]
+    abbreviated = run_cli(capsys, *argv, prefix, value)
+    assert abbreviated == run_cli(capsys, *argv, f"{option}={value}")
+    assert "expected one argument" not in abbreviated[2]
+
+
+def test_an_ambiguous_prefix_keeps_the_argparse_error(capsys):
+    # "--he" could be --heights or --help: argparse's own error, exit 2.
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--perm", "2,1", "--lengths", "1,1", "--he", "-1,1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "ambiguous option: --he could match --help, --heights" in err
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +373,16 @@ _SCAN = ["scan", "--perm", "3,2,1", "--curve", "{curve}", "--from", "0.25", "--t
     ["check", *_STEEP_OVERLAP],
     ["suspend", *_STEEP_OVERLAP, "--svg", "{svg}"],
     ["connections", "--perm", "4,3,2,1", "--lengths", "1,2/3,3/2,1", "--max-m", "40"],
+    # Long enough that each loop takes its steps through a k-step table.
+    ["orbit", "--perm", "4,3,2,1", "--lengths", "1/7,2/11,3/13,5/17", "--x0", "1/19",
+     "--iters", "50000", "--refine", "8"],
+    ["connections", "--perm", "4,3,2,1", "--lengths", "1/7,2/11,3/13,5/17", "--max-m", "2000"],
     [*_SCAN, "--jobs", "1"],
     [*_SCAN, "--jobs", "2"],
     ["check", *_VERTEX_ON_CHAIN],
     ["suspend", "--perm", "1", "--lengths", "1", "--heights", "1", "--svg", "{svg}"],
 ], ids=["check-simple", "check-self-intersecting", "suspend-svg", "check-overlap",
-        "suspend-overlap-svg", "connections",
+        "suspend-overlap-svg", "connections", "orbit-table", "connections-table",
         "scan-jobs-1", "scan-jobs-2", "check-vertex-on-chain", "suspend-one-symbol"])
 def test_output_does_not_depend_on_asserts(argv, tmp_path):
     # python -O strips every assert, so no result may be computed inside one.
