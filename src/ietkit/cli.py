@@ -373,13 +373,23 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# The fewest samples a scan worker must have before a pool is worth forking.
+# Forking, importing the pool and pickling the chunks cost about as much as
+# 1,000 to 1,250 samples: on a d = 4 power-type curve (2-vCPU VM, CPython
+# 3.11.7, median of 15 subprocess runs) --jobs 2 took 241, 291 and 396 ms at
+# 1,000, 2,000 and 4,000 samples against 196, 297 and 418 ms for --jobs 1.
+# So two workers break even near 2,000 samples, or 1,024 per worker.
+_SAMPLES_PER_WORKER = 1024
+
+
 def cmd_scan(job: dict, schema: dict) -> int:
     sigma = validate_permutation(job["perm"])
     spec = _load_curve(job["curve"], schema)
     grid_floats = _grid(job["from"], job["to"], job["samples"])
     grid = [as_scalar(s) for s in grid_floats]
-    # One worker per chunk, never more workers than samples or CPUs.
-    workers = min(job.get("jobs", 1), len(grid), os.cpu_count() or 1)
+    # One worker per chunk, never more workers than CPUs, and a pool only when
+    # each worker gets enough samples to pay for it; otherwise run serially.
+    workers = min(job.get("jobs", 1), len(grid) // _SAMPLES_PER_WORKER, os.cpu_count() or 1)
     if workers > 1:
         chunk_size = (len(grid) + workers - 1) // workers
         chunks = [grid[k : k + chunk_size] for k in range(0, len(grid), chunk_size)]

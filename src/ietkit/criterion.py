@@ -12,7 +12,9 @@ lemma itself, so it raises ``LemmaViolation`` instead of returning.
 The power-curve family a_i(s) = s^i with derivative b_i(s) = i s^(i-1) has
 slopes exactly i/s, strictly increasing for every s > 0, which makes the whole
 family certifiable at once; ``scan_curve`` sweeps any polynomial curve family
-the same way, rationalizing every grid point before deciding.  A ``CurveSpec``
+the same way, rationalizing every grid point before deciding.  A sample
+decides its verdict alone: the intersection test runs only for monotone
+slopes, where it guards the lemma, and no profile is built.  A ``CurveSpec``
 keeps each component and its derivative as integer coefficients over one
 denominator per row, so at s = p/q a point is a homogeneous Horner sum in
 integers whose sign is the domain check.  The slope classes, here and in the
@@ -41,6 +43,7 @@ from .errors import (
 from .iet import ScalarLike, _positive_lengths, as_scalar
 from .perm import Permutation, _scaled, is_irreducible
 from .suspension import (
+    IntersectionReport,
     PositivityClass,
     SuspensionDiagram,
     Witness,
@@ -156,6 +159,41 @@ def slope_monotonicity(a: Sequence[ScalarLike], b: Sequence[ScalarLike]) -> Mono
     return _classify_slopes(widths, heights)
 
 
+def _diagram(
+    sigma: Permutation, a: Sequence[ScalarLike], b: Sequence[ScalarLike]
+) -> SuspensionDiagram:
+    """The diagram a verdict is decided on; the criterion needs two symbols."""
+    if sigma.d < 2:
+        raise InvalidSize("the criterion needs at least two symbols")
+    return build_suspension(sigma, a, b)
+
+
+def _verdict(
+    diagram: SuspensionDiagram,
+) -> tuple[Verdict, MonotonicityClass, IntersectionReport | None]:
+    """The verdict, the slope class it comes from, and the intersection report.
+
+    The slope class fixes the verdict.  Only a monotone class runs the
+    intersection test, which must then find the curve simple, or the lemma
+    is falsified and ``LemmaViolation`` is raised; the report is None for
+    any other class.  The return profile is never read.
+    """
+    monotonicity = _classify_slopes(*diagram._steps)
+    verdict = _VERDICTS[monotonicity]
+    if verdict not in _POSITIVE_VERDICTS:
+        return verdict, monotonicity, None
+    report = self_intersects(diagram)
+    if not report.simple:
+        direction = (
+            "decreasing" if monotonicity is MonotonicityClass.STRICTLY_DECREASING else "increasing"
+        )
+        raise LemmaViolation(
+            f"{direction} slopes but self-intersecting curve: {diagram.sigma}, "
+            f"a={diagram.lengths}, b={diagram.heights}, witness={report.witness}"
+        )
+    return verdict, monotonicity, report
+
+
 def convexity_criterion(
     sigma: Permutation, a: Sequence[ScalarLike], b: Sequence[ScalarLike]
 ) -> CriterionReport:
@@ -166,31 +204,20 @@ def convexity_criterion(
     exchanged (the union of the chains, hence the intersection test, is the
     same either way; the exchange concerns which chain is regarded as upper).
     Ties are never certified, and non-monotone data gets an inconclusive
-    verdict because the criterion is sufficient only.
+    verdict because the criterion is sufficient only.  The verdict is the
+    one ``scan_curve`` decides; the report adds the intersection test for
+    every class and the profile's signs.
     """
     if not is_irreducible(sigma):
         raise ReduciblePermutation(f"{sigma} splits at an invariant prefix")
-    if sigma.d < 2:
-        raise InvalidSize("the criterion needs at least two symbols")
-    diagram = build_suspension(sigma, a, b)
-    monotonicity = _classify_slopes(*diagram._steps)
-    report = self_intersects(diagram)
-    positivity = pointwise_positive(diagram)
-
-    verdict = _VERDICTS[monotonicity]
-    if verdict in _POSITIVE_VERDICTS and not report.simple:
-        direction = (
-            "decreasing" if monotonicity is MonotonicityClass.STRICTLY_DECREASING else "increasing"
-        )
-        raise LemmaViolation(
-            f"{direction} slopes but self-intersecting curve: {sigma}, "
-            f"a={diagram.lengths}, b={diagram.heights}, witness={report.witness}"
-        )
-
+    diagram = _diagram(sigma, a, b)
+    verdict, monotonicity, report = _verdict(diagram)
+    if report is None:
+        report = self_intersects(diagram)
     return CriterionReport(
         monotonicity=monotonicity,
         simple=report.simple,
-        positivity=positivity,
+        positivity=pointwise_positive(diagram),
         verdict=verdict,
         witness=report.witness,
         chains_exchanged=monotonicity is MonotonicityClass.STRICTLY_INCREASING,
@@ -317,10 +344,12 @@ class ScanSummary:
 def scan_curve(
     spec: CurveSpec, sigma: Permutation, s_grid: Sequence[ScalarLike]
 ) -> ScanSummary:
-    """Run the criterion at every grid point of a polynomial curve family.
+    """Decide the criterion's verdict at every grid point of a polynomial curve family.
 
     Grid points (typically floats) are rationalized exactly first, so each
-    sample's verdict carries exact-arithmetic certainty at that s.
+    sample's verdict carries exact-arithmetic certainty at that s.  Each
+    sample decides its verdict only, as ``convexity_criterion`` would: the
+    intersection test runs for monotone slopes alone, and no profile is built.
     """
     if not is_irreducible(sigma):
         raise ReduciblePermutation(f"{sigma} splits at an invariant prefix")
@@ -332,5 +361,5 @@ def scan_curve(
     verdicts = []
     for s in grid:
         a, b = curve_point(spec, s)
-        verdicts.append(convexity_criterion(sigma, a, b).verdict)
+        verdicts.append(_verdict(_diagram(sigma, a, b))[0])
     return ScanSummary(tuple(verdicts), grid)

@@ -22,8 +22,9 @@ on each of its pieces the next k pieces visited are fixed, so the piece moves
 by one k-step shift.  ``_block_length`` derives k from the loop's work and the
 partition's size: the table has at most k times as many pieces and costs
 about k steps per piece to build and read, so k is the largest with
-k^2 * pieces at most 1/32 of the work, and at most 16.  Below k = 2 the
-loop is the plain one, one lookup per step.
+k^2 * pieces at most 1/32 of the work, at most 16, and with k * pieces at
+most 2^17, which bounds the table's memory.  Below k = 2 the loop is the
+plain one, one lookup per step.
 """
 
 from __future__ import annotations
@@ -202,8 +203,12 @@ def _scaled_ints(t: Iet, x0: Fraction) -> tuple[int, int, list[int], list[int]]:
 
 # A k-step table may cost at most a 1/_TABLE_SHARE share of the steps of the
 # loop it serves; longer blocks than _MAX_BLOCK gain little and cost memory.
+# A table has at most k times the partition's pieces, and k is capped so that
+# this is at most _MAX_TABLE_PIECES, which bounds its memory whatever the
+# refinement asked for.
 _TABLE_SHARE = 32
 _MAX_BLOCK = 16
+_MAX_TABLE_PIECES = 1 << 17
 
 
 def _block_length(work: int, pieces: int) -> int:
@@ -211,8 +216,14 @@ def _block_length(work: int, pieces: int) -> int:
 
     >>> _block_length(200_000, 20), _block_length(200_000, 83), _block_length(2584, 65)
     (16, 8, 1)
+
+    A walk over 30,000 cells and four intervals keeps a table of at most
+    2^17 pieces, however long it is; without the cap, k would be 16.
+
+    >>> _block_length(10**9, 30_003), _block_length(10**9, 1 << 17)
+    (4, 1)
     """
-    k = min(_MAX_BLOCK, math.isqrt(work // (_TABLE_SHARE * pieces)))
+    k = min(_MAX_BLOCK, _MAX_TABLE_PIECES // pieces, math.isqrt(work // (_TABLE_SHARE * pieces)))
     return k if k > 1 else 1
 
 

@@ -12,7 +12,8 @@ Everything here is decided in exact rational arithmetic.  A diagram stores
 only (sigma, a, b).  On first need the lengths and heights are scaled once to
 integers over one common denominator D, the lcm of all their denominators,
 and ``perm._sums`` adds each up in both orders: the x and y partial sums are
-the two integer chains, and the return profile is read off the y sums.  The
+the two integer chains.  The return profile is read off the y sums only
+when it is first read, so deciding simplicity computes no profile.  The
 rational chains, the slopes and the profile are derived from that integer
 state when first read; the slope signs and the profile's signs are read off
 the integers directly.
@@ -144,17 +145,23 @@ class SuspensionDiagram:
         return self.sigma.d
 
     @cached_property
-    def _integers(self) -> tuple[int, _IntChain, _IntChain, list[int]]:
-        """``(D, top, bottom, Omega b)``: vertex (X, Y) stands for
-        (X / D, Y / D) and each profile entry is over D, with D the lcm of
-        every length and height denominator."""
+    def _integers(self) -> tuple[int, _IntChain, _IntChain, tuple[list[int], list[int]]]:
+        """``(D, top, bottom, y sums)``: vertex (X, Y) stands for (X / D, Y / D),
+        with D the lcm of every length and height denominator, and the y sums
+        are the chains' heights in both orders.  No profile is computed here:
+        ``_profile`` reads it off the y sums when first needed."""
         denom, scaled = _scaled(self.lengths + self.heights)
         x_top, x_bottom = _sums(self.sigma, scaled[: self.d])
         y_sums = _sums(self.sigma, scaled[self.d :])
         top = list(zip(x_top, y_sums[0]))
         bottom = list(zip(x_bottom, y_sums[1]))
         assert top[-1] == bottom[-1]
-        return denom, top, bottom, _omega_times(self.sigma, y_sums)
+        return denom, top, bottom, y_sums
+
+    @cached_property
+    def _profile(self) -> list[int]:
+        """Omega b, each entry over D."""
+        return _omega_times(self.sigma, self._integers[3])
 
     @cached_property
     def top_chain(self) -> tuple[Point, ...]:
@@ -168,8 +175,8 @@ class SuspensionDiagram:
 
     @cached_property
     def return_profile(self) -> tuple[Fraction, ...]:
-        denom, _, _, profile = self._integers
-        return tuple(Fraction(v, denom) for v in profile)
+        denom = self._integers[0]
+        return tuple(Fraction(v, denom) for v in self._profile)
 
     @cached_property
     def _steps(self) -> tuple[list[int], list[int]]:
@@ -401,7 +408,7 @@ def pointwise_positive(diagram: SuspensionDiagram) -> PositivityClass:
     The signs are read off the integer profile, whose common denominator is
     positive, so no ``Fraction`` is built.
     """
-    profile = diagram._integers[3]
+    profile = diagram._profile
     if 0 in profile:
         return PositivityClass.HAS_ZERO
     if all(v > 0 for v in profile):

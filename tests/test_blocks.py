@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import ietkit.diagnostics as diagnostics
 import ietkit.iet as iet
 from ietkit import (
     build_iet,
@@ -107,6 +108,11 @@ def test_block_length_is_derived_from_work_and_pieces():
         assert ks == sorted(ks)
         for work, k in zip(range(0, 10**6, 997), ks):
             assert k == 1 or k * k * pieces * iet._TABLE_SHARE <= work
+    # However long the loop, a table keeps at most _MAX_TABLE_PIECES pieces.
+    cap = iet._MAX_TABLE_PIECES
+    for pieces in (8_192, 8_193, 30_003, cap // 2, cap // 2 + 1, cap, 10 * cap):
+        k = iet._block_length(10**15, pieces)
+        assert k == max(1, min(iet._MAX_BLOCK, cap // pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +307,52 @@ def test_sparse_cells_are_counted_without_a_list_per_cell():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+class TableBuilt(Exception):
+    pass
+
+
+@pytest.fixture()
+def walk_tables(monkeypatch):
+    """Stop every walk once its table is built; the returned list gets
+    (partition pieces, k, table pieces) for each table."""
+    tables = []
+
+    def stop(points, shift, x, n, table):
+        tables.append((len(shift), table[2], len(table[1])))
+        raise TableBuilt
+
+    monkeypatch.setattr(diagnostics, "_walk", stop)
+    return tables
+
+
+def long_orbit_exchange():
+    # No orbit of this exchange returns within 10^9 steps.
+    lengths = [F(1, 999983), F(2, 1000003), F(3, 999979), F(5, 1000033)]
+    return build_iet(validate_permutation([4, 3, 2, 1]), lengths)
+
+
+def test_walk_table_is_capped_whatever_the_refinement(walk_tables):
+    # 30,000 cells over 10^9 steps: k = 16 would build 480,033 pieces.
+    t = long_orbit_exchange()
+    with pytest.raises(TableBuilt):
+        visit_frequencies(t, t.total / 3, 10**9, 30_000)
+    assert walk_tables == [(30_003, 4, 120_009)]
+
+
+def test_capped_table_memory_is_bounded_by_the_cap(walk_tables, monkeypatch):
+    # With the cap at 2^12, 1,000 cells get k = 4 instead of 16. The walk's
+    # partition and its table of about 4,000 pieces then stay well under 400
+    # bytes per piece of the cap; a table of 16,000 pieces would not.
+    monkeypatch.setattr(iet, "_MAX_TABLE_PIECES", 1 << 12)
+    t = long_orbit_exchange()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableBuilt):
+            visit_frequencies(t, t.total / 3, 10**9, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * (1 << 12)
+    assert walk_tables == [(1003, 4, 4009)]

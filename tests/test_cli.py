@@ -13,11 +13,20 @@ from jsonschema import Draft202012Validator
 
 import ietkit
 from ietkit import build_iet, validate_permutation
-from ietkit.cli import SchemaRejection, _load_schema, _validate, canonical_json, main
+from ietkit.cli import (
+    _SAMPLES_PER_WORKER,
+    SchemaRejection,
+    _grid,
+    _load_schema,
+    _validate,
+    canonical_json,
+    main,
+)
 
 from conftest import FROZEN_CROSSING, reference_visit_frequencies
 
 F = Fraction
+K = _SAMPLES_PER_WORKER
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -379,11 +388,13 @@ _SCAN = ["scan", "--perm", "3,2,1", "--curve", "{curve}", "--from", "0.25", "--t
     ["connections", "--perm", "4,3,2,1", "--lengths", "1/7,2/11,3/13,5/17", "--max-m", "2000"],
     [*_SCAN, "--jobs", "1"],
     [*_SCAN, "--jobs", "2"],
+    # Enough samples for two workers, so the scan forks where two CPUs exist.
+    [*_SCAN[:-1], str(2 * K), "--jobs", "2"],
     ["check", *_VERTEX_ON_CHAIN],
     ["suspend", "--perm", "1", "--lengths", "1", "--heights", "1", "--svg", "{svg}"],
 ], ids=["check-simple", "check-self-intersecting", "suspend-svg", "check-overlap",
         "suspend-overlap-svg", "connections", "orbit-table", "connections-table",
-        "scan-jobs-1", "scan-jobs-2", "check-vertex-on-chain", "suspend-one-symbol"])
+        "scan-jobs-1", "scan-jobs-2", "scan-pool", "check-vertex-on-chain", "suspend-one-symbol"])
 def test_output_does_not_depend_on_asserts(argv, tmp_path):
     # python -O strips every assert, so no result may be computed inside one.
     env = dict(os.environ, PYTHONPATH=str(Path(ietkit.__file__).parents[1]))
@@ -433,12 +444,33 @@ def test_scan_output_is_byte_stable(capsys, tmp_path):
     assert first == second
 
 
-def test_scan_jobs_matches_serial(capsys, tmp_path):
+@pytest.fixture()
+def real_pools(monkeypatch):
+    """Keep the scan's real process pool, on four CPUs, and list the
+    max_workers of every pool made."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    made = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr("ietkit.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    return made
+
+
+def test_scan_jobs_matches_serial(capsys, tmp_path, real_pools):
+    # The smallest grid that forks: two workers of K samples each.
     curve = write_power_curve(tmp_path, 3)
     args = ["scan", "--perm", "3,2,1", "--curve", curve,
-            "--from", "0.5", "--to", "4", "--samples", "30"]
+            "--from", "0.5", "--to", "4", "--samples", str(2 * K)]
     _, serial, _ = run_cli(capsys, *args)
+    assert real_pools == []
     _, parallel, _ = run_cli(capsys, *args, "--jobs", "3")
+    assert real_pools == [2]
     assert serial == parallel
 
 
@@ -470,10 +502,13 @@ def scan_pools(monkeypatch):
 @pytest.mark.parametrize(
     "samples, cpus, pools",
     [
-        (2, 4, [(2, 2)]),  # capped by the samples
-        (5, 2, [(2, 2)]),  # capped by the CPUs
-        (5, 1, []),  # one CPU: serial, no pool
-        (5, None, []),  # CPU count unknown: serial, no pool
+        (2 * K - 1, 4, []),  # too few samples for two workers: serial, no pool
+        (2 * K, 4, [(2, 2)]),  # two workers' worth
+        (3 * K - 1, 4, [(2, 2)]),  # capped by the samples
+        (3 * K, 4, [(3, 3)]),  # capped by --jobs 3
+        (3 * K, 2, [(2, 2)]),  # capped by the CPUs
+        (3 * K, 1, []),  # one CPU: serial, no pool
+        (3 * K, None, []),  # CPU count unknown: serial, no pool
     ],
 )
 def test_scan_workers_are_bounded(capsys, tmp_path, monkeypatch, scan_pools, samples, cpus, pools):
@@ -513,30 +548,36 @@ def test_scan_domain_violation_exit_code(capsys, tmp_path):
     assert out == ""
 
 
-def test_scan_domain_violation_same_under_jobs(capsys, tmp_path):
+def test_scan_domain_violation_same_under_jobs(capsys, tmp_path, real_pools):
     curve = write_power_curve(tmp_path, 2)
     code, _, _ = run_cli(
         capsys, "scan", "--perm", "2,1", "--curve", curve,
         "--from", "-1", "--to", "1", "--samples", "5", "--jobs", "4",
     )
     assert code == 5
-    # A worker's error reaches the same handler as a serial one: a violation
-    # at sample 0, one at sample 3 (a = (2 - s, s), in the second of two
-    # chunks) and a reducible permutation.
+    # A worker's error reaches the same handler as a serial one, on the
+    # smallest grid that forks two workers: a violation at sample 0, one in
+    # the second chunk (a = (2 - s, s)) and a reducible permutation.
     late = tmp_path / "late.json"
     late.write_text(json.dumps({"d": 2, "coeffs": [[2, -1], [0, 1]]}))
+    first_bad = next(k for k, s in enumerate(_grid(0.5, 3.0, 2 * K)) if s >= 2)
+    assert K <= first_bad < 2 * K
     cases = [
         ("2,1", curve, "-1", "1", 5),
         ("2,1", str(late), "0.5", "3", 5),
         ("1,2", curve, "1", "2", 4),
     ]
+    samples = str(2 * K)
     for perm, path, lo, hi, exit_code in cases:
-        argv = ["scan", "--perm", perm, "--curve", path, "--from", lo, "--to", hi, "--samples", "5"]
+        argv = ["scan", "--perm", perm, "--curve", path, "--from", lo, "--to", hi,
+                "--samples", samples]
         serial = run_cli(capsys, *argv, "--jobs", "1")
         assert serial[0] == exit_code
         assert serial[2].startswith("error:")
+        real_pools.clear()
         assert run_cli(capsys, *argv, "--jobs", "2") == serial
         assert run_cli(capsys, *argv, "--jobs", "4") == serial
+        assert real_pools == [2, 2]
 
 
 def test_scan_curve_file_problems_are_validation_errors(capsys, tmp_path):

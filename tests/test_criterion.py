@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ietkit import criterion as _criterion
 from ietkit import (
     CurveSpec,
     IntersectionReport,
@@ -35,6 +36,7 @@ from ietkit import (
 from ietkit.errors import (
     DimensionMismatch,
     DomainViolation,
+    IetkitError,
     InvalidBound,
     InvalidSize,
     LemmaViolation,
@@ -174,6 +176,11 @@ def test_lemma_violation_is_raised_for_a_monotone_curve_that_is_not_simple(
     direction = "decreasing" if decreasing else "increasing"
     with pytest.raises(LemmaViolation, match=f"^{direction} slopes but self-intersecting curve"):
         convexity_criterion(sigma, a, b)
+    # The curve a_i + b_i s passes through (a, b) at s = 0, with derivative b.
+    spec = curve_spec([[x, y] for x, y in zip(a, b)])
+    assert _outcome(lambda: scan_curve(spec, sigma, [0]).verdicts) == _outcome(
+        lambda: convexity_criterion(sigma, a, b)
+    )
 
 
 def test_report_carries_the_diagram_it_decided_on():
@@ -453,6 +460,98 @@ def test_scan_validates():
         scan_curve(mahler_spec(2), validate_permutation([2, 1]), [])
     with pytest.raises(DimensionMismatch):
         scan_curve(mahler_spec(2), validate_permutation([3, 2, 1]), [1, 2])
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except (IetkitError, LemmaViolation) as exc:
+        return type(exc), str(exc)
+
+
+def _criterion_verdicts(spec, sigma, grid):
+    """The full criterion at every sample, as the scan once ran it."""
+    return tuple(convexity_criterion(sigma, *curve_point(spec, s)).verdict for s in grid)
+
+
+def _random_curve(rng: random.Random, d: int) -> list[list[F]]:
+    """Rows of a d-component curve: powers (slopes e/s, monotone either way),
+    random rows, mostly non-monotone and sometimes off the domain, or random
+    rows with two neighbours proportional (tied slopes)."""
+    coeff = lambda: F(rng.randint(1, 9), rng.randint(1, 5))  # noqa: E731
+    kind = rng.choice(["powers", "ties", "random"])
+    if kind == "powers":
+        exponents = sorted(rng.sample(range(1, d + 3), d), reverse=rng.random() < 0.5)
+        return [[F(0)] * e + [coeff()] for e in exponents]
+    rows = [[coeff()] + [rng.choice([F(0), coeff(), -coeff()]) for _ in range(rng.randint(0, 3))]
+            for _ in range(d)]
+    if kind == "ties":
+        i = rng.randrange(d - 1)
+        rows[i + 1] = [coeff() * c for c in rows[i]]
+    return rows
+
+
+def test_scan_verdicts_match_the_criterion_on_random_curves():
+    rng = random.Random(f"{SEED}/scan-vs-criterion")
+    seen = set()
+    for _ in range(80):
+        d = rng.randint(2, 6)
+        sigma = random_irreducible(d, rng.getrandbits(32))
+        spec = curve_spec(_random_curve(rng, d))
+        grid = sorted({F(rng.randint(1, 60), rng.randint(1, 20)) for _ in range(10)})
+        grid += [0.3, 1.7]
+        got = _outcome(lambda: scan_curve(spec, sigma, grid).verdicts)
+        assert got == _outcome(lambda: _criterion_verdicts(spec, sigma, grid))
+        seen.update(got if isinstance(got[0], Verdict) else [got[0]])
+    assert seen >= set(Verdict) | {DomainViolation}
+
+
+@pytest.mark.parametrize("images, rows, grid, error", [
+    # a_1 = 2 - s leaves the domain at the third sample, and at the first.
+    ([2, 1], [[2, -1], [0, 1]], [F(1, 2), 1, F(5, 2), 3], DomainViolation),
+    ([2, 1], [[2, -1], [0, 1]], [3, 1], DomainViolation),
+    ([3, 1, 2], [[0, 1], [0, 0, 1], [1, 0, 0, -1]], [F(1, 2), F(3, 2)], DomainViolation),
+    ([1, 2], [[0, 1], [0, 0, 1]], [1, 2], ReduciblePermutation),
+    ([2, 1, 3], [[0, 1], [0, 0, 1], [1, 1]], [1, 2], ReduciblePermutation),
+    # One symbol: the first sample is evaluated before the size is refused.
+    ([1], [[0, 1]], [1, 2], InvalidSize),
+    ([1], [[0, 1]], [-1, 2], DomainViolation),
+], ids=["domain-late", "domain-first", "domain-d3", "reducible", "reducible-d3", "one-symbol",
+        "one-symbol-domain"])
+def test_scan_raises_what_the_criterion_raises(images, rows, grid, error):
+    sigma, spec = validate_permutation(images), curve_spec(rows)
+    got = _outcome(lambda: scan_curve(spec, sigma, grid))
+    assert got[0] is error
+    assert got == _outcome(lambda: _criterion_verdicts(spec, sigma, grid))
+
+
+def test_scan_decides_verdicts_without_the_return_profile(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the return profile was computed")
+
+    monkeypatch.setattr("ietkit.suspension._omega_times", refuse)
+    sigma = validate_permutation([4, 3, 2, 1])
+    summary = scan_curve(mahler_spec(4), sigma, _linspace(F(1, 2), F(4), 20))
+    assert set(summary.verdicts) == {Verdict.POSITIVE_PAIR_BY_MIRRORED_LEMMA}
+    with pytest.raises(AssertionError, match="the return profile was computed"):
+        convexity_criterion(sigma, *mahler_curve(4, 2))
+
+
+def test_scan_tests_intersections_for_monotone_samples_only(monkeypatch):
+    # (1 + s, 2s + s^2/2, 3/2 + s^3): monotone on part of the range only.
+    tested, irreducible = [], []
+    real_test, real_irreducible = _criterion.self_intersects, _criterion.is_irreducible
+    monkeypatch.setattr(_criterion, "self_intersects",
+                        lambda diagram: tested.append(diagram) or real_test(diagram))
+    monkeypatch.setattr(_criterion, "is_irreducible",
+                        lambda sigma: irreducible.append(sigma) or real_irreducible(sigma))
+    spec = curve_spec([[1, 1], [0, 2, F(1, 2)], [F(3, 2), 0, 0, 1]])
+    summary = scan_curve(spec, validate_permutation([3, 2, 1]), _linspace(F(1, 4), F(13, 4), 25))
+    certified = len(summary.verdicts) - len(summary.exceptional)
+    assert 0 < certified < summary.samples
+    assert len(tested) == certified
+    assert len(irreducible) == 1
 
 
 def test_scan_rationalizes_float_grid_points():
