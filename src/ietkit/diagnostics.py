@@ -11,9 +11,10 @@ visits per piece of a sorted partition.  It takes k steps per lookup in the
 k-step table of ``ietkit.iet._blocks``, with k derived from the smaller of n
 and the period bound (the number of integers the orbit can reach) and from
 the partition's size.  It counts visits per table piece and, once at the
-end, replays k steps from each visited piece's start to count the
-partition's pieces.  It tests for the first return at block ends, so it sees
-a return after p steps at L = lcm(p, k), and counts n steps as q blocks of L
+end, pushes them down through the tables the k-step table was composed
+from, each piece's visits to both of its halves, so no itinerary is stored
+or replayed.  It tests for the first return at block ends, so it sees a
+return after p steps at L = lcm(p, k), and counts n steps as q blocks of L
 plus one rerun of the first n mod L steps, which cannot return early.  The
 trend builds that table once and walks the breaks from mark to mark.
 ``visit_frequencies`` with cells^2 <= n walks the breaks and the cell
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidBound
-from .iet import Iet, ScalarLike, _check_domain, _scaled_ints, _steps, _table, as_scalar
+from .iet import Iet, ScalarLike, _check_domain, _scaled_ints, _table, _Table, as_scalar
 
 __all__ = ["OrbitStats", "visit_frequencies", "discrepancy_trend"]
 
@@ -57,25 +58,24 @@ class OrbitStats:
     refinement_discrepancy: Fraction
 
 
-def _walk(
-    points: list[int], shift: list[int], x: int, n: int, table: tuple[list[int], list[int], int]
-) -> tuple[list[int], int]:
+def _walk(points: list[int], shift: list[int], x: int, n: int, table: _Table) -> tuple[list[int], int]:
     """Visits per piece over n steps from x, and the point reached.
 
     Piece j is the j-th gap of the sorted ``points`` and moves by
-    ``shift[j]``; ``table`` is their (cuts, moves, k) from
-    ``ietkit.iet._table``.  The walk looks up one table piece per k steps and
-    tests for a return to x at block ends, so it sees a return after
-    L = lcm(p, k) steps when the orbit returns after p; the counts are then
-    q blocks of L plus one rerun of r steps, q, r = divmod(n, L), and the
-    point reached is the end of that rerun.
+    ``shift[j]``; ``table`` is their k-step table from ``ietkit.iet._table``.
+    The walk looks up one table piece per k steps and tests for a return to
+    x at block ends, so it sees a return after L = lcm(p, k) steps when the
+    orbit returns after p; the counts are then q blocks of L plus one rerun
+    of r steps, q, r = divmod(n, L), and the point reached is the end of that
+    rerun.
 
-    >>> _walk([1], [1, -1], 0, 5, ([1], [1, -1], 1))
+    >>> _walk([1], [1, -1], 0, 5, _Table([1], [1, -1], 1))
     ([3, 2], 1)
-    >>> _walk([1], [1, -1], 0, 5, ([1], [0, 0], 2))
+    >>> from ietkit.iet import _blocks
+    >>> _walk([1], [1, -1], 0, 5, _blocks([1], [1, -1], 2, 2))
     ([3, 2], 1)
     """
-    cuts, moves, k = table
+    cuts, moves, k, _ = table
     counts = [0] * len(moves)
     start = x
     blocks = n // k
@@ -86,8 +86,8 @@ def _walk(
         if x == start:
             q, r = divmod(n, b * k)
             rest, x = _walk(points, shift, x, r, table)
-            return [c * q + e for c, e in zip(_expand(points, shift, counts, table), rest)], x
-    counts = _expand(points, shift, counts, table)
+            return [c * q + e for c, e in zip(_expand(counts, table), rest)], x
+    counts = _expand(counts, table)
     for _ in range(n - blocks * k):
         j = bisect_right(points, x)
         counts[j] += 1
@@ -95,21 +95,27 @@ def _walk(
     return counts, x
 
 
-def _expand(points: list[int], shift: list[int], counts: list[int], table: tuple) -> list[int]:
-    """Visits per table piece as visits per gap of ``points``: each visited
-    piece's k steps are replayed from its start."""
-    cuts, _, k = table
-    if k == 1:
-        return counts
-    out = [0] * len(shift)
-    for s, c in zip((0, *cuts), counts):
-        if c:
-            for j in _steps(points, shift, s, k):
-                out[j] += c
-    return out
+def _expand(counts: list[int], table: _Table) -> list[int]:
+    """Visits per table piece as visits per piece of the partition itself.
+
+    The visits of a composed piece go to both of its halves, and each table
+    of the powering passes its counts on once, from the largest k down.
+    """
+    levels = {table.k: (table, counts)}
+    while True:
+        t, counts = levels.pop(max(levels))
+        if t.halves is None:
+            return counts
+        a, b, first, second = t.halves
+        to_a = levels.setdefault(a.k, (a, [0] * len(a.moves)))[1]
+        to_b = levels.setdefault(b.k, (b, [0] * len(b.moves)))[1]
+        for i, j, c in zip(first, second, counts):
+            if c:
+                to_a[i] += c
+                to_b[j] += c
 
 
-def _walk_table(points: list[int], shift: list[int], breaks: list[int], n: int) -> tuple:
+def _walk_table(points: list[int], shift: list[int], breaks: list[int], n: int) -> _Table:
     """The k-step table for a walk of n steps over the gaps of ``points``.
 
     Every shift is a multiple of g, the gcd of the breaks, so the orbit stays

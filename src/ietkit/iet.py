@@ -19,12 +19,17 @@ arithmetic without per-step gcd work.
 Orbit loops take k steps per lookup.  ``_blocks`` refines a sorted integer
 partition into its k-step partition, cut at every T^(-t)(p) with 0 <= t < k;
 on each of its pieces the next k pieces visited are fixed, so the piece moves
-by one k-step shift.  ``_block_length`` derives k from the loop's work and the
-partition's size: the table has at most k times as many pieces and costs
-about k steps per piece to build and read, so k is the largest with
-k^2 * pieces at most 1/32 of the work, at most 16, and with k * pieces at
-most 2^17, which bounds the table's memory.  Below k = 2 the loop is the
-plain one, one lookup per step.
+by one k-step shift.  It composes tables by binary powering: the (a+b)-step
+table is the a-step table with each piece's a-image cut at the b-step
+table's cuts, and each piece records its two halves.  The loops read their
+per-piece data off those halves instead of replaying k steps: a coding word
+is the a-word followed by the b-word, and a piece's connection hits are its
+a-hits and the b-hits of its a-image.  ``_block_length`` derives k from the
+loop's work and the partition's size: the table has at most k times as many
+pieces and costs about k visits per piece to build and read, so k is the
+largest power of two with k * pieces at most 1/32 of the work, at most 32,
+and with k * pieces at most 2^17, which bounds the table's memory.  Below
+k = 2 the loop is the plain one, one lookup per step.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -201,13 +206,24 @@ def _scaled_ints(t: Iet, x0: Fraction) -> tuple[int, int, list[int], list[int]]:
     return ints[0], breaks[-1], breaks, trans
 
 
-# A k-step table may cost at most a 1/_TABLE_SHARE share of the steps of the
-# loop it serves; longer blocks than _MAX_BLOCK gain little and cost memory.
-# A table has at most k times the partition's pieces, and k is capped so that
-# this is at most _MAX_TABLE_PIECES, which bounds its memory whatever the
-# refinement asked for.
+# A k-step table costs about k visits per piece of the partition to build
+# and to read, and may cost at most a 1/_TABLE_SHARE share of the steps of
+# the loop it serves; longer blocks than _MAX_BLOCK gain little and cost
+# memory.  Both constants come from a k sweep on the benchmark's orbits.  At
+# 200,000 steps the 20-piece coding and connection loops and the 83-piece
+# frequency walk were fastest at k = 24 to 48 and slower at 64 and 128, and
+# any share from 1/20 to 1/75 gives all three k = 32.  A walk that returns
+# after p steps sees the return only after lcm(p, k) steps: the golden
+# rotation's 65-piece walk, which returns after 2,584 steps, was faster at
+# k = 8, which divides 2,584, and slower at k = 3, which does not; a share
+# of 1/20 or less keeps it at k = 1.  k is rounded down to a power of two, which the powering
+# builds by squaring alone: at 20,000 steps the 20-piece loops took 1.3 to
+# 1.7 ms at k = 16 against 2.0 to 3.0 ms at k = 31.  A table has at most k
+# times the partition's pieces, and k is capped so that this is at most
+# _MAX_TABLE_PIECES, which bounds its memory whatever the refinement asked
+# for.
 _TABLE_SHARE = 32
-_MAX_BLOCK = 16
+_MAX_BLOCK = 32
 _MAX_TABLE_PIECES = 1 << 17
 
 
@@ -215,61 +231,120 @@ def _block_length(work: int, pieces: int) -> int:
     """Steps per lookup for a loop of ``work`` steps over ``pieces`` pieces.
 
     >>> _block_length(200_000, 20), _block_length(200_000, 83), _block_length(2584, 65)
-    (16, 8, 1)
+    (32, 32, 1)
+    >>> _block_length(20_000, 20), _block_length(20_000, 83), _block_length(2_000, 20)
+    (16, 4, 2)
 
     A walk over 30,000 cells and four intervals keeps a table of at most
-    2^17 pieces, however long it is; without the cap, k would be 16.
+    2^17 pieces, however long it is; without the cap, k would be 32.
 
     >>> _block_length(10**9, 30_003), _block_length(10**9, 1 << 17)
     (4, 1)
     """
-    k = min(_MAX_BLOCK, _MAX_TABLE_PIECES // pieces, math.isqrt(work // (_TABLE_SHARE * pieces)))
-    return k if k > 1 else 1
+    k = min(_MAX_BLOCK, _MAX_TABLE_PIECES // pieces, work // (_TABLE_SHARE * pieces))
+    return 1 << max(k.bit_length() - 1, 0)
 
 
-def _steps(points: list[int], shift: list[int], x: int, k: int) -> list[int]:
-    """The pieces of x, T(x), ..., T^(k-1)(x) among the gaps of ``points``."""
-    out = []
-    for _ in range(k):
-        j = bisect_right(points, x)
-        out.append(j)
-        x += shift[j]
-    return out
+class _Table(NamedTuple):
+    """A k-step partition of [0, total): gap i of ``cuts``, with 0 in front,
+    moves by ``moves[i]`` in k steps.
+
+    ``halves`` is None for the partition itself (k = 1).  A composed table
+    has halves (a, b, first, second): it is the k = a.k + b.k steps of
+    table a followed by those of table b, and its piece i is a-piece
+    ``first[i]`` whose a-image starts in b-piece ``second[i]``.
+    """
+
+    cuts: list[int]
+    moves: list[int]
+    k: int
+    halves: tuple | None = None
 
 
-def _blocks(points: list[int], shift: list[int], total: int, k: int) -> tuple[list[int], list[int]]:
-    """The k-step partition of [0, total) cut at the sorted integers ``points``.
+def _compose(a: _Table, b: _Table, total: int) -> _Table:
+    """The table of T^(b.k) after T^(a.k): each a-piece is cut where its
+    a-image crosses a cut of b, one visit per a-piece and per new piece."""
+    bcuts, bmoves = b.cuts, b.moves
+    starts, moves, first, second = [], [], [], []
+    for i, (s, e, m) in enumerate(zip((0, *a.cuts), (*a.cuts, total), a.moves)):
+        j = bisect_right(bcuts, s + m)
+        starts.append(s)
+        moves.append(m + bmoves[j])
+        first.append(i)
+        second.append(j)
+        for c in bcuts[j : bisect_left(bcuts, e + m, j)]:
+            j += 1
+            starts.append(c - m)
+            moves.append(m + bmoves[j])
+            first.append(i)
+            second.append(j)
+    del starts[0]
+    return _Table(starts, moves, a.k + b.k, (a, b, first, second))
+
+
+def _blocks(points: list[int], shift: list[int], total: int, k: int) -> _Table:
+    """The k-step table of [0, total) cut at the sorted integers ``points``.
 
     Gap j of ``points`` moves by ``shift[j]`` and lies in one exchanged
-    interval.  Returns (cuts, moves): cuts holds every T^(-t)(p) with p in
-    points and 0 <= t < k, sorted, and gap i of cuts moves by moves[i] in k
-    steps.  Each pass follows every piece one step further and splits it
-    where its image crosses a cut of ``points``.
+    interval.  The table's cuts are every T^(-t)(p) with p in points and
+    0 <= t < k, sorted, and gap i of them moves by moves[i] in k steps.  It
+    is built by binary powering: T^(a+b) is T^b after T^a, so tables of 1,
+    2, 4, ... steps are composed, O(k * pieces) piece visits in all.
 
-    >>> _blocks([1], [1, -1], 2, 2)
-    ([1], [0, 0])
+    >>> _blocks([1], [1, -1], 2, 2)[:3]
+    ([1], [0, 0], 2)
     """
-    starts, moves = [0], [0]
-    for _ in range(k):
-        next_starts, next_moves = [], []
-        for s, e, m in zip(starts, starts[1:] + [total], moves):
-            j = bisect_right(points, s + m)
-            next_starts.append(s)
-            next_moves.append(m + shift[j])
-            for c in points[j : bisect_left(points, e + m)]:
-                j += 1
-                next_starts.append(c - m)
-                next_moves.append(m + shift[j])
-        starts, moves = next_starts, next_moves
-    return starts[1:], moves
+    power, out = _Table(points, shift, 1), None
+    while True:
+        if k & 1:
+            out = power if out is None else _compose(out, power, total)
+        k >>= 1
+        if not k:
+            return out
+        power = _compose(power, power, total)
 
 
-def _table(points: list[int], shift: list[int], total: int, work: int) -> tuple[list[int], list[int], int]:
-    """(cuts, moves, k) for a loop of ``work`` steps; k = 1 is the partition itself."""
+def _table(points: list[int], shift: list[int], total: int, work: int) -> _Table:
+    """The k-step table for a loop of ``work`` steps; k = 1 is the partition itself."""
     k = _block_length(work, len(shift))
     if k == 1:
-        return points, shift, 1
-    return (*_blocks(points, shift, total, k), k)
+        return _Table(points, shift, 1)
+    return _blocks(points, shift, total, k)
+
+
+def _fold(table: _Table, base, join):
+    """A value per piece of ``table``, built bottom-up: ``base`` for the
+    partition itself, ``join(t, value of a, value of b)`` for a composed t.
+    Within one powering each table has its own k, so each is visited once."""
+    done = {}
+
+    def of(t: _Table):
+        if t.k not in done:
+            done[t.k] = base if t.halves is None else join(t, of(t.halves[0]), of(t.halves[1]))
+        return done[t.k]
+
+    return of(table)
+
+
+def _join_words(t: _Table, words_a: list, words_b: list) -> list:
+    """Each piece's word: its a-piece's word, then its b-piece's."""
+    _, _, first, second = t.halves
+    return [words_a[i] + words_b[j] for i, j in zip(first, second)]
+
+
+def _join_hits(t: _Table, hits_a: dict, hits_b: dict) -> dict:
+    """The hits of each piece start s: those of s in a, then those of its
+    a-image s + move in b, a.k steps later.  A b-hit puts the a-image on a
+    cut of b, so looking it up by value is exact."""
+    a, _, first, _ = t.halves
+    hits = {}
+    for s, i in zip((0, *t.cuts), first):
+        later = hits_b.get(s + a.moves[i])
+        if later:
+            hits[s] = hits_a.get(s, []) + [(step + a.k, j) for step, j in later]
+        elif s in hits_a:
+            hits[s] = hits_a[s]
+    return hits
 
 
 def orbit_coding(t: Iet, x0: ScalarLike, n: int) -> list[int]:
@@ -285,8 +360,9 @@ def orbit_coding(t: Iet, x0: ScalarLike, n: int) -> list[int]:
     _check_domain(t, x0)
     x, total, breaks, trans = _scaled_ints(t, x0)
     points = breaks[:-1]
-    cuts, moves, k = _table(points, trans, total, n)
-    words = [[j + 1 for j in _steps(points, trans, s, k)] for s in (0, *cuts)]
+    table = _table(points, trans, total, n)
+    cuts, moves, k, _ = table
+    words = _fold(table, [(j,) for j in range(1, len(trans) + 1)], _join_words)
     codes: list[int] = []
     for _ in range(-(-n // k)):
         p = bisect_right(cuts, x)
@@ -313,16 +389,11 @@ def find_connections(t: Iet, max_m: int) -> list[Connection]:
         _, total, breaks, trans = _scaled_ints(t, Fraction(0))
         points = breaks[:-1]
         targets = {x: j for j, x in enumerate(points, start=1)}
-        cuts, moves, k = _table(points, trans, total, (d - 1) * max_m)
+        table = _table(points, trans, total, (d - 1) * max_m)
+        cuts, moves, k, _ = table
         # hits[y]: the (t, j) with T^t(y) = x_j and t < k, for each piece
         # start y that has one.
-        hits: dict[int, list[tuple[int, int]]] = {}
-        for s in (0, *cuts):
-            y = s
-            for step, j in enumerate(_steps(points, trans, s, k)):
-                if y in targets:
-                    hits.setdefault(s, []).append((step, targets[y]))
-                y += trans[j]
+        hits = _fold(table, {x: [(0, j)] for x, j in targets.items()}, _join_hits)
         for i in range(1, d):
             x = breaks[i - 1]
             x += trans[bisect_right(points, x)]

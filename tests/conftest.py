@@ -1,7 +1,8 @@
 """Shared fixtures: seeded generators, the frozen intersection fixture, and
 references kept from the paths they were replaced by: the coding, connection,
-frequency and trend loops that take one lookup per iterate, and the
-``Fraction`` Horner and slope classifier of the curve scan.
+frequency and trend loops that take one lookup per iterate, the k-step table
+built by k one-step passes, and the ``Fraction`` Horner and slope classifier
+of the curve scan.
 
 Set the SEED environment variable to rerun every randomized suite on a
 different deterministic stream; the default keeps CI byte-stable.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import os
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,35 @@ def reference_discrepancy_trend(t, x0, schedule) -> list[tuple[int, Fraction]]:
             out.append((step, max(abs(Fraction(c, step) - e) for c, e in zip(counts, expected))))
             mark = next(marks, None)
     return out
+
+
+def reference_steps(points: list[int], shift: list[int], x: int, k: int) -> list[int]:
+    """The pieces of x, T(x), ..., T^(k-1)(x) among the gaps of ``points``."""
+    out = []
+    for _ in range(k):
+        j = bisect_right(points, x)
+        out.append(j)
+        x += shift[j]
+    return out
+
+
+def reference_blocks(points: list[int], shift: list[int], total: int, k: int) -> tuple[list[int], list[int]]:
+    """(cuts, moves) of the k-step table by k one-step passes: each pass
+    follows every piece one step further and splits it where its image
+    crosses a cut of ``points``."""
+    starts, moves = [0], [0]
+    for _ in range(k):
+        next_starts, next_moves = [], []
+        for s, e, m in zip(starts, starts[1:] + [total], moves):
+            j = bisect_right(points, s + m)
+            next_starts.append(s)
+            next_moves.append(m + shift[j])
+            for c in points[j : bisect_left(points, e + m)]:
+                j += 1
+                next_starts.append(c - m)
+                next_moves.append(m + shift[j])
+        starts, moves = next_starts, next_moves
+    return starts[1:], moves
 
 
 def period_of(t, x0, cap: int = 3000) -> int | None:

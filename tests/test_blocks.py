@@ -1,8 +1,9 @@
-"""The k-step table of the orbit loops against the loops that take one lookup
-per step.
+"""The k-step table of the orbit loops against the table built by one-step
+passes and the loops that take one lookup per step.
 
 ``ietkit.iet._block_length`` derives k from the work and the partition size;
 the ``block`` fixture replaces it so that every k meets short and long runs.
+The k that are not powers of two are built by composing several powers.
 """
 
 from __future__ import annotations
@@ -26,21 +27,23 @@ from ietkit import (
     validate_permutation,
     visit_frequencies,
 )
-from ietkit.iet import _blocks, _scaled_ints, _steps
+from ietkit.iet import _blocks, _scaled_ints
 
 from conftest import (
     SEED,
     period_of,
     random_rational_exchange,
+    reference_blocks,
     reference_discrepancy_trend,
     reference_find_connections,
     reference_orbit_coding,
+    reference_steps,
     reference_visit_frequencies,
 )
 from oracles import oracle_connections
 
 F = Fraction
-KS = [2, 3, 5, 16]
+KS = [2, 3, 5, 16, 32, 33, 64]
 
 
 @pytest.fixture()
@@ -81,23 +84,48 @@ def test_blocks_are_the_coarsest_partition_with_one_k_step_itinerary(k):
         t = small_exchange(rng)
         _, total, breaks, trans = _scaled_ints(t, F(0))
         points = breaks[:-1]
-        cuts, moves = _blocks(points, trans, total, k)
+        cuts, moves = _blocks(points, trans, total, k)[:2]
         assert cuts == sorted(set(cuts)) and all(0 < c < total for c in cuts)
         assert len(moves) == len(cuts) + 1
         starts = [0, *cuts]
         for x in range(total):
             p = sum(1 for c in cuts if c <= x)
-            word = _steps(points, trans, x, k)
-            assert word == _steps(points, trans, starts[p], k)
+            word = reference_steps(points, trans, x, k)
+            assert word == reference_steps(points, trans, starts[p], k)
             assert x + moves[p] == x + sum(trans[j] for j in word)
         for c in cuts:
-            assert _steps(points, trans, c, k) != _steps(points, trans, c - 1, k)
+            assert reference_steps(points, trans, c, k) != reference_steps(points, trans, c - 1, k)
 
 
 def test_blocks_of_one_step_are_the_partition_itself():
     _, total, breaks, trans = _scaled_ints(build_iet(validate_permutation([3, 1, 2]), [1, 2, 3]), F(0))
-    assert _blocks(breaks[:-1], trans, total, 1) == (breaks[:-1], trans)
-    assert _blocks([], [0], 7, 4) == ([], [0])
+    assert _blocks(breaks[:-1], trans, total, 1)[:2] == (breaks[:-1], trans)
+    assert _blocks([], [0], 7, 4)[:2] == ([], [0])
+
+
+def large_exchange(rng: random.Random, d: int = 20):
+    """Lengths p / q with q one of two primes near 10^6: the scaled orbits do
+    not return within any test's run."""
+    sigma = random_irreducible(d, rng.getrandbits(32))
+    return build_iet(sigma, [F(rng.randint(10**6, 2 * 10**6), rng.choice((999_983, 1_000_003))) for _ in range(d)])
+
+
+def test_composed_tables_equal_the_one_step_passes():
+    # Binary powering gives the cuts and moves of k one-step passes, for
+    # every k up to 40, on small exchanges and on one d = 20 exchange with
+    # large denominators; each piece records the two pieces it came from.
+    rng = random.Random(f"{SEED}/composed-blocks")
+    for t in [small_exchange(rng) for _ in range(25)] + [large_exchange(rng)]:
+        _, total, breaks, trans = _scaled_ints(t, F(0))
+        points = breaks[:-1]
+        for k in range(1, 41):
+            table = _blocks(points, trans, total, k)
+            assert table[:2] == reference_blocks(points, trans, total, k)
+            assert table.k == k
+            if k > 1:
+                a, b, first, second = table.halves
+                assert a.k + b.k == k
+                assert [a.moves[i] + b.moves[j] for i, j in zip(first, second)] == table.moves
 
 
 def test_block_length_is_derived_from_work_and_pieces():
@@ -107,12 +135,25 @@ def test_block_length_is_derived_from_work_and_pieces():
         ks = [iet._block_length(work, pieces) for work in range(0, 10**6, 997)]
         assert ks == sorted(ks)
         for work, k in zip(range(0, 10**6, 997), ks):
-            assert k == 1 or k * k * pieces * iet._TABLE_SHARE <= work
+            # The table costs about k visits per piece: at most a
+            # 1/_TABLE_SHARE share of the work, and k is the largest power
+            # of two within that share, the cap and _MAX_BLOCK.
+            assert k & (k - 1) == 0
+            assert k == 1 or k * pieces * iet._TABLE_SHARE <= work
+            assert k == iet._MAX_BLOCK or 2 * k * pieces > min(
+                work // iet._TABLE_SHARE, iet._MAX_TABLE_PIECES)
+    # The benchmark's orbits: 20 and 83 pieces over 200,000 steps take the
+    # longest blocks, and the golden rotation's walk, bounded by its 2,584
+    # integers, keeps the plain loop.
+    assert [iet._block_length(200_000, p) for p in (20, 83)] == [iet._MAX_BLOCK] * 2
+    assert iet._block_length(2584, 65) == 1
     # However long the loop, a table keeps at most _MAX_TABLE_PIECES pieces.
     cap = iet._MAX_TABLE_PIECES
     for pieces in (8_192, 8_193, 30_003, cap // 2, cap // 2 + 1, cap, 10 * cap):
         k = iet._block_length(10**15, pieces)
-        assert k == max(1, min(iet._MAX_BLOCK, cap // pieces))
+        assert k & (k - 1) == 0
+        assert k == 1 or k * pieces <= cap
+        assert k == iet._MAX_BLOCK or 2 * k * pieces > cap
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +319,49 @@ def test_short_periodic_walk_keeps_the_plain_loop(monkeypatch):
     assert visit_frequencies(t, x0, 200_000) == reference_visit_frequencies(t, x0, 200_000)
 
 
-def test_walk_table_stores_no_itinerary(block):
-    # x0 = 1/7919 scales the golden rotation to a total of 2584 * 7919, so
-    # 512 cells and k = 16 give a table of about 8,000 pieces.  Its cuts,
-    # shifts and counts take well under 400 bytes per piece; a stored
-    # 16-long itinerary per piece would take more.
-    block(16)
+def golden_walk_peak() -> int:
+    """Peak traced bytes of a walk over 512 cells of the golden rotation.
+    x0 = 1/7919 scales it to a total of 2584 * 7919, so at the forced k the
+    table has about 512 k pieces."""
     t = build_iet(validate_permutation([2, 1]), [F(1), F(1597, 987)])
-    cells = 512
     tracemalloc.start()
     try:
-        visit_frequencies(t, F(1, 7919), cells * cells, cells)
-        _, peak = tracemalloc.get_traced_memory()
+        visit_frequencies(t, F(1, 7919), 512 * 512, 512)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 400 * 16 * cells
+
+
+def test_walk_table_stores_no_itinerary(block):
+    # k = 16 gives a table of about 8,000 pieces.  Its cuts, shifts, halves
+    # and counts, with those of the tables it was composed from, take well
+    # under 400 bytes per piece; a stored 16-long itinerary per piece would
+    # take more.
+    block(16)
+    assert golden_walk_peak() < 400 * 16 * 512
+
+
+def test_walk_table_stores_no_itinerary_at_the_largest_k(block):
+    # The same bound at the largest derived k, about 16,000 pieces.
+    block(iet._MAX_BLOCK)
+    assert golden_walk_peak() < 400 * iet._MAX_BLOCK * 512
+
+
+def test_coding_words_stay_linear_in_the_steps():
+    # Each table piece keeps its k-long word, k times the table's pieces in
+    # all, and so do the tables it was composed from; the derived k keeps
+    # the table at most n / 32 pieces, so the words stay within a constant
+    # number of bytes per step.
+    t = large_exchange(random.Random(f"{SEED}/coding-memory"))
+    for n in (1280, 2000, 20_000, 20_480, 100_000):
+        assert iet._block_length(n, t.d) > 1
+        tracemalloc.start()
+        try:
+            orbit_coding(t, t.total / 3, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * n + (16 << 10)
 
 
 def test_sparse_cells_are_counted_without_a_list_per_cell():
