@@ -246,9 +246,16 @@ def _diagram_payload(diagram: SuspensionDiagram, simple: bool, witness: Witness 
 # SVG
 
 
+def _svg_float(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise IetkitError(f"SVG coordinate {value} is outside the float range") from None
+
+
 def _svg_chains(diagram: SuspensionDiagram, witness: Witness | None) -> str:
     def flip(pt: Sequence[Fraction]) -> tuple[float, float]:
-        return float(pt[0]), float(-pt[1])
+        return _svg_float(pt[0]), _svg_float(-pt[1])
 
     top = [flip(p) for p in diagram.top_chain]
     bottom = [flip(p) for p in diagram.bottom_chain]
@@ -266,6 +273,11 @@ def _svg_chains(diagram: SuspensionDiagram, witness: Witness | None) -> str:
     margin = 0.05 * span
     view = (min(xs) - margin, min(ys) - margin, (max(xs) - min(xs)) + 2 * margin,
             (max(ys) - min(ys)) + 2 * margin)
+    if not all(math.isfinite(v) for v in view):
+        # A witness lies on both chains, so they alone bound the picture.
+        points = diagram.top_chain + diagram.bottom_chain
+        extent = max(max(pt[k] for pt in points) - min(pt[k] for pt in points) for k in (0, 1))
+        raise IetkitError(f"SVG view box over a span of {extent} is outside the float range")
     stroke = 0.01 * span
 
     def polyline(points: list[tuple[float, float]], color: str) -> str:
@@ -303,10 +315,13 @@ def cmd_suspend(job: dict) -> int:
     sigma = validate_permutation(job["perm"])
     diagram = build_suspension(sigma, _parse_vector(job["lengths"]), _parse_vector(job["heights"]))
     report = self_intersects(diagram)
+    # Drawn before anything is written, so a curve that cannot be drawn
+    # prints nothing and leaves no file.
+    svg = _svg_chains(diagram, report.witness) if "svg" in job else None
     _emit(_diagram_payload(diagram, report.simple, report.witness))
-    if "svg" in job:
+    if svg is not None:
         with open(job["svg"], "w") as fh:
-            fh.write(_svg_chains(diagram, report.witness) + "\n")
+            fh.write(svg + "\n")
     if job.get("require_simple") and not report.simple:
         print("error: curve self-intersects but --require-simple was set", file=sys.stderr)
         return EXIT_NOT_SIMPLE

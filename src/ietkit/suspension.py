@@ -23,12 +23,11 @@ functions over one interval that agree at its ends.  The curve is simple
 exactly when the top chain lies strictly on one side of the bottom chain at
 every interior vertex of either chain: 2(d - 1) integer cross products in
 one left-to-right sweep that stops at the first zero or change of sign.
-With d = 1 there is no interior vertex and the two chains coincide.  Only
-when the sweep finds a contact does the witness search run: a window over
-the bottom chain that two pointers advance left to right, comparing top and
-bottom segments whose closed x-ranges meet.  It runs the orientation tests
-on the integer vertices, and the witness is the first offending integer
-relation with every coordinate divided by D.  No epsilon appears anywhere.
+With d = 1 there is no interior vertex and the two chains coincide.  Where
+the sweep stops, the leftmost contact lies in one top and one bottom
+segment, and that pair is the first offender.  One exact relation of the
+two integer segments, with every coordinate divided by D, is the witness.
+No epsilon appears anywhere.
 """
 
 from __future__ import annotations
@@ -291,40 +290,48 @@ def segment_relation(
     return SegmentRelation(SegmentClass.DISJOINT, None)
 
 
-def _chains_apart(top: _IntChain, bottom: _IntChain) -> bool:
-    """True if the two chains meet only at their shared ends.
+def _first_contact(top: _IntChain, bottom: _IntChain) -> tuple[int, int] | None:
+    """The top and bottom segment (1-based) that hold the leftmost contact of
+    the two chains away from their shared ends, or None if there is none.
 
     Both chains are graphs over [0, X] of piecewise-linear functions T and B
     with T = B at 0 and X, and T - B is linear between consecutive vertex
     x-coordinates of the two chains taken together.  So the chains meet
     nowhere else exactly when T - B has one strict sign at every interior
-    vertex of both chains.  The vertices are visited left to right; each is
-    tested against the segment of the other chain whose closed x-range holds
-    it, by one cross product whose sign is that of T - B there.  A zero or a
-    change of sign stops the sweep.  With one symbol there is no interior
-    vertex and the chains coincide, so the answer is False.
+    vertex of both chains.  The vertices are visited left to right, a top
+    vertex first on a tie; each is tested against the segment of the other
+    chain whose closed x-range holds it, by one cross product whose sign is
+    that of T - B there.  At the first zero or change of sign the leftmost
+    contact lies after the previous vertex and no later than this one, so in
+    the top segment i and bottom segment j that the sweep is in.  A zero
+    at the very first vertex means T - B vanishes on the whole first piece:
+    the two first segments overlap.  With one symbol there is no interior
+    vertex and the chains coincide, so the pair is (1, 1).
 
-    >>> _chains_apart([(0, 0), (1, 1), (3, 0)], [(0, 0), (2, -1), (3, 0)])
+    >>> _first_contact([(0, 0), (1, 1), (3, 0)], [(0, 0), (2, -1), (3, 0)]) is None
     True
-    >>> _chains_apart([(0, 0), (1, 1), (3, 0)], [(0, 0), (2, 1), (3, 0)])
-    False
-    >>> _chains_apart([(0, 0), (2, 0)], [(0, 0), (2, 0)])
-    False
+    >>> _first_contact([(0, 0), (1, 1), (3, 0)], [(0, 0), (2, 1), (3, 0)])
+    (2, 1)
+    >>> _first_contact([(0, 0), (2, 0)], [(0, 0), (2, 0)])
+    (1, 1)
     """
     d = len(top) - 1
     i = j = 1
     above = None
     while i < d or j < d:
-        if j == d or (i < d and top[i][0] <= bottom[j][0]):
+        on_top = j == d or (i < d and top[i][0] <= bottom[j][0])
+        if on_top:
             gap = _orient(bottom[j - 1], bottom[j], top[i])
-            i += 1
         else:
             gap = -_orient(top[i - 1], top[i], bottom[j])
-            j += 1
         if gap == 0 or (above is not None and (gap > 0) != above):
-            return False
+            return i, j
         above = gap > 0
-    return above is not None
+        if on_top:
+            i += 1
+        else:
+            j += 1
+    return None if above is not None else (1, 1)
 
 
 def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
@@ -342,64 +349,39 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
     two segments of one chain meet only at a shared vertex, and the curve is
     simple exactly when the top chain lies strictly on one side of the
     bottom chain at every interior vertex of either chain, which
-    ``_chains_apart`` decides with 2(d - 1) sign tests.  A simple curve is
-    reported from those signs alone.  With d = 1 there is no interior vertex
-    and the one top segment overlaps the one bottom segment.
+    ``_first_contact`` decides with at most 2(d - 1) sign tests.  A simple
+    curve is reported from those signs alone.
 
-    Otherwise the first offender is looked for.  A top and a bottom segment
-    can meet only if their closed x-ranges do, so top segment i is compared
-    with the window of bottom segments over [x_{i-1}, x_i], which two
-    pointers advance: about 3d pairs instead of d(2d-1), and the first
-    offender is the same pair.  A contact that the signs find and the window
-    does not raises ``AssertionError``.
+    Otherwise the sweep names top segment i and bottom segment j, which
+    hold the leftmost contact.  No earlier top segment meets the bottom
+    chain, and top segment i meets no earlier bottom segment, so (i, j) is
+    the first offender, and one ``segment_relation`` call gives its class
+    and locus.  It is never the pair (d, d) of the permitted end contact,
+    and it is (1, 1) only for an overlap.  A named pair that shows no
+    contact raises ``AssertionError``.
 
     The tests run on the diagram's integer chains, both axes scaled by one
     common denominator D.  Scaling both axes by the same positive factor
     keeps the sign of every orientation test, the crossing parameter and
     the dominant axis along which ``segment_relation`` orders an overlap's
-    ends.  So the classifications, the start and end allowances and the
-    first offender are those of the rational chains, and the witness is the
-    integer relation with every coordinate divided by D.
+    ends.  So the classification and the first offender are those of the
+    rational chains, and the witness is the integer relation with every
+    coordinate divided by D.
     """
-    d = diagram.d
     denom, top, bottom, _ = diagram._integers
-    if _chains_apart(top, bottom):
+    pair = _first_contact(top, bottom)
+    if pair is None:
         return IntersectionReport(True, None)
-    start = top[0]
-    end = top[d]
-
-    def allowed(rel: SegmentRelation, i: int, j: int) -> bool:
-        if rel.classification is SegmentClass.DISJOINT:
-            return True
-        if rel.classification is not SegmentClass.ENDPOINT_TOUCH:
-            return False
-        if i == 1 and j == 1:
-            return rel.locus == start
-        if i == d and j == d:
-            return rel.locus == end
-        return False
-
-    # Bottom segments lo..hi are those whose closed x-range meets that of top
-    # segment i: the first with right end >= x_{i-1}, the last with left end
-    # <= x_i.  Both bounds only move right as i grows.
-    lo, hi = 1, 0
-    for i in range(1, d + 1):
-        x0, x1 = top[i - 1][0], top[i][0]
-        while bottom[lo][0] < x0:
-            lo += 1
-        while hi < d and bottom[hi][0] <= x1:
-            hi += 1
-        for j in range(lo, hi + 1):
-            rel = segment_relation(top[i - 1], top[i], bottom[j - 1], bottom[j])
-            if allowed(rel, i, j):
-                continue
-            if rel.classification is SegmentClass.COLLINEAR_OVERLAP:
-                locus = tuple(_unscaled(pt, denom) for pt in rel.locus)
-            else:
-                locus = _unscaled(rel.locus, denom)
-            exact = SegmentRelation(rel.classification, locus)
-            return IntersectionReport(False, Witness("top", i, "bottom", j, exact))
-    raise AssertionError("the vertex signs found a contact that no segment pair shows")
+    i, j = pair
+    rel = segment_relation(top[i - 1], top[i], bottom[j - 1], bottom[j])
+    if rel.classification is SegmentClass.DISJOINT:
+        raise AssertionError("the vertex signs found a contact that no segment pair shows")
+    if rel.classification is SegmentClass.COLLINEAR_OVERLAP:
+        locus = tuple(_unscaled(pt, denom) for pt in rel.locus)
+    else:
+        locus = _unscaled(rel.locus, denom)
+    exact = SegmentRelation(rel.classification, locus)
+    return IntersectionReport(False, Witness("top", i, "bottom", j, exact))
 
 
 def pointwise_positive(diagram: SuspensionDiagram) -> PositivityClass:

@@ -324,6 +324,22 @@ def test_suspend_svg_for_simple_curve_has_no_marks(capsys, tmp_path):
     assert root.findall(f"{SVG_NS}circle") == []
 
 
+@pytest.mark.parametrize("lengths, heights, named", [
+    # float() of a 401-digit coordinate overflows.
+    ("1" + "0" * 400 + ",1", "1,-1", "1" + "0" * 400),
+    # Each coordinate is a float, but the y span 2e308 is not.
+    ("1,1", "1" + "0" * 308 + ",-1" + "0" * 308, "2" + "0" * 308),
+], ids=["coordinate", "view-box-span"])
+def test_suspend_svg_outside_the_float_range_is_an_input_error(capsys, tmp_path, lengths,
+                                                               heights, named):
+    svg_path = tmp_path / "big.svg"
+    code, out, err = run_cli(capsys, "suspend", "--perm", "2,1", "--lengths", lengths,
+                             "--heights", heights, "--svg", str(svg_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: SVG ") and named in err
+    assert not svg_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -371,6 +387,9 @@ _STEEP_OVERLAP = ["--perm", "3,1,2", "--lengths", "1,3/2,1", "--heights=-1/2,-3/
 # A curve whose first contact is bottom vertex 2, at (3,1), lying on top
 # segment 3; at every other vertex the top chain is strictly below.
 _VERTEX_ON_CHAIN = ["--perm", "2,3,1", "--lengths", "1,1,2", "--heights", "-1,1,2"]
+# A curve whose first crossing comes after the last top vertex: bottom vertex
+# 2 lies above top segment 3.
+_PAST_LAST_TOP = ["--perm", "2,3,1", "--lengths", "3,1,2", "--heights=3,-2,-3"]
 _SCAN = ["scan", "--perm", "3,2,1", "--curve", "{curve}", "--from", "0.25", "--to", "3.25",
          "--samples", "25"]
 
@@ -392,9 +411,11 @@ _SCAN = ["scan", "--perm", "3,2,1", "--curve", "{curve}", "--from", "0.25", "--t
     [*_SCAN[:-1], str(2 * K), "--jobs", "2"],
     ["check", *_VERTEX_ON_CHAIN],
     ["suspend", "--perm", "1", "--lengths", "1", "--heights", "1", "--svg", "{svg}"],
+    ["suspend", *_PAST_LAST_TOP, "--svg", "{svg}"],
 ], ids=["check-simple", "check-self-intersecting", "suspend-svg", "check-overlap",
         "suspend-overlap-svg", "connections", "orbit-table", "connections-table",
-        "scan-jobs-1", "scan-jobs-2", "scan-pool", "check-vertex-on-chain", "suspend-one-symbol"])
+        "scan-jobs-1", "scan-jobs-2", "scan-pool", "check-vertex-on-chain", "suspend-one-symbol",
+        "suspend-past-last-top-svg"])
 def test_output_does_not_depend_on_asserts(argv, tmp_path):
     # python -O strips every assert, so no result may be computed inside one.
     env = dict(os.environ, PYTHONPATH=str(Path(ietkit.__file__).parents[1]))

@@ -298,7 +298,7 @@ def test_self_intersects_agrees_with_parametric_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the x-window intersection test against the all-pairs scan it replaced
+# the first offender named by the vertex sweep against the all-pairs scan
 
 
 def all_pairs_report(diagram) -> IntersectionReport:
@@ -350,7 +350,8 @@ def assert_matches_references(images, a, b) -> IntersectionReport:
     return report
 
 
-def test_window_matches_all_pairs_on_criterion_9_stream():
+def criterion_9_stream():
+    """The (images, a, b) draws of acceptance criterion 9, about half simple."""
     rng = random.Random(f"{SEED}/oracle-equivalence")
     for _ in range(2_000):
         d = rng.randint(2, 6)
@@ -358,6 +359,11 @@ def test_window_matches_all_pairs_on_criterion_9_stream():
         rng.shuffle(images)
         a = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(d)]
         b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+        yield images, a, b
+
+
+def test_window_matches_all_pairs_on_criterion_9_stream():
+    for images, a, b in criterion_9_stream():
         assert_matches_references(images, a, b)
 
 
@@ -432,7 +438,7 @@ def test_window_matches_all_pairs_on_power_curves(d):
 
 def test_simple_curves_run_no_segment_test(monkeypatch):
     # A simple curve is decided from the signs at the chains' vertices alone;
-    # the segment window runs only to name the witness of a failing curve.
+    # a segment relation is computed only for the witness of a failing curve.
     def refuse(*args):
         raise AssertionError("segment_relation ran on a simple curve")
 
@@ -471,8 +477,28 @@ def test_simple_curves_run_no_segment_test(monkeypatch):
     ([1], [1], [1], ("top", 1, "bottom", 1, SegmentClass.COLLINEAR_OVERLAP)),
     # A reducible sigma, the identity, adds the vectors in one order twice.
     ([1, 2, 3], [1, 2, 1], [1, -1, 2], ("top", 1, "bottom", 1, SegmentClass.COLLINEAR_OVERLAP)),
+    # Top (0,0) (3,3) (4,1) (6,-2), bottom (0,0) (2,-3) (5,0) (6,-2): past the
+    # last top vertex, bottom vertex 2 lies above top segment 3.
+    ([2, 3, 1], [3, 1, 2], [3, -2, -3], ("top", 3, "bottom", 2, SegmentClass.PROPER_CROSSING)),
+    # Past the last top vertex, bottom vertex 3 at (8,5) lies on top segment 4,
+    # from (7,4) to (10,7); the top chain is strictly below before it.
+    ([2, 3, 4, 1], [3, 2, 2, 3], [1, 1, 2, 3], ("top", 4, "bottom", 3, SegmentClass.ENDPOINT_TOUCH)),
+    # Top (0,0) (1,-3) (4,-2) (6,1) (8,1), bottom (0,0) (2,3) (4,3) (5,0) (8,1):
+    # past the last bottom vertex, top vertex 3 lies above bottom segment 4.
+    ([3, 4, 1, 2], [1, 3, 2, 2], [-3, 1, 3, 0], ("top", 3, "bottom", 4, SegmentClass.PROPER_CROSSING)),
+    # Past the last bottom vertex, top vertex 2 at (4,-1) lies on bottom
+    # segment 3, from (3,0) to (5,-2); the top chain is strictly below before it.
+    ([3, 1, 2], [2, 2, 1], [-2, 1, -1], ("top", 2, "bottom", 3, SegmentClass.ENDPOINT_TOUCH)),
+    # Top (0,0) (3,0) (6,-2) (9,-1), bottom (0,0) (3,-2) (6,-1) (9,-1): at x = 6,
+    # a top and a bottom vertex, the top chain has passed below.
+    ([3, 1, 2], [3, 3, 3], [0, -2, 1], ("top", 2, "bottom", 2, SegmentClass.PROPER_CROSSING)),
+    # Top (0,0) (1,0) (4,-2) (7,-4), bottom (0,0) (3,-2) (4,-2) (7,-4): top
+    # vertex 2 is bottom vertex 2, the end of bottom segment 2.
+    ([2, 3, 1], [1, 3, 3], [0, -2, -2], ("top", 2, "bottom", 2, SegmentClass.ENDPOINT_TOUCH)),
 ], ids=["bottom-vertex-pokes-through", "vertex-on-the-other-chain", "shared-x-simple",
-        "shared-vertex", "one-symbol", "reducible-coinciding-chains"])
+        "shared-vertex", "one-symbol", "reducible-coinciding-chains",
+        "past-last-top-crossing", "past-last-top-touch", "past-last-bottom-crossing",
+        "past-last-bottom-touch", "shared-x-crossing", "shared-x-touch"])
 def test_sweep_named_cases(images, a, b, witness):
     report = assert_matches_references(images, a, b)
     if witness is None:
@@ -482,8 +508,29 @@ def test_sweep_named_cases(images, a, b, witness):
         assert (w.chain_a, w.index_a, w.chain_b, w.index_b, w.relation.classification) == witness
 
 
+def test_failing_curves_run_one_segment_test(monkeypatch):
+    # The sweep names the first offender, so a failing curve classifies that
+    # one pair and a simple curve none.
+    calls = []
+    relation = suspension.segment_relation
+
+    def counted(*args):
+        calls.append(args)
+        return relation(*args)
+
+    monkeypatch.setattr(suspension, "segment_relation", counted)
+    one_symbol = [([1], [F(p, 3)], [F(q, 7)]) for p in (1, 5) for q in (-4, 0, 2)]
+    failing = 0
+    for images, a, b in [*criterion_9_stream(), *one_symbol]:
+        calls.clear()
+        report = self_intersects(build_suspension(validate_permutation(images), a, b))
+        assert len(calls) == (0 if report.simple else 1)
+        failing += not report.simple
+    assert failing > 500
+
+
 def test_a_contact_the_window_misses_is_loud(monkeypatch):
-    # The sweep saw a contact, so a window that reports none is a bug; the
+    # The sweep saw a contact, so a named pair that shows none is a bug; the
     # check is a raise, not an assert, so it holds under python -O too.
     disjoint = suspension.SegmentRelation(SegmentClass.DISJOINT, None)
     monkeypatch.setattr(suspension, "segment_relation", lambda *args: disjoint)
