@@ -269,15 +269,19 @@ def _svg_chains(diagram: SuspensionDiagram, witness: Witness | None) -> str:
 
     xs = [x for x, _ in top + bottom + marks]
     ys = [y for _, y in top + bottom + marks]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    # Every a_i is positive, so the exact span is too: a float span of 0 means
+    # that every coordinate underflowed to 0.
+    float_span = max(max(xs) - min(xs), max(ys) - min(ys))
+    span = max(float_span, 1e-9)
     margin = 0.05 * span
     view = (min(xs) - margin, min(ys) - margin, (max(xs) - min(xs)) + 2 * margin,
             (max(ys) - min(ys)) + 2 * margin)
-    if not all(math.isfinite(v) for v in view):
+    if float_span == 0 or not all(math.isfinite(v) for v in view):
         # A witness lies on both chains, so they alone bound the picture.
         points = diagram.top_chain + diagram.bottom_chain
         extent = max(max(pt[k] for pt in points) - min(pt[k] for pt in points) for k in (0, 1))
-        raise IetkitError(f"SVG view box over a span of {extent} is outside the float range")
+        problem = "rounds to 0 as a float" if float_span == 0 else "is outside the float range"
+        raise IetkitError(f"SVG view box over a span of {extent} {problem}")
     stroke = 0.01 * span
 
     def polyline(points: list[tuple[float, float]], color: str) -> str:
@@ -389,12 +393,11 @@ def __getattr__(name: str) -> Any:
 
 
 # The fewest samples a scan worker must have before a pool is worth forking.
-# Forking, importing the pool and pickling the chunks cost about as much as
-# 1,000 to 1,250 samples: on a d = 4 power-type curve (2-vCPU VM, CPython
-# 3.11.7, median of 15 subprocess runs) --jobs 2 took 241, 291 and 396 ms at
-# 1,000, 2,000 and 4,000 samples against 196, 297 and 418 ms for --jobs 1.
-# So two workers break even near 2,000 samples, or 1,024 per worker.
-_SAMPLES_PER_WORKER = 1024
+# On a d = 4 power-type curve (2-vCPU VM, CPython 3.11.7, medians of 9
+# alternating subprocess runs while both vCPUs ran in parallel), --jobs 2
+# took 218 and 244 ms at 2,048 and 4,096 samples against 197 and 258 ms for
+# --jobs 1.  So two workers break even near 4,096 samples, or 2,048 per worker.
+_SAMPLES_PER_WORKER = 2048
 
 
 def cmd_scan(job: dict, schema: dict) -> int:
@@ -407,7 +410,8 @@ def cmd_scan(job: dict, schema: dict) -> int:
     workers = min(job.get("jobs", 1), len(grid) // _SAMPLES_PER_WORKER, os.cpu_count() or 1)
     if workers > 1:
         chunk_size = (len(grid) + workers - 1) // workers
-        chunks = [grid[k : k + chunk_size] for k in range(0, len(grid), chunk_size)]
+        # Floats pickle faster than Fractions; each worker rationalizes its own.
+        chunks = [grid_floats[k : k + chunk_size] for k in range(0, len(grid), chunk_size)]
         # pool.map re-raises a worker's error here, so exit codes match --jobs 1.
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_scan_chunk, [(spec, sigma, c) for c in chunks])

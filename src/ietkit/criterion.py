@@ -16,14 +16,17 @@ the same way, rationalizing every grid point before deciding.  A sample
 decides its verdict alone: the intersection test runs only for monotone
 slopes, where it guards the lemma, and no profile is built.  A ``CurveSpec``
 keeps each component and its derivative as integer coefficients over one
-denominator per row, so at s = p/q a point is a homogeneous Horner sum in
-integers whose sign is the domain check.  The slope classes, here and in the
-criterion, are signs of integer cross products, and the profile's signs are
-read off the diagram's integer profile.
+common denominator, so at s = p/q a point is a homogeneous Horner sum in
+integers, every row over one positive scale, whose sign is the domain check.
+A sample classifies its slopes and runs the vertex sweep on those integers,
+and builds neither a ``Fraction`` nor a diagram unless it raises.  The slope
+classes, here and in the criterion, are signs of integer cross products, and
+the profile's signs are read off the diagram's integer profile.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -47,6 +50,8 @@ from .suspension import (
     PositivityClass,
     SuspensionDiagram,
     Witness,
+    _chains,
+    _first_contact,
     _sign,
     build_suspension,
     pointwise_positive,
@@ -82,8 +87,6 @@ class Verdict(Enum):
     INCONCLUSIVE_NON_MONOTONE = "InconclusiveNonMonotone"
     DEGENERATE_TIES = "DegenerateTies"
 
-
-_IntRow = tuple[int, list[int]]
 
 _POSITIVE_VERDICTS = frozenset(
     {Verdict.POSITIVE_PAIR_BY_LEMMA, Verdict.POSITIVE_PAIR_BY_MIRRORED_LEMMA}
@@ -251,17 +254,19 @@ class CurveSpec:
     coeffs: tuple[tuple[Fraction, ...], ...]
 
     @cached_property
-    def _integer_rows(self) -> tuple[int, tuple[_IntRow, ...], tuple[_IntRow, ...]]:
-        """``(longest, widths, heights)``: ``longest`` is the length of the
-        longest row, and ``widths[i]`` and ``heights[i]`` are a_{i+1} and its
-        derivative as (L, the coefficients times L), L the lcm of that row's
-        denominators.  A constant's derivative row is (0,)."""
-        widths = tuple(_scaled(row) for row in self.coeffs)
-        heights = tuple(
-            _scaled([k * c for k, c in enumerate(row)][1:] or [Fraction(0)])
-            for row in self.coeffs
+    def _integer_rows(self) -> tuple[int, int, tuple[list[int], ...]]:
+        """``(longest, L, rows)``: ``longest`` is the length of the longest
+        row, L the lcm of every coefficient denominator of the components and
+        their derivatives, and ``rows`` holds a_1, ..., a_d and then their
+        derivatives, each as its coefficients times L, highest degree first.
+        A constant's derivative row is (0,)."""
+        rows = (
+            *self.coeffs,
+            *([k * c for k, c in enumerate(row)][1:] or [Fraction(0)] for row in self.coeffs),
         )
-        return max(len(row) for row in self.coeffs), widths, heights
+        denom = math.lcm(*(c.denominator for row in rows for c in row))
+        scaled = tuple([c.numerator * (denom // c.denominator) for c in row[::-1]] for row in rows)
+        return max(len(row) for row in self.coeffs), denom, scaled
 
 
 def curve_spec(rows: Sequence[Sequence[ScalarLike]]) -> CurveSpec:
@@ -281,17 +286,32 @@ def mahler_spec(d: int) -> CurveSpec:
     return CurveSpec(d, tuple((Fraction(0),) * i + (Fraction(1),) for i in range(1, d + 1)))
 
 
-def _horner(scaled: _IntRow, p: int, q_powers: Sequence[int]) -> tuple[int, int]:
-    """A scaled row's polynomial at p/q as (numerator, positive denominator).
+def _integer_point(spec: CurveSpec, s: Fraction) -> tuple[int, list[int]]:
+    """``(M, values)``: a_1(s), ..., a_d(s) and then their derivatives at s,
+    each times one positive scale M; raises DomainViolation naming the first
+    a_i(s) <= 0.
 
-    For the n + 1 coefficients c_k over L, homogeneous Horner gives
-    sum_k c_k p^k q^(n-k) = L q^n c(p/q) in integers; ``q_powers[k]`` is q^k.
+    At s = p/q, homogeneous Horner sums a row of n + 1 coefficients c_k over
+    L in integers, sum_k c_k p^k q^(n-k) = L q^n c(p/q).  Times
+    q^(longest - 1 - n), every row is over M = L q^(longest - 1), so no
+    ``Fraction`` is built and no gcd is taken.
     """
-    denom, row = scaled
-    acc = 0
-    for c, q_k in zip(reversed(row), q_powers):
-        acc = acc * p + c * q_k
-    return acc, denom * q_powers[len(row) - 1]
+    p, q = s.numerator, s.denominator
+    longest, denom, rows = spec._integer_rows
+    q_powers = [1]
+    for _ in range(longest - 1):
+        q_powers.append(q_powers[-1] * q)
+    values = []
+    for row in rows:
+        acc = 0
+        for c, q_k in zip(row, q_powers):
+            acc = acc * p + c * q_k
+        values.append(acc * q_powers[longest - len(row)])
+    scale = denom * q_powers[-1]
+    for i, v in enumerate(values[: spec.d], start=1):
+        if v <= 0:
+            raise DomainViolation(f"component {i} is {Fraction(v, scale)} at s = {s}")
+    return scale, values
 
 
 def curve_point(
@@ -299,22 +319,34 @@ def curve_point(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Evaluate (a(s), da/ds(s)) exactly; raises DomainViolation off the domain.
 
-    At s = p/q every row is summed in integers over a positive denominator,
-    so a component is off the domain exactly when its numerator is <= 0.
+    The components and derivatives are the integers of a scan sample, each
+    over one positive scale, so a component is off the domain exactly when
+    its integer is <= 0; only here do they become ``Fraction``s.
     """
-    s = as_scalar(s)
-    p, q = s.numerator, s.denominator
-    longest, widths, heights = spec._integer_rows
-    q_powers = [1]
-    for _ in range(longest - 1):
-        q_powers.append(q_powers[-1] * q)
-    a = []
-    for i, row in enumerate(widths, start=1):
-        num, den = _horner(row, p, q_powers)
-        if num <= 0:
-            raise DomainViolation(f"component {i} is {Fraction(num, den)} at s = {s}")
-        a.append(Fraction(num, den))
-    return tuple(a), tuple(Fraction(*_horner(row, p, q_powers)) for row in heights)
+    scale, values = _integer_point(spec, as_scalar(s))
+    point = tuple(Fraction(v, scale) for v in values)
+    return point[: spec.d], point[spec.d :]
+
+
+def _sample_verdict(spec: CurveSpec, sigma: Permutation, s: Fraction) -> Verdict:
+    """The verdict ``convexity_criterion`` gives at s, decided on integers.
+
+    Every width and height of ``_integer_point`` has the same positive scale,
+    so the slope class and the signs of the vertex sweep are those of the
+    diagram at s.  Only a sample that raises builds the diagram: a contact
+    found by the sweep goes to ``_verdict``, which raises LemmaViolation with
+    the criterion's message.  With one symbol the sweep reports the two
+    coinciding chains, so the first sample's diagram raises InvalidSize.
+    """
+    _, values = _integer_point(spec, s)
+    widths, heights = values[: sigma.d], values[sigma.d :]
+    verdict = _VERDICTS[_classify_slopes(widths, heights)]
+    if verdict not in _POSITIVE_VERDICTS:
+        return verdict
+    top, bottom, _ = _chains(sigma, widths, heights)
+    if _first_contact(top, bottom) is None:
+        return verdict
+    return _verdict(_diagram(sigma, *curve_point(spec, s)))[0]
 
 
 @dataclass(frozen=True)
@@ -350,6 +382,9 @@ def scan_curve(
     sample's verdict carries exact-arithmetic certainty at that s.  Each
     sample decides its verdict only, as ``convexity_criterion`` would: the
     intersection test runs for monotone slopes alone, and no profile is built.
+    A sample is decided on the integers of its Horner sums, so one that
+    certifies or not builds no ``Fraction`` and no diagram; only a sample
+    that raises does, to word its error as the criterion would.
     """
     if not is_irreducible(sigma):
         raise ReduciblePermutation(f"{sigma} splits at an invariant prefix")
@@ -358,8 +393,4 @@ def scan_curve(
     grid = tuple(as_scalar(s) for s in s_grid)
     if not grid:
         raise InvalidBound("empty sample grid")
-    verdicts = []
-    for s in grid:
-        a, b = curve_point(spec, s)
-        verdicts.append(_verdict(_diagram(sigma, a, b))[0])
-    return ScanSummary(tuple(verdicts), grid)
+    return ScanSummary(tuple(_sample_verdict(spec, sigma, s) for s in grid), grid)

@@ -150,10 +150,7 @@ class SuspensionDiagram:
         are the chains' heights in both orders.  No profile is computed here:
         ``_profile`` reads it off the y sums when first needed."""
         denom, scaled = _scaled(self.lengths + self.heights)
-        x_top, x_bottom = _sums(self.sigma, scaled[: self.d])
-        y_sums = _sums(self.sigma, scaled[self.d :])
-        top = list(zip(x_top, y_sums[0]))
-        bottom = list(zip(x_bottom, y_sums[1]))
+        top, bottom, y_sums = _chains(self.sigma, scaled[: self.d], scaled[self.d :])
         assert top[-1] == bottom[-1]
         return denom, top, bottom, y_sums
 
@@ -203,6 +200,16 @@ class SuspensionDiagram:
     @cached_property
     def first_slope_vs_bottom_last(self) -> int:
         return self._first_slope_vs(self.sigma.inverse[-1])
+
+
+def _chains(
+    sigma: Permutation, xs: Sequence[int], ys: Sequence[int]
+) -> tuple[_IntChain, _IntChain, tuple[list[int], list[int]]]:
+    """The integer top and bottom chains of the vectors (xs[i], ys[i]), and
+    the y sums in both orders."""
+    x_top, x_bottom = _sums(sigma, xs)
+    y_sums = _sums(sigma, ys)
+    return list(zip(x_top, y_sums[0])), list(zip(x_bottom, y_sums[1])), y_sums
 
 
 def _checked_heights(sigma: Permutation, b: Sequence[ScalarLike]) -> tuple[Fraction, ...]:

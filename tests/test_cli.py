@@ -329,7 +329,11 @@ def test_suspend_svg_for_simple_curve_has_no_marks(capsys, tmp_path):
     ("1" + "0" * 400 + ",1", "1,-1", "1" + "0" * 400),
     # Each coordinate is a float, but the y span 2e308 is not.
     ("1,1", "1" + "0" * 308 + ",-1" + "0" * 308, "2" + "0" * 308),
-], ids=["coordinate", "view-box-span"])
+    # Every coordinate underflows to 0, so the float span is 0 but the exact
+    # x span 2/10^400 is not.
+    ("1/1" + "0" * 400 + ",1/1" + "0" * 400, "1/1" + "0" * 400 + ",-1/1" + "0" * 400,
+     "span of 1/5" + "0" * 399 + " rounds to 0"),
+], ids=["coordinate", "view-box-span", "view-box-underflow"])
 def test_suspend_svg_outside_the_float_range_is_an_input_error(capsys, tmp_path, lengths,
                                                                heights, named):
     svg_path = tmp_path / "big.svg"
@@ -437,6 +441,31 @@ def test_output_does_not_depend_on_asserts(argv, tmp_path):
     assert (svg_text is not None) == ("--svg" in argv)
 
 
+@pytest.mark.parametrize("perm, coeffs, bounds, exit_code", [
+    ("3,2,1", _MIXED_CURVE["coeffs"], ("0.25", "3.25"), 0),
+    # a_1 = 2 - s leaves the domain at s = 2.
+    ("2,1", [[2, -1], [0, 1]], ("0.5", "3"), 5),
+    ("1,2", [[0, 1], [0, 0, 1]], ("1", "2"), 4),
+    # One symbol: the first sample is evaluated, then the size is refused.
+    ("1", [[0, 1]], ("1", "2"), 2),
+    ("1", [[0, 1]], ("-1", "2"), 5),
+], ids=["mixed", "domain", "reducible", "one-symbol", "one-symbol-domain"])
+def test_scan_exits_do_not_depend_on_asserts(capsys, tmp_path, perm, coeffs, bounds, exit_code):
+    # Scan samples are decided in integers; python -O strips every assert,
+    # and the exit code, stdout and stderr must stay those of a plain run.
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"d": len(coeffs), "coeffs": coeffs}))
+    argv = ["scan", "--perm", perm, "--curve", str(curve), "--from", bounds[0],
+            "--to", bounds[1], "--samples", "40"]
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == exit_code
+    env = dict(os.environ, PYTHONPATH=str(Path(ietkit.__file__).parents[1]))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "ietkit", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -520,19 +549,26 @@ def scan_pools(monkeypatch):
     return pools
 
 
+# The worker bound does not depend on the threshold's value, so this test
+# sets the threshold to B and keeps its grids small; the tests that fork
+# real pools size their grids from K.
+B = 1024
+
+
 @pytest.mark.parametrize(
     "samples, cpus, pools",
     [
-        (2 * K - 1, 4, []),  # too few samples for two workers: serial, no pool
-        (2 * K, 4, [(2, 2)]),  # two workers' worth
-        (3 * K - 1, 4, [(2, 2)]),  # capped by the samples
-        (3 * K, 4, [(3, 3)]),  # capped by --jobs 3
-        (3 * K, 2, [(2, 2)]),  # capped by the CPUs
-        (3 * K, 1, []),  # one CPU: serial, no pool
-        (3 * K, None, []),  # CPU count unknown: serial, no pool
+        (2 * B - 1, 4, []),  # too few samples for two workers: serial, no pool
+        (2 * B, 4, [(2, 2)]),  # two workers' worth
+        (3 * B - 1, 4, [(2, 2)]),  # capped by the samples
+        (3 * B, 4, [(3, 3)]),  # capped by --jobs 3
+        (3 * B, 2, [(2, 2)]),  # capped by the CPUs
+        (3 * B, 1, []),  # one CPU: serial, no pool
+        (3 * B, None, []),  # CPU count unknown: serial, no pool
     ],
 )
 def test_scan_workers_are_bounded(capsys, tmp_path, monkeypatch, scan_pools, samples, cpus, pools):
+    monkeypatch.setattr("ietkit.cli._SAMPLES_PER_WORKER", B)
     curve = write_power_curve(tmp_path, 3)
     args = ["scan", "--perm", "3,2,1", "--curve", curve,
             "--from", "0.5", "--to", "4", "--samples", str(samples)]

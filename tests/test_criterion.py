@@ -173,6 +173,9 @@ def test_lemma_violation_is_raised_for_a_monotone_curve_that_is_not_simple(
         "ietkit.criterion.self_intersects",
         lambda diagram: IntersectionReport(False, Witness("top", 1, "bottom", 2, crossing)),
     )
+    # A scan sample runs the vertex sweep on its own integers and hands a
+    # contact to the criterion's decision, so the contact is forced there too.
+    monkeypatch.setattr("ietkit.criterion._first_contact", lambda top, bottom: (1, 2))
     direction = "decreasing" if decreasing else "increasing"
     with pytest.raises(LemmaViolation, match=f"^{direction} slopes but self-intersecting curve"):
         convexity_criterion(sigma, a, b)
@@ -526,6 +529,48 @@ def test_scan_raises_what_the_criterion_raises(images, rows, grid, error):
     assert got == _outcome(lambda: _criterion_verdicts(spec, sigma, grid))
 
 
+def test_integer_samples_match_the_criterion_at_every_grid_point():
+    # One sample at a time against the full criterion on the Fraction
+    # reference point: verdicts, or the type and message of what is raised.
+    # Half the curves get one distinct prime per row as an extra denominator,
+    # and half the grid points are floats, with denominators up to 2^53 and
+    # beyond; some lie off the domain.
+    rng = random.Random(f"{SEED}/integer-samples")
+    seen = set()
+    for _ in range(60):
+        d = rng.randint(2, 6)
+        sigma = random_irreducible(d, rng.getrandbits(32))
+        rows = _random_curve(rng, d)
+        if rng.random() < 0.5:
+            primes = rng.sample([2, 3, 5, 7, 11, 13], d)
+            rows = [[c / k for c in row] for k, row in zip(primes, rows)]
+        spec = curve_spec(rows)
+        grid = [F(rng.randint(-4, 60), rng.randint(1, 20)) for _ in range(5)]
+        grid += [rng.uniform(-0.5, 4.0) for _ in range(5)] + [rng.uniform(0, 1e-6)]
+        for s in grid:
+            got = _outcome(lambda: scan_curve(spec, sigma, [s]).verdicts)
+            expected = _outcome(
+                lambda: (convexity_criterion(sigma, *reference_curve_point(spec, s)).verdict,)
+            )
+            assert got == expected, (rows, s)
+            seen.add(got[0])
+    assert seen >= set(Verdict) | {DomainViolation}
+
+
+def test_scan_certifies_without_a_diagram_or_a_fraction_point(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a diagram or a Fraction point was built")
+
+    monkeypatch.setattr(_criterion, "build_suspension", refuse)
+    monkeypatch.setattr(_criterion, "curve_point", refuse)
+    sigma = validate_permutation([4, 3, 2, 1])
+    grid = _linspace(F(1, 2), F(4), 20) + [0.3, 2.7]
+    summary = scan_curve(mahler_spec(4), sigma, grid)
+    assert summary.verdicts == (Verdict.POSITIVE_PAIR_BY_MIRRORED_LEMMA,) * len(grid)
+    with pytest.raises(AssertionError, match="a diagram or a Fraction point was built"):
+        convexity_criterion(sigma, *mahler_curve(4, 2))
+
+
 def test_scan_decides_verdicts_without_the_return_profile(monkeypatch):
     def refuse(*args):
         raise AssertionError("the return profile was computed")
@@ -540,10 +585,15 @@ def test_scan_decides_verdicts_without_the_return_profile(monkeypatch):
 
 def test_scan_tests_intersections_for_monotone_samples_only(monkeypatch):
     # (1 + s, 2s + s^2/2, 3/2 + s^3): monotone on part of the range only.
+    # A sample runs the vertex sweep on its integers, and builds a diagram
+    # for ``self_intersects`` only where the sweep finds a contact.
     tested, irreducible = [], []
     real_test, real_irreducible = _criterion.self_intersects, _criterion.is_irreducible
+    real_sweep = _criterion._first_contact
     monkeypatch.setattr(_criterion, "self_intersects",
                         lambda diagram: tested.append(diagram) or real_test(diagram))
+    monkeypatch.setattr(_criterion, "_first_contact",
+                        lambda top, bottom: tested.append(top) or real_sweep(top, bottom))
     monkeypatch.setattr(_criterion, "is_irreducible",
                         lambda sigma: irreducible.append(sigma) or real_irreducible(sigma))
     spec = curve_spec([[1, 1], [0, 2, F(1, 2)], [F(3, 2), 0, 0, 1]])
