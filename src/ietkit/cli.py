@@ -202,39 +202,28 @@ def _validate(instance: Any, schema: dict) -> None:
 # serialization helpers
 
 
-def _point(pt: Sequence[Fraction]) -> list[Fraction]:
-    return [pt[0], pt[1]]
-
-
 def _witness_payload(witness: Witness | None) -> dict | None:
     if witness is None:
         return None
-    rel = witness.relation
-    if rel.classification is SegmentClass.COLLINEAR_OVERLAP:
-        locus: Any = [_point(rel.locus[0]), _point(rel.locus[1])]
-    elif rel.locus is not None:
-        locus = _point(rel.locus)
-    else:
-        locus = None
     return {
         "chain_a": witness.chain_a,
         "index_a": witness.index_a,
         "chain_b": witness.chain_b,
         "index_b": witness.index_b,
-        "classification": rel.classification,
-        "locus": locus,
+        "classification": witness.relation.classification,
+        "locus": witness.relation.locus,
     }
 
 
 def _diagram_payload(diagram: SuspensionDiagram, simple: bool, witness: Witness | None) -> dict:
     return {
-        "perm": list(diagram.sigma.images),
-        "lengths": list(diagram.lengths),
-        "heights": list(diagram.heights),
-        "slopes": list(diagram.slopes),
-        "top_chain": [_point(p) for p in diagram.top_chain],
-        "bottom_chain": [_point(p) for p in diagram.bottom_chain],
-        "return_profile": list(diagram.return_profile),
+        "perm": diagram.sigma.images,
+        "lengths": diagram.lengths,
+        "heights": diagram.heights,
+        "slopes": diagram.slopes,
+        "top_chain": diagram.top_chain,
+        "bottom_chain": diagram.bottom_chain,
+        "return_profile": diagram.return_profile,
         "first_slope_vs_bottom_first": diagram.first_slope_vs_bottom_first,
         "first_slope_vs_bottom_last": diagram.first_slope_vs_bottom_last,
         "simple": simple,
@@ -311,7 +300,7 @@ def _parse_vector(text: list[str]) -> list[Fraction]:
 
 def cmd_omega(job: dict) -> int:
     sigma = validate_permutation(job["perm"])
-    _emit([list(row) for row in omega(sigma).entries])
+    _emit(omega(sigma).entries)
     return EXIT_OK
 
 
@@ -338,7 +327,7 @@ def cmd_check(job: dict) -> int:
     heights = _parse_vector(job["heights"])
     report = _criterion.convexity_criterion(sigma, lengths, heights)
     _emit({
-        "perm": list(sigma.images),
+        "perm": sigma.images,
         "monotonicity": report.monotonicity,
         "simple": report.simple,
         "positivity": report.positivity,
@@ -346,8 +335,8 @@ def cmd_check(job: dict) -> int:
         "chains_exchanged": report.chains_exchanged,
         "connection_check_advised": report.connection_check_advised,
         "witness": _witness_payload(report.witness),
-        "slopes": list(report.diagram.slopes),
-        "return_profile": list(report.diagram.return_profile),
+        "slopes": report.diagram.slopes,
+        "return_profile": report.diagram.return_profile,
     })
     return EXIT_OK
 
@@ -405,9 +394,14 @@ def cmd_scan(job: dict, schema: dict) -> int:
     spec = _load_curve(job["curve"], schema)
     grid_floats = _grid(job["from"], job["to"], job["samples"])
     grid = [as_scalar(s) for s in grid_floats]
-    # One worker per chunk, never more workers than CPUs, and a pool only when
-    # each worker gets enough samples to pay for it; otherwise run serially.
-    workers = min(job.get("jobs", 1), len(grid) // _SAMPLES_PER_WORKER, os.cpu_count() or 1)
+    # One worker per chunk, never more workers than the CPUs this process may
+    # run on, and a pool only when each worker gets enough samples to pay
+    # for it; otherwise run serially.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(job.get("jobs", 1), len(grid) // _SAMPLES_PER_WORKER, cpus)
     if workers > 1:
         chunk_size = (len(grid) + workers - 1) // workers
         # Floats pickle faster than Fractions; each worker rationalizes its own.
@@ -430,13 +424,11 @@ def cmd_scan(job: dict, schema: dict) -> int:
 def cmd_orbit(job: dict) -> int:
     sigma = validate_permutation(job["perm"])
     t = build_iet(sigma, _parse_vector(job["lengths"]))
-    stats = _diagnostics.visit_frequencies(
-        t, as_scalar(job["x0"]), job["iters"], job.get("refine", _diagnostics.DEFAULT_REFINEMENT)
-    )
+    stats = _diagnostics.visit_frequencies(t, job["x0"], job["iters"], job["refine"])
     _emit({
         "iterations": stats.n_iterations,
-        "frequencies": list(stats.frequencies),
-        "expected": list(stats.expected),
+        "frequencies": stats.frequencies,
+        "expected": stats.expected,
         "discrepancy": stats.discrepancy,
         "discrepancy_float": float(stats.discrepancy),
         "refinement_cells": stats.refinement_cells,

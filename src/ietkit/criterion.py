@@ -46,7 +46,6 @@ from .errors import (
 from .iet import ScalarLike, _positive_lengths, as_scalar
 from .perm import Permutation, _scaled, is_irreducible
 from .suspension import (
-    IntersectionReport,
     PositivityClass,
     SuspensionDiagram,
     Witness,
@@ -171,30 +170,17 @@ def _diagram(
     return build_suspension(sigma, a, b)
 
 
-def _verdict(
-    diagram: SuspensionDiagram,
-) -> tuple[Verdict, MonotonicityClass, IntersectionReport | None]:
-    """The verdict, the slope class it comes from, and the intersection report.
-
-    The slope class fixes the verdict.  Only a monotone class runs the
-    intersection test, which must then find the curve simple, or the lemma
-    is falsified and ``LemmaViolation`` is raised; the report is None for
-    any other class.  The return profile is never read.
-    """
-    monotonicity = _classify_slopes(*diagram._steps)
-    verdict = _VERDICTS[monotonicity]
-    if verdict not in _POSITIVE_VERDICTS:
-        return verdict, monotonicity, None
-    report = self_intersects(diagram)
-    if not report.simple:
-        direction = (
-            "decreasing" if monotonicity is MonotonicityClass.STRICTLY_DECREASING else "increasing"
-        )
-        raise LemmaViolation(
-            f"{direction} slopes but self-intersecting curve: {diagram.sigma}, "
-            f"a={diagram.lengths}, b={diagram.heights}, witness={report.witness}"
-        )
-    return verdict, monotonicity, report
+def _lemma_violation(
+    diagram: SuspensionDiagram, monotonicity: MonotonicityClass, witness: Witness | None
+) -> LemmaViolation:
+    """The error for monotone slopes on a curve that is not simple."""
+    direction = (
+        "decreasing" if monotonicity is MonotonicityClass.STRICTLY_DECREASING else "increasing"
+    )
+    return LemmaViolation(
+        f"{direction} slopes but self-intersecting curve: {diagram.sigma}, "
+        f"a={diagram.lengths}, b={diagram.heights}, witness={witness}"
+    )
 
 
 def convexity_criterion(
@@ -214,9 +200,11 @@ def convexity_criterion(
     if not is_irreducible(sigma):
         raise ReduciblePermutation(f"{sigma} splits at an invariant prefix")
     diagram = _diagram(sigma, a, b)
-    verdict, monotonicity, report = _verdict(diagram)
-    if report is None:
-        report = self_intersects(diagram)
+    monotonicity = _classify_slopes(*diagram._steps)
+    verdict = _VERDICTS[monotonicity]
+    report = self_intersects(diagram)
+    if verdict in _POSITIVE_VERDICTS and not report.simple:
+        raise _lemma_violation(diagram, monotonicity, report.witness)
     return CriterionReport(
         monotonicity=monotonicity,
         simple=report.simple,
@@ -334,19 +322,21 @@ def _sample_verdict(spec: CurveSpec, sigma: Permutation, s: Fraction) -> Verdict
     Every width and height of ``_integer_point`` has the same positive scale,
     so the slope class and the signs of the vertex sweep are those of the
     diagram at s.  Only a sample that raises builds the diagram: a contact
-    found by the sweep goes to ``_verdict``, which raises LemmaViolation with
-    the criterion's message.  With one symbol the sweep reports the two
-    coinciding chains, so the first sample's diagram raises InvalidSize.
+    found by the sweep raises LemmaViolation with the criterion's message
+    and witness.  With one symbol the sweep reports the two coinciding
+    chains, so the first sample's diagram raises InvalidSize.
     """
     _, values = _integer_point(spec, s)
     widths, heights = values[: sigma.d], values[sigma.d :]
-    verdict = _VERDICTS[_classify_slopes(widths, heights)]
+    monotonicity = _classify_slopes(widths, heights)
+    verdict = _VERDICTS[monotonicity]
     if verdict not in _POSITIVE_VERDICTS:
         return verdict
     top, bottom, _ = _chains(sigma, widths, heights)
     if _first_contact(top, bottom) is None:
         return verdict
-    return _verdict(_diagram(sigma, *curve_point(spec, s)))[0]
+    diagram = _diagram(sigma, *curve_point(spec, s))
+    raise _lemma_violation(diagram, monotonicity, self_intersects(diagram).witness)
 
 
 @dataclass(frozen=True)

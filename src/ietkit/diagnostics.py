@@ -11,16 +11,15 @@ visits per piece of a sorted partition.  It takes k steps per lookup in the
 k-step table of ``ietkit.iet._blocks``, with k derived from the smaller of n
 and the period bound (the number of integers the orbit can reach) and from
 the partition's size.  It counts visits per table piece and, once at the
-end, pushes them down through the tables the k-step table was composed
-from, each piece's visits to both of its halves, so no itinerary is stored
-or replayed.  It tests for the first return at block ends, so it sees a
-return after p steps at L = lcm(p, k), and counts n steps as q blocks of L
-plus one rerun of the first n mod L steps, which cannot return early.  The
-trend builds that table once and walks the breaks from mark to mark.
-``visit_frequencies`` with cells^2 <= n walks the breaks and the cell
-starts, whose pieces each lie in one interval and one cell; the sqrt(n) gate
-keeps that partition small against the orbit.  With more cells the plain
-loop takes all n steps and counts only the cells it visits.
+end, ``ietkit.iet._expand`` turns them into visits per partition piece, so
+no itinerary is stored or replayed.  It tests for the first return at block
+ends, so it sees a return after p steps at L = lcm(p, k), and counts n steps
+as q blocks of L plus one rerun of the first n mod L steps, which cannot
+return early.  The trend builds that table once and walks the breaks from
+mark to mark.  ``visit_frequencies`` with cells^2 <= n walks the breaks and
+the cell starts, whose pieces each lie in one interval and one cell; the
+sqrt(n) gate keeps that partition small against the orbit.  With more cells
+the plain loop takes all n steps and counts only the cells it visits.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidBound
-from .iet import Iet, ScalarLike, _check_domain, _scaled_ints, _table, _Table, as_scalar
+from .iet import Iet, ScalarLike, _check_domain, _expand, _scaled_ints, _table, _Table, as_scalar
 
 __all__ = ["OrbitStats", "visit_frequencies", "discrepancy_trend"]
 
@@ -93,26 +92,6 @@ def _walk(points: list[int], shift: list[int], x: int, n: int, table: _Table) ->
         counts[j] += 1
         x += shift[j]
     return counts, x
-
-
-def _expand(counts: list[int], table: _Table) -> list[int]:
-    """Visits per table piece as visits per piece of the partition itself.
-
-    The visits of a composed piece go to both of its halves, and each table
-    of the powering passes its counts on once, from the largest k down.
-    """
-    levels = {table.k: (table, counts)}
-    while True:
-        t, counts = levels.pop(max(levels))
-        if t.halves is None:
-            return counts
-        a, b, first, second = t.halves
-        to_a = levels.setdefault(a.k, (a, [0] * len(a.moves)))[1]
-        to_b = levels.setdefault(b.k, (b, [0] * len(b.moves)))[1]
-        for i, j, c in zip(first, second, counts):
-            if c:
-                to_a[i] += c
-                to_b[j] += c
 
 
 def _walk_table(points: list[int], shift: list[int], breaks: list[int], n: int) -> _Table:

@@ -19,14 +19,17 @@ arithmetic without per-step gcd work.
 Orbit loops take k steps per lookup.  ``_blocks`` refines a sorted integer
 partition into its k-step partition, cut at every T^(-t)(p) with 0 <= t < k;
 on each of its pieces the next k pieces visited are fixed, so the piece moves
-by one k-step shift.  It composes tables by binary powering: the (a+b)-step
-table is the a-step table with each piece's a-image cut at the b-step
-table's cuts, and each piece records its two halves.  The loops read their
-per-piece data off those halves instead of replaying k steps: a coding word
-is the a-word followed by the b-word, and a piece's connection hits are its
-a-hits and the b-hits of its a-image.  ``_block_length`` derives k from the
-loop's work and the partition's size: the table has at most k times as many
-pieces and costs about k visits per piece to build and read, so k is the
+by one k-step shift.  k is a power of two and the table is built by squaring:
+the 2h-step table is the h-step table with each piece's h-image cut at the
+same table's cuts, and each piece records its two halves, so the tables of
+1, 2, 4, ..., k steps form one chain.  The loops read their per-piece data
+off that chain instead of replaying k steps: a coding word is the first
+half's word followed by the second half's (``_words``), and a walk's visits
+per table piece go down the chain to both halves (``_expand``).  A break's
+connection hits need no table data: they are its first k preimages, found
+by stepping back through the image pieces.  ``_block_length`` derives k from
+the loop's work and the partition's size: the table has at most k times as
+many pieces and costs about k visits per piece to build and read, so k is the
 largest power of two with k * pieces at most 1/32 of the work, at most 32,
 and with k * pieces at most 2^17, which bounds the table's memory.  Below
 k = 2 the loop is the plain one, one lookup per step.
@@ -216,12 +219,12 @@ def _scaled_ints(t: Iet, x0: Fraction) -> tuple[int, int, list[int], list[int]]:
 # after p steps sees the return only after lcm(p, k) steps: the golden
 # rotation's 65-piece walk, which returns after 2,584 steps, was faster at
 # k = 8, which divides 2,584, and slower at k = 3, which does not; a share
-# of 1/20 or less keeps it at k = 1.  k is rounded down to a power of two, which the powering
-# builds by squaring alone: at 20,000 steps the 20-piece loops took 1.3 to
-# 1.7 ms at k = 16 against 2.0 to 3.0 ms at k = 31.  A table has at most k
-# times the partition's pieces, and k is capped so that this is at most
-# _MAX_TABLE_PIECES, which bounds its memory whatever the refinement asked
-# for.
+# of 1/20 or less keeps it at k = 1.  k is rounded down to a power of two,
+# which ``_blocks`` builds by squaring alone: at 20,000 steps the 20-piece
+# loops took 1.3 to 1.7 ms at k = 16 against 2.0 to 3.0 ms at k = 31.  A
+# table has at most k times the partition's pieces, and k is capped so that
+# this is at most _MAX_TABLE_PIECES, which bounds its memory whatever the
+# refinement asked for.
 _TABLE_SHARE = 32
 _MAX_BLOCK = 32
 _MAX_TABLE_PIECES = 1 << 17
@@ -249,10 +252,10 @@ class _Table(NamedTuple):
     """A k-step partition of [0, total): gap i of ``cuts``, with 0 in front,
     moves by ``moves[i]`` in k steps.
 
-    ``halves`` is None for the partition itself (k = 1).  A composed table
-    has halves (a, b, first, second): it is the k = a.k + b.k steps of
-    table a followed by those of table b, and its piece i is a-piece
-    ``first[i]`` whose a-image starts in b-piece ``second[i]``.
+    ``halves`` is None for the partition itself (k = 1).  A squared table
+    has halves (half, first, second): it is the k = 2 * half.k steps of
+    ``half`` taken twice, and its piece i is half-piece ``first[i]`` whose
+    half.k-image starts in half-piece ``second[i]``.
     """
 
     cuts: list[int]
@@ -261,47 +264,44 @@ class _Table(NamedTuple):
     halves: tuple | None = None
 
 
-def _compose(a: _Table, b: _Table, total: int) -> _Table:
-    """The table of T^(b.k) after T^(a.k): each a-piece is cut where its
-    a-image crosses a cut of b, one visit per a-piece and per new piece."""
-    bcuts, bmoves = b.cuts, b.moves
+def _square(half: _Table, total: int) -> _Table:
+    """The table of T^(2k) from that of T^k: each piece is cut where its
+    k-image crosses a cut, one visit per piece and per new piece."""
+    cuts, shifts = half.cuts, half.moves
     starts, moves, first, second = [], [], [], []
-    for i, (s, e, m) in enumerate(zip((0, *a.cuts), (*a.cuts, total), a.moves)):
-        j = bisect_right(bcuts, s + m)
+    for i, (s, e, m) in enumerate(zip((0, *cuts), (*cuts, total), shifts)):
+        j = bisect_right(cuts, s + m)
         starts.append(s)
-        moves.append(m + bmoves[j])
+        moves.append(m + shifts[j])
         first.append(i)
         second.append(j)
-        for c in bcuts[j : bisect_left(bcuts, e + m, j)]:
+        for c in cuts[j : bisect_left(cuts, e + m, j)]:
             j += 1
             starts.append(c - m)
-            moves.append(m + bmoves[j])
+            moves.append(m + shifts[j])
             first.append(i)
             second.append(j)
     del starts[0]
-    return _Table(starts, moves, a.k + b.k, (a, b, first, second))
+    return _Table(starts, moves, 2 * half.k, (half, first, second))
 
 
 def _blocks(points: list[int], shift: list[int], total: int, k: int) -> _Table:
-    """The k-step table of [0, total) cut at the sorted integers ``points``.
+    """The k-step table of [0, total) cut at the sorted integers ``points``,
+    for k a power of two.
 
     Gap j of ``points`` moves by ``shift[j]`` and lies in one exchanged
     interval.  The table's cuts are every T^(-t)(p) with p in points and
     0 <= t < k, sorted, and gap i of them moves by moves[i] in k steps.  It
-    is built by binary powering: T^(a+b) is T^b after T^a, so tables of 1,
-    2, 4, ... steps are composed, O(k * pieces) piece visits in all.
+    is built by squaring: T^(2h) is T^h taken twice, so the tables of 1, 2,
+    4, ..., k steps form one chain, O(k * pieces) piece visits in all.
 
     >>> _blocks([1], [1, -1], 2, 2)[:3]
     ([1], [0, 0], 2)
     """
-    power, out = _Table(points, shift, 1), None
-    while True:
-        if k & 1:
-            out = power if out is None else _compose(out, power, total)
-        k >>= 1
-        if not k:
-            return out
-        power = _compose(power, power, total)
+    table = _Table(points, shift, 1)
+    while table.k < k:
+        table = _square(table, total)
+    return table
 
 
 def _table(points: list[int], shift: list[int], total: int, work: int) -> _Table:
@@ -312,39 +312,29 @@ def _table(points: list[int], shift: list[int], total: int, work: int) -> _Table
     return _blocks(points, shift, total, k)
 
 
-def _fold(table: _Table, base, join):
-    """A value per piece of ``table``, built bottom-up: ``base`` for the
-    partition itself, ``join(t, value of a, value of b)`` for a composed t.
-    Within one powering each table has its own k, so each is visited once."""
-    done = {}
-
-    def of(t: _Table):
-        if t.k not in done:
-            done[t.k] = base if t.halves is None else join(t, of(t.halves[0]), of(t.halves[1]))
-        return done[t.k]
-
-    return of(table)
+def _words(table: _Table) -> list[tuple[int, ...]]:
+    """Each piece's k-long coding word, for the table of the exchanged
+    intervals themselves: piece j of the partition codes as j + 1, and a
+    squared piece's word is its first half's word, then its second's."""
+    if table.halves is None:
+        return [(j,) for j in range(1, len(table.moves) + 1)]
+    half, first, second = table.halves
+    words = _words(half)
+    return [words[i] + words[j] for i, j in zip(first, second)]
 
 
-def _join_words(t: _Table, words_a: list, words_b: list) -> list:
-    """Each piece's word: its a-piece's word, then its b-piece's."""
-    _, _, first, second = t.halves
-    return [words_a[i] + words_b[j] for i, j in zip(first, second)]
-
-
-def _join_hits(t: _Table, hits_a: dict, hits_b: dict) -> dict:
-    """The hits of each piece start s: those of s in a, then those of its
-    a-image s + move in b, a.k steps later.  A b-hit puts the a-image on a
-    cut of b, so looking it up by value is exact."""
-    a, _, first, _ = t.halves
-    hits = {}
-    for s, i in zip((0, *t.cuts), first):
-        later = hits_b.get(s + a.moves[i])
-        if later:
-            hits[s] = hits_a.get(s, []) + [(step + a.k, j) for step, j in later]
-        elif s in hits_a:
-            hits[s] = hits_a[s]
-    return hits
+def _expand(counts: list[int], table: _Table) -> list[int]:
+    """Visits per table piece as visits per piece of the partition itself:
+    each level down the chain, a piece's visits go to both of its halves."""
+    while table.halves is not None:
+        table, first, second = table.halves
+        down = [0] * len(table.moves)
+        for i, j, c in zip(first, second, counts):
+            if c:
+                down[i] += c
+                down[j] += c
+        counts = down
+    return counts
 
 
 def orbit_coding(t: Iet, x0: ScalarLike, n: int) -> list[int]:
@@ -362,7 +352,7 @@ def orbit_coding(t: Iet, x0: ScalarLike, n: int) -> list[int]:
     points = breaks[:-1]
     table = _table(points, trans, total, n)
     cuts, moves, k, _ = table
-    words = _fold(table, [(j,) for j in range(1, len(trans) + 1)], _join_words)
+    words = _words(table)
     codes: list[int] = []
     for _ in range(-(-n // k)):
         p = bisect_right(cuts, x)
@@ -378,8 +368,9 @@ def find_connections(t: Iet, max_m: int) -> list[Connection]:
     Only the interior break points x_1..x_{d-1} qualify at either end; the
     endpoints 0 and |I| are excluded.  Every hit up to the bound is returned,
     sorted by (m, i, j).  A block of the k-step table covers T^m..T^(m+k-1)
-    of x_i, the last one cut at max_m; T^t(y) = x_j with t < k puts y on a
-    cut of that table, so hits are looked up only at the pieces' starts.
+    of x_i, the last one cut at max_m; T^t(y) = x_j with t < k makes y one
+    of the first k preimages of x_j, which are found by stepping back
+    through the image pieces, O((d - 1) * k) steps in all.
     """
     if max_m < 1:
         raise InvalidBound(f"max_m must be at least 1, got {max_m}")
@@ -388,12 +379,17 @@ def find_connections(t: Iet, max_m: int) -> list[Connection]:
     if d >= 2:
         _, total, breaks, trans = _scaled_ints(t, Fraction(0))
         points = breaks[:-1]
-        targets = {x: j for j, x in enumerate(points, start=1)}
-        table = _table(points, trans, total, (d - 1) * max_m)
-        cuts, moves, k, _ = table
-        # hits[y]: the (t, j) with T^t(y) = x_j and t < k, for each piece
-        # start y that has one.
-        hits = _fold(table, {x: [(0, j)] for x, j in targets.items()}, _join_hits)
+        cuts, moves, k, _ = _table(points, trans, total, (d - 1) * max_m)
+        # The image pieces sorted by their starts, with their shifts: T^(-1)(y)
+        # is y less the shift of the last image piece that starts at or
+        # before y.
+        image_starts, image_shifts = zip(*sorted((s + m, m) for s, m in zip((0, *points), trans)))
+        # hits[y]: the (t, j) with T^t(y) = x_j and t < k.
+        hits: dict[int, list[tuple[int, int]]] = {}
+        for j, y in enumerate(points, start=1):
+            for step in range(k):
+                hits.setdefault(y, []).append((step, j))
+                y -= image_shifts[bisect_right(image_starts, y) - 1]
         for i in range(1, d):
             x = breaks[i - 1]
             x += trans[bisect_right(points, x)]

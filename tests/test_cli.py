@@ -565,15 +565,23 @@ B = 1024
         (3 * B, 2, [(2, 2)]),  # capped by the CPUs
         (3 * B, 1, []),  # one CPU: serial, no pool
         (3 * B, None, []),  # CPU count unknown: serial, no pool
+        (3 * B, (1, 2), []),  # two CPUs, of which the process may use one: serial
     ],
 )
 def test_scan_workers_are_bounded(capsys, tmp_path, monkeypatch, scan_pools, samples, cpus, pools):
+    # cpus is the number of CPUs the process may run on, or a pair (that
+    # number, the machine's CPU count); None means neither is known.
     monkeypatch.setattr("ietkit.cli._SAMPLES_PER_WORKER", B)
     curve = write_power_curve(tmp_path, 3)
     args = ["scan", "--perm", "3,2,1", "--curve", curve,
             "--from", "0.5", "--to", "4", "--samples", str(samples)]
     _, serial, _ = run_cli(capsys, *args)
-    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    allowed, count = cpus if isinstance(cpus, tuple) else (cpus, cpus)
+    if allowed is None:
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(allowed)), raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: count)
     code, parallel, _ = run_cli(capsys, *args, "--jobs", "3")
     assert code == 0
     assert parallel == serial

@@ -362,12 +362,12 @@ def criterion_9_stream():
         yield images, a, b
 
 
-def test_window_matches_all_pairs_on_criterion_9_stream():
+def test_sweep_matches_all_pairs_on_criterion_9_stream():
     for images, a, b in criterion_9_stream():
         assert_matches_references(images, a, b)
 
 
-def test_window_matches_all_pairs_on_touches_and_overlaps():
+def test_sweep_matches_all_pairs_on_touches_and_overlaps():
     # Small integers put vertices on other segments and segments on one line.
     # The second pass divides every a_i by 3 and every b_i by 10: that keeps
     # each touch and overlap, with coprime length and height denominators,
@@ -419,12 +419,12 @@ def test_steep_decreasing_overlap_keeps_the_rational_locus_order():
     st.lists(st.integers(1, 3), min_size=d, max_size=d),
     st.lists(st.integers(-3, 3), min_size=d, max_size=d),
 )))
-def test_window_matches_all_pairs_on_small_integer_diagrams(case):
+def test_sweep_matches_all_pairs_on_small_integer_diagrams(case):
     assert_matches_references(*case)
 
 
 @pytest.mark.parametrize("d", [8, 32, 128])
-def test_window_matches_all_pairs_on_power_curves(d):
+def test_sweep_matches_all_pairs_on_power_curves(d):
     rng = random.Random(f"{SEED}/window-power/{d}")
     for s in (F(1, 2), F(13, 11), F(3)):
         images = list(random_irreducible(d, rng.getrandbits(32)).images)
@@ -529,7 +529,7 @@ def test_failing_curves_run_one_segment_test(monkeypatch):
     assert failing > 500
 
 
-def test_a_contact_the_window_misses_is_loud(monkeypatch):
+def test_a_contact_that_no_segment_pair_shows_is_loud(monkeypatch):
     # The sweep saw a contact, so a named pair that shows none is a bug; the
     # check is a raise, not an assert, so it holds under python -O too.
     disjoint = suspension.SegmentRelation(SegmentClass.DISJOINT, None)
