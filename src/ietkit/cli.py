@@ -1,10 +1,12 @@
 """Command-line surface: parse, validate against the shipped schema, dispatch.
 
 Subcommands mirror the library: ``omega``, ``suspend``, ``check``, ``scan``,
-``orbit``, ``connections``.  Flags are folded into a job dictionary that is
-validated against ``schemas/jobspec.json`` before anything runs.  Output is
-canonical JSON on stdout: keys sorted, rationals as "p/q" strings, floats with
-17 significant digits, so identical inputs give byte-identical output.
+``orbit``, ``connections``.  Each subparser declares its options and names
+its handler; the parsed options, less those left unset, are the job
+dictionary, which is validated against ``schemas/jobspec.json`` before
+anything runs.  Output is canonical JSON on stdout: keys sorted, rationals
+as "p/q" strings, floats with 17 significant digits, so identical inputs give
+byte-identical output.
 
 Exit codes: 0 success, 2 input validation, 3 simplicity required but violated,
 4 reducible permutation, 5 curve left its positivity domain.
@@ -22,7 +24,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import criterion as _criterion
 from . import diagnostics as _diagnostics
@@ -34,7 +36,7 @@ from .errors import (
     ReduciblePermutation,
 )
 from .iet import as_scalar, build_iet, find_connections
-from .perm import Permutation, omega, validate_permutation
+from .perm import omega, validate_permutation
 from .suspension import (
     SegmentClass,
     SuspensionDiagram,
@@ -315,7 +317,7 @@ def cmd_suspend(job: dict) -> int:
     if svg is not None:
         with open(job["svg"], "w") as fh:
             fh.write(svg + "\n")
-    if job.get("require_simple") and not report.simple:
+    if job["require_simple"] and not report.simple:
         print("error: curve self-intersects but --require-simple was set", file=sys.stderr)
         return EXIT_NOT_SIMPLE
     return EXIT_OK
@@ -341,10 +343,10 @@ def cmd_check(job: dict) -> int:
     return EXIT_OK
 
 
-def _load_curve(path: str, schema: dict) -> _criterion.CurveSpec:
+def _load_curve(path: str) -> _criterion.CurveSpec:
     with open(path) as fh:
         raw = json.load(fh)
-    _validate(raw, schema["$defs"]["curvespec"])
+    _validate(raw, _load_schema()["$defs"]["curvespec"])
     spec = _criterion.curve_spec(raw["coeffs"])
     if spec.d != raw["d"]:
         raise DimensionMismatch(f'curve file says d={raw["d"]} but has {spec.d} rows')
@@ -370,17 +372,6 @@ def _scan_chunk(args: tuple) -> tuple[_criterion.Verdict, ...]:
     return _criterion.scan_curve(spec, sigma, chunk).verdicts
 
 
-def __getattr__(name: str) -> Any:
-    # The process pool takes tens of milliseconds to import, so only a scan
-    # that forks loads it: cmd_scan reads it as a module attribute, which
-    # lands here unless a test has replaced it.
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # The fewest samples a scan worker must have before a pool is worth forking.
 # On a d = 4 power-type curve (2-vCPU VM, CPython 3.11.7, medians of 9
 # alternating subprocess runs while both vCPUs ran in parallel), --jobs 2
@@ -389,9 +380,9 @@ def __getattr__(name: str) -> Any:
 _SAMPLES_PER_WORKER = 2048
 
 
-def cmd_scan(job: dict, schema: dict) -> int:
+def cmd_scan(job: dict) -> int:
     sigma = validate_permutation(job["perm"])
-    spec = _load_curve(job["curve"], schema)
+    spec = _load_curve(job["curve"])
     grid_floats = _grid(job["from"], job["to"], job["samples"])
     grid = [as_scalar(s) for s in grid_floats]
     # One worker per chunk, never more workers than the CPUs this process may
@@ -401,13 +392,17 @@ def cmd_scan(job: dict, schema: dict) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(job.get("jobs", 1), len(grid) // _SAMPLES_PER_WORKER, cpus)
+    workers = min(job["jobs"], len(grid) // _SAMPLES_PER_WORKER, cpus)
     if workers > 1:
+        # The process pool takes tens of milliseconds to import, so only a
+        # scan that forks loads it.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk_size = (len(grid) + workers - 1) // workers
         # Floats pickle faster than Fractions; each worker rationalizes its own.
         chunks = [grid_floats[k : k + chunk_size] for k in range(0, len(grid), chunk_size)]
         # pool.map re-raises a worker's error here, so exit codes match --jobs 1.
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_scan_chunk, [(spec, sigma, c) for c in chunks])
             verdicts = [v for part in parts for v in part]
         summary = _criterion.ScanSummary(tuple(verdicts), tuple(grid))
@@ -523,7 +518,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, lengths: bool = False, heights: bool = False) -> None:
+    def command(name: str, run: Callable[[dict], int], help: str, lengths: bool = False,
+                heights: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--perm", type=_split_ints, required=True,
                        help="one-line permutation images, e.g. 3,1,2")
         if lengths:
@@ -531,77 +529,48 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="comma-separated positive rationals, e.g. 1,3/2,0.25")
         if heights:
             p.add_argument("--heights", type=_split_strs, required=True)
+        return p
 
-    common(sub.add_parser("omega", help="print the exchange matrix"))
+    command("omega", cmd_omega, "print the exchange matrix")
 
-    p = sub.add_parser("suspend", help="build the suspension and test simplicity")
-    common(p, lengths=True, heights=True)
+    p = command("suspend", cmd_suspend, "build the suspension and test simplicity",
+                lengths=True, heights=True)
     p.add_argument("--svg", help="write the two chains to this SVG file")
     p.add_argument("--require-simple", action="store_true", dest="require_simple")
 
-    p = sub.add_parser("check", help="run the convexity criterion")
-    common(p, lengths=True, heights=True)
+    command("check", cmd_check, "run the convexity criterion", lengths=True, heights=True)
 
-    p = sub.add_parser("scan", help="sweep a polynomial curve family")
-    common(p)
+    # The job keys follow the declaration order, which jsonschema's
+    # rejection message prints.
+    p = command("scan", cmd_scan, "sweep a polynomial curve family")
     p.add_argument("--curve", required=True, help="JSON file with d and coeffs")
-    p.add_argument("--from", dest="s_from", type=float, required=True)
-    p.add_argument("--to", dest="s_to", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--from", type=float, required=True)
+    p.add_argument("--to", type=float, required=True)
 
-    p = sub.add_parser("orbit", help="visit frequencies and discrepancy")
-    common(p, lengths=True)
+    p = command("orbit", cmd_orbit, "visit frequencies and discrepancy", lengths=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--refine", type=int, default=_diagnostics.DEFAULT_REFINEMENT)
 
-    p = sub.add_parser("connections", help="search for finite break-point orbits")
-    common(p, lengths=True)
+    p = command("connections", cmd_connections, "search for finite break-point orbits",
+                lengths=True)
     p.add_argument("--max-m", dest="max_m", type=int, required=True)
 
     return parser
-
-
-def _job_from_args(args: argparse.Namespace) -> dict:
-    job: dict[str, Any] = {"command": args.command, "perm": args.perm}
-    if args.command in ("suspend", "check"):
-        job["lengths"] = args.lengths
-        job["heights"] = args.heights
-    if args.command == "suspend":
-        if args.svg:
-            job["svg"] = args.svg
-        job["require_simple"] = args.require_simple
-    if args.command == "scan":
-        job.update(curve=args.curve, samples=args.samples, jobs=args.jobs)
-        job["from"] = args.s_from
-        job["to"] = args.s_to
-    if args.command == "orbit":
-        job.update(lengths=args.lengths, x0=args.x0, iters=args.iters, refine=args.refine)
-    if args.command == "connections":
-        job.update(lengths=args.lengths, max_m=args.max_m)
-    return job
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     args = parser.parse_args(_attach_signed_values(argv, parser))
-    schema = _load_schema()
-    job = _job_from_args(args)
+    # The parsed options in declaration order, less those left unset.
+    job = {k: v for k, v in vars(args).items() if v is not None}
+    run = job.pop("run")
     try:
-        _validate(job, schema)
-        if args.command == "omega":
-            return cmd_omega(job)
-        if args.command == "suspend":
-            return cmd_suspend(job)
-        if args.command == "check":
-            return cmd_check(job)
-        if args.command == "scan":
-            return cmd_scan(job, schema)
-        if args.command == "orbit":
-            return cmd_orbit(job)
-        return cmd_connections(job)
+        _validate(job, _load_schema())
+        return run(job)
     except ReduciblePermutation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REDUCIBLE

@@ -11,8 +11,8 @@ visits per piece of a sorted partition.  It takes k steps per lookup in the
 k-step table of ``ietkit.iet._blocks``, with k derived from the smaller of n
 and the period bound (the number of integers the orbit can reach) and from
 the partition's size.  It counts visits per table piece and, once at the
-end, ``ietkit.iet._expand`` turns them into visits per partition piece, so
-no itinerary is stored or replayed.  It tests for the first return at block
+end, ``ietkit.iet._expand`` pushes them down the table's levels, so no
+itinerary is stored or replayed.  It tests for the first return at block
 ends, so it sees a return after p steps at L = lcm(p, k), and counts n steps
 as q blocks of L plus one rerun of the first n mod L steps, which cannot
 return early.  The trend builds that table once and walks the breaks from
@@ -68,7 +68,7 @@ def _walk(points: list[int], shift: list[int], x: int, n: int, table: _Table) ->
     of r steps, q, r = divmod(n, L), and the point reached is the end of that
     rerun.
 
-    >>> _walk([1], [1, -1], 0, 5, _Table([1], [1, -1], 1))
+    >>> _walk([1], [1, -1], 0, 5, _Table([1], [1, -1], 1, []))
     ([3, 2], 1)
     >>> from ietkit.iet import _blocks
     >>> _walk([1], [1, -1], 0, 5, _blocks([1], [1, -1], 2, 2))

@@ -21,17 +21,18 @@ partition into its k-step partition, cut at every T^(-t)(p) with 0 <= t < k;
 on each of its pieces the next k pieces visited are fixed, so the piece moves
 by one k-step shift.  k is a power of two and the table is built by squaring:
 the 2h-step table is the h-step table with each piece's h-image cut at the
-same table's cuts, and each piece records its two halves, so the tables of
-1, 2, 4, ..., k steps form one chain.  The loops read their per-piece data
-off that chain instead of replaying k steps: a coding word is the first
-half's word followed by the second half's (``_words``), and a walk's visits
-per table piece go down the chain to both halves (``_expand``).  A break's
-connection hits need no table data: they are its first k preimages, found
-by stepping back through the image pieces.  ``_block_length`` derives k from
-the loop's work and the partition's size: the table has at most k times as
-many pieces and costs about k visits per piece to build and read, so k is the
-largest power of two with k * pieces at most 1/32 of the work, at most 32,
-and with k * pieces at most 2^17, which bounds the table's memory.  Below
+same table's cuts.  Of each squaring the table keeps one level, two index
+lists that name each piece's two h-step halves, and none of the smaller
+tables' cuts or moves.  The loops read their per-piece data off the levels
+instead of replaying k steps: coding words are built up the levels, each the
+first half's word followed by the second half's (``_words``), and a walk's
+visits per table piece go down the levels to both halves (``_expand``).  A
+break's connection hits need no table data: they are its first k preimages,
+found by stepping back through the image pieces.  ``_block_length`` derives k
+from the loop's work and the partition's size: the table has at most k times
+as many pieces and costs about k visits per piece to build and read, so k is
+the largest power of two with k * pieces at most 1/32 of the work, at most
+32, and with k * pieces at most 2^17, which bounds the table's memory.  Below
 k = 2 the loop is the plain one, one lookup per step.
 """
 
@@ -252,22 +253,21 @@ class _Table(NamedTuple):
     """A k-step partition of [0, total): gap i of ``cuts``, with 0 in front,
     moves by ``moves[i]`` in k steps.
 
-    ``halves`` is None for the partition itself (k = 1).  A squared table
-    has halves (half, first, second): it is the k = 2 * half.k steps of
-    ``half`` taken twice, and its piece i is half-piece ``first[i]`` whose
-    half.k-image starts in half-piece ``second[i]``.
+    ``levels`` holds one (first, second) pair per squaring, top level first,
+    and is empty at k = 1: piece i of the 2h-step table is h-step piece
+    ``first[i]`` whose h-image starts in h-step piece ``second[i]``.
     """
 
     cuts: list[int]
     moves: list[int]
     k: int
-    halves: tuple | None = None
+    levels: list[tuple[list[int], list[int]]]
 
 
-def _square(half: _Table, total: int) -> _Table:
-    """The table of T^(2k) from that of T^k: each piece is cut where its
-    k-image crosses a cut, one visit per piece and per new piece."""
-    cuts, shifts = half.cuts, half.moves
+def _square(cuts: list[int], shifts: list[int], total: int) -> tuple[list[int], ...]:
+    """The table of T^(2h) from that of T^h, as (cuts, moves, first, second):
+    each piece is cut where its h-image crosses a cut, one visit per piece
+    and per new piece."""
     starts, moves, first, second = [], [], [], []
     for i, (s, e, m) in enumerate(zip((0, *cuts), (*cuts, total), shifts)):
         j = bisect_right(cuts, s + m)
@@ -282,7 +282,7 @@ def _square(half: _Table, total: int) -> _Table:
             first.append(i)
             second.append(j)
     del starts[0]
-    return _Table(starts, moves, 2 * half.k, (half, first, second))
+    return starts, moves, first, second
 
 
 def _blocks(points: list[int], shift: list[int], total: int, k: int) -> _Table:
@@ -292,43 +292,41 @@ def _blocks(points: list[int], shift: list[int], total: int, k: int) -> _Table:
     Gap j of ``points`` moves by ``shift[j]`` and lies in one exchanged
     interval.  The table's cuts are every T^(-t)(p) with p in points and
     0 <= t < k, sorted, and gap i of them moves by moves[i] in k steps.  It
-    is built by squaring: T^(2h) is T^h taken twice, so the tables of 1, 2,
-    4, ..., k steps form one chain, O(k * pieces) piece visits in all.
+    is built by squaring: T^(2h) is T^h taken twice, O(k * pieces) piece
+    visits in all.  Of each smaller table only the two index lists of the
+    squaring are kept; k = 1 gives the partition itself.
 
-    >>> _blocks([1], [1, -1], 2, 2)[:3]
-    ([1], [0, 0], 2)
+    >>> _blocks([1], [1, -1], 2, 2)
+    _Table(cuts=[1], moves=[0, 0], k=2, levels=[([0, 1], [1, 0])])
     """
-    table = _Table(points, shift, 1)
-    while table.k < k:
-        table = _square(table, total)
-    return table
+    cuts, moves, levels = points, shift, []
+    for _ in range(k.bit_length() - 1):
+        cuts, moves, first, second = _square(cuts, moves, total)
+        levels.append((first, second))
+    return _Table(cuts, moves, k, levels[::-1])
 
 
 def _table(points: list[int], shift: list[int], total: int, work: int) -> _Table:
-    """The k-step table for a loop of ``work`` steps; k = 1 is the partition itself."""
-    k = _block_length(work, len(shift))
-    if k == 1:
-        return _Table(points, shift, 1)
-    return _blocks(points, shift, total, k)
+    """The k-step table for a loop of ``work`` steps."""
+    return _blocks(points, shift, total, _block_length(work, len(shift)))
 
 
-def _words(table: _Table) -> list[tuple[int, ...]]:
-    """Each piece's k-long coding word, for the table of the exchanged
-    intervals themselves: piece j of the partition codes as j + 1, and a
-    squared piece's word is its first half's word, then its second's."""
-    if table.halves is None:
-        return [(j,) for j in range(1, len(table.moves) + 1)]
-    half, first, second = table.halves
-    words = _words(half)
-    return [words[i] + words[j] for i, j in zip(first, second)]
+def _words(table: _Table, pieces: int) -> list[tuple[int, ...]]:
+    """Each piece's k-long coding word, for the table of the ``pieces``
+    exchanged intervals themselves: interval j codes as j + 1, and each
+    level up, a piece's word is its first half's word, then its second's."""
+    words = [(j,) for j in range(1, pieces + 1)]
+    for first, second in reversed(table.levels):
+        words = [words[i] + words[j] for i, j in zip(first, second)]
+    return words
 
 
 def _expand(counts: list[int], table: _Table) -> list[int]:
     """Visits per table piece as visits per piece of the partition itself:
-    each level down the chain, a piece's visits go to both of its halves."""
-    while table.halves is not None:
-        table, first, second = table.halves
-        down = [0] * len(table.moves)
+    each level down, a piece's visits go to both of its halves.  A lower
+    level has first[-1] + 1 pieces, since every one of them starts a piece."""
+    for first, second in table.levels:
+        down = [0] * (first[-1] + 1)
         for i, j, c in zip(first, second, counts):
             if c:
                 down[i] += c
@@ -352,7 +350,7 @@ def orbit_coding(t: Iet, x0: ScalarLike, n: int) -> list[int]:
     points = breaks[:-1]
     table = _table(points, trans, total, n)
     cuts, moves, k, _ = table
-    words = _words(table)
+    words = _words(table, len(trans))
     codes: list[int] = []
     for _ in range(-(-n // k)):
         p = bisect_right(cuts, x)

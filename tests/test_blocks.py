@@ -114,8 +114,8 @@ def large_exchange(rng: random.Random, d: int = 20):
 def test_composed_tables_equal_the_one_step_passes():
     # Squaring gives the cuts and moves of k one-step passes, for every
     # power of two k up to 64, on small exchanges and on one d = 20 exchange
-    # with large denominators; each piece records the two pieces of the
-    # half-length table it came from.
+    # with large denominators; the top level names each piece's two pieces
+    # of the half-length table, and the lower levels are that table's own.
     rng = random.Random(f"{SEED}/composed-blocks")
     for t in [small_exchange(rng) for _ in range(25)] + [large_exchange(rng)]:
         _, total, breaks, trans = _scaled_ints(t, F(0))
@@ -124,10 +124,13 @@ def test_composed_tables_equal_the_one_step_passes():
             table = _blocks(points, trans, total, k)
             assert table[:2] == reference_blocks(points, trans, total, k)
             assert table.k == k
+            assert len(table.levels) == k.bit_length() - 1
             if k > 1:
-                half, first, second = table.halves
-                assert 2 * half.k == k
+                half = _blocks(points, trans, total, k // 2)
+                first, second = table.levels[0]
+                assert first[-1] + 1 == len(half.moves)
                 assert [half.moves[i] + half.moves[j] for i, j in zip(first, second)] == table.moves
+                assert table.levels[1:] == half.levels
 
 
 def test_block_length_is_derived_from_work_and_pieces():
@@ -315,7 +318,7 @@ def test_short_periodic_walk_keeps_the_plain_loop(monkeypatch):
     def refuse(*args):
         raise AssertionError("no k-step table expected")
 
-    monkeypatch.setattr(iet, "_blocks", refuse)
+    monkeypatch.setattr(iet, "_square", refuse)
     t = build_iet(validate_permutation([2, 1]), [F(1), F(1597, 987)])
     x0 = t.total * F(331, 1000)
     assert visit_frequencies(t, x0, 200_000) == reference_visit_frequencies(t, x0, 200_000)
@@ -335,8 +338,8 @@ def golden_walk_peak() -> int:
 
 
 def test_walk_table_stores_no_itinerary(block):
-    # k = 16 gives a table of about 8,000 pieces.  Its cuts, shifts, halves
-    # and counts, with those of the tables it was composed from, take well
+    # k = 16 gives a table of about 8,000 pieces.  Its cuts, shifts and
+    # counts, with the index lists of every level, take well
     # under 400 bytes per piece; a stored 16-long itinerary per piece would
     # take more.
     block(16)
@@ -351,9 +354,9 @@ def test_walk_table_stores_no_itinerary_at_the_largest_k(block):
 
 def test_coding_words_stay_linear_in_the_steps():
     # Each table piece keeps its k-long word, k times the table's pieces in
-    # all, and so do the tables it was composed from; the derived k keeps
-    # the table at most n / 32 pieces, so the words stay within a constant
-    # number of bytes per step.
+    # all, and so does the level below while a level's words are built;
+    # the derived k keeps the table at most n / 32 pieces, so the words stay
+    # within a constant number of bytes per step.
     t = large_exchange(random.Random(f"{SEED}/coding-memory"))
     for n in (1280, 2000, 20_000, 20_480, 100_000):
         assert iet._block_length(n, t.d) > 1

@@ -16,6 +16,7 @@ from ietkit import build_iet, validate_permutation
 from ietkit.cli import (
     _SAMPLES_PER_WORKER,
     SchemaRejection,
+    _build_parser,
     _grid,
     _load_schema,
     _validate,
@@ -76,6 +77,20 @@ def test_seed_flag_is_rejected(capsys):
 
 def test_shipped_schema_is_a_valid_schema():
     Draft202012Validator.check_schema(_load_schema())
+
+
+def test_each_command_declares_exactly_its_schema_fields():
+    # The parsed options are the job, so an option that the command's schema
+    # branch lacks would fail every run, and a field no option sets would be
+    # unreachable from the command line.
+    parser = _build_parser()
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    branches = {b["properties"]["command"]["const"]: b for b in _load_schema()["oneOf"]}
+    assert commands.keys() == branches.keys()
+    for name, sub in commands.items():
+        dests = {a.dest for a in sub._actions} - {"help"}
+        assert dests == branches[name]["properties"].keys() - {"command"}
+        assert sub.get_default("run") is getattr(ietkit.cli, f"cmd_{name}")
 
 
 VALID_RUNS_SCRIPT = """
@@ -146,8 +161,11 @@ POWER2 = {"d": 2, "coeffs": [[0, 1], [0, 0, 1]]}
      "error: '1e3'" + NOT_UNDER_ANY),
     (["scan", "--perm", "2,1", "--curve", "CURVE", "--from", "1", "--to", "inf", "--samples", "3"],
      POWER2, "error: scan bound --to is not finite: inf\n"),
+    (["suspend", "--perm", "2,1", "--lengths", "1,1", "--heights", "1,-1", "--svg", ""], None,
+     "error: {'command': 'suspend', 'perm': [2, 1], 'lengths': ['1', '1'], 'heights': ['1', '-1'], "
+     "'svg': '', 'require_simple': False}" + NOT_UNDER_ANY),
 ], ids=["refine", "samples", "samples-max", "jobs", "perm", "x0", "curve-extra-key", "curve-d0",
-        "curve-coeff", "scan-bound-inf"])
+        "curve-coeff", "scan-bound-inf", "suspend-empty-svg"])
 def test_rejected_jobs_keep_their_messages(capsys, tmp_path, argv, curve, err):
     # Messages are jsonschema's own, pinned as the CLI printed them before the
     # quick schema check existed.
@@ -507,7 +525,8 @@ def real_pools(monkeypatch):
             made.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr("ietkit.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     return made
 
@@ -545,7 +564,7 @@ def scan_pools(monkeypatch):
             pools.append((self.max_workers, len(chunks)))
             return map(fn, chunks)
 
-    monkeypatch.setattr("ietkit.cli.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     return pools
 
 
