@@ -5,105 +5,16 @@ combinatorics and the exchange matrix, ``iet`` the exchange map and its
 orbits, ``suspension`` the plane chains and the exact self-intersection test,
 ``criterion`` the monotone-slope certification and curve scans,
 ``diagnostics`` the empirical equidistribution statistics, and ``cli`` the
-command-line front end.
+command-line front end.  The package exports each module's ``__all__``.
 """
 
-from .criterion import (
-    CriterionReport,
-    CurveSpec,
-    MonotonicityClass,
-    ScanSummary,
-    Verdict,
-    convexity_criterion,
-    curve_point,
-    curve_spec,
-    mahler_curve,
-    mahler_spec,
-    scan_curve,
-    slope_monotonicity,
-)
-from .diagnostics import OrbitStats, discrepancy_trend, visit_frequencies
-from .iet import (
-    Connection,
-    Iet,
-    Scalar,
-    apply,
-    apply_inverse,
-    as_scalar,
-    build_iet,
-    find_connections,
-    image_partition,
-    orbit_coding,
-)
-from .perm import (
-    OmegaMatrix,
-    Permutation,
-    irreducible_component_containing,
-    is_irreducible,
-    omega,
-    random_irreducible,
-    restrict,
-    validate_permutation,
-)
-from .suspension import (
-    IntersectionReport,
-    PositivityClass,
-    SegmentClass,
-    SegmentRelation,
-    SuspensionDiagram,
-    Witness,
-    build_suspension,
-    pointwise_positive,
-    return_time_profile,
-    segment_relation,
-    self_intersects,
-)
+from . import criterion, diagnostics, iet, perm, suspension
+from .criterion import *
+from .diagnostics import *
+from .iet import *
+from .perm import *
+from .suspension import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Connection",
-    "CriterionReport",
-    "CurveSpec",
-    "Iet",
-    "IntersectionReport",
-    "MonotonicityClass",
-    "OmegaMatrix",
-    "OrbitStats",
-    "Permutation",
-    "PositivityClass",
-    "Scalar",
-    "ScanSummary",
-    "SegmentClass",
-    "SegmentRelation",
-    "SuspensionDiagram",
-    "Verdict",
-    "Witness",
-    "apply",
-    "apply_inverse",
-    "as_scalar",
-    "build_iet",
-    "build_suspension",
-    "convexity_criterion",
-    "curve_point",
-    "curve_spec",
-    "discrepancy_trend",
-    "find_connections",
-    "image_partition",
-    "irreducible_component_containing",
-    "is_irreducible",
-    "mahler_curve",
-    "mahler_spec",
-    "omega",
-    "orbit_coding",
-    "pointwise_positive",
-    "random_irreducible",
-    "restrict",
-    "return_time_profile",
-    "scan_curve",
-    "segment_relation",
-    "self_intersects",
-    "slope_monotonicity",
-    "validate_permutation",
-    "visit_frequencies",
-]
+__all__ = [*perm.__all__, *iet.__all__, *suspension.__all__, *criterion.__all__, *diagnostics.__all__]

@@ -310,13 +310,13 @@ def cmd_suspend(job: dict) -> int:
     sigma = validate_permutation(job["perm"])
     diagram = build_suspension(sigma, _parse_vector(job["lengths"]), _parse_vector(job["heights"]))
     report = self_intersects(diagram)
-    # Drawn before anything is written, so a curve that cannot be drawn
-    # prints nothing and leaves no file.
-    svg = _svg_chains(diagram, report.witness) if "svg" in job else None
-    _emit(_diagram_payload(diagram, report.simple, report.witness))
-    if svg is not None:
+    # Drawn and written before anything is printed, so a curve that cannot
+    # be drawn or a file that cannot be written prints nothing.
+    if "svg" in job:
+        svg = _svg_chains(diagram, report.witness)
         with open(job["svg"], "w") as fh:
             fh.write(svg + "\n")
+    _emit(_diagram_payload(diagram, report.simple, report.witness))
     if job["require_simple"] and not report.simple:
         print("error: curve self-intersects but --require-simple was set", file=sys.stderr)
         return EXIT_NOT_SIMPLE

@@ -5,33 +5,24 @@ The orbit is iterated in exact arithmetic (rescaled to one common integer
 denominator, so cost per step stays flat) and compared against the Lebesgue
 prediction a_j / |I| per interval, plus a uniform refinement into equal cells.
 
-Over that denominator the exchange is a bijection of the finite set of
-integers in [0, total), so the orbit is purely periodic.  One walk counts
-visits per piece of a sorted partition.  It takes k steps per lookup in the
-k-step table of ``ietkit.iet._blocks``, with k derived from the smaller of n
-and the period bound (the number of integers the orbit can reach) and from
-the partition's size.  It counts visits per table piece and, once at the
-end, ``ietkit.iet._expand`` pushes them down the table's levels, so no
-itinerary is stored or replayed.  It tests for the first return at block
-ends, so it sees a return after p steps at L = lcm(p, k), and counts n steps
-as q blocks of L plus one rerun of the first n mod L steps, which cannot
-return early.  The trend builds that table once and walks the breaks from
-mark to mark.  ``visit_frequencies`` with cells^2 <= n walks the breaks and
-the cell starts, whose pieces each lie in one interval and one cell; the
-sqrt(n) gate keeps that partition small against the orbit.  With more cells
-the plain loop takes all n steps and counts only the cells it visits.
+Over that denominator the orbit is purely periodic, and the counting walk of
+``ietkit.iet`` counts it in k-step blocks, one period and the remainder; see
+that module for the walk.  ``visit_frequencies`` with cells^2 <= n walks the
+breaks and the cell starts, whose pieces each lie in one interval and one
+cell; the sqrt(n) gate keeps that partition small against the orbit.  With
+more cells the plain loop takes all n steps and counts only the cells it
+visits.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidBound
-from .iet import Iet, ScalarLike, _check_domain, _expand, _scaled_ints, _table, _Table, as_scalar
+from .iet import Iet, ScalarLike, _scaled_ints, _visits
 
 __all__ = ["OrbitStats", "visit_frequencies", "discrepancy_trend"]
 
@@ -57,56 +48,8 @@ class OrbitStats:
     refinement_discrepancy: Fraction
 
 
-def _walk(points: list[int], shift: list[int], x: int, n: int, table: _Table) -> tuple[list[int], int]:
-    """Visits per piece over n steps from x, and the point reached.
-
-    Piece j is the j-th gap of the sorted ``points`` and moves by
-    ``shift[j]``; ``table`` is their k-step table from ``ietkit.iet._table``.
-    The walk looks up one table piece per k steps and tests for a return to
-    x at block ends, so it sees a return after L = lcm(p, k) steps when the
-    orbit returns after p; the counts are then q blocks of L plus one rerun
-    of r steps, q, r = divmod(n, L), and the point reached is the end of that
-    rerun.
-
-    >>> _walk([1], [1, -1], 0, 5, _Table([1], [1, -1], 1, []))
-    ([3, 2], 1)
-    >>> from ietkit.iet import _blocks
-    >>> _walk([1], [1, -1], 0, 5, _blocks([1], [1, -1], 2, 2))
-    ([3, 2], 1)
-    """
-    cuts, moves, k, _ = table
-    counts = [0] * len(moves)
-    start = x
-    blocks = n // k
-    for b in range(1, blocks + 1):
-        p = bisect_right(cuts, x)
-        counts[p] += 1
-        x += moves[p]
-        if x == start:
-            q, r = divmod(n, b * k)
-            rest, x = _walk(points, shift, x, r, table)
-            return [c * q + e for c, e in zip(_expand(counts, table), rest)], x
-    counts = _expand(counts, table)
-    for _ in range(n - blocks * k):
-        j = bisect_right(points, x)
-        counts[j] += 1
-        x += shift[j]
-    return counts, x
-
-
-def _walk_table(points: list[int], shift: list[int], breaks: list[int], n: int) -> _Table:
-    """The k-step table for a walk of n steps over the gaps of ``points``.
-
-    Every shift is a multiple of g, the gcd of the breaks, so the orbit stays
-    on one residue class mod g and returns within total // g steps; the walk
-    stops there, so its work is the smaller of the two.
-    """
-    total = breaks[-1]
-    return _table(points, shift, total, min(n, total // math.gcd(*breaks)))
-
-
 def _orbit_counts(
-    t: Iet, x0: Fraction, n: int, cells: int
+    t: Iet, x0: ScalarLike, n: int, cells: int
 ) -> tuple[list[int], dict[int, int]]:
     x, total, breaks, trans = _scaled_ints(t, x0)
     interval_counts = [0] * t.d
@@ -127,7 +70,7 @@ def _orbit_counts(
     starts = [0, *points]
     intervals = [bisect_right(breaks, s) for s in starts]
     shift = [trans[j] for j in intervals]
-    counts, _ = _walk(points, shift, x, n, _walk_table(points, shift, breaks, n))
+    [counts] = _visits(points, shift, breaks, x, [n])
     for s, j, c in zip(starts, intervals, counts):
         interval_counts[j] += c
         cell = s * cells // total
@@ -154,8 +97,6 @@ def visit_frequencies(
         raise InvalidBound(f"need at least one iterate, got {n}")
     if cells < 1:
         raise InvalidBound(f"need at least one refinement cell, got {cells}")
-    x0 = as_scalar(x0)
-    _check_domain(t, x0)
     interval_counts, cell_counts = _orbit_counts(t, x0, n, cells)
     # Cells with equal counts share one deviation, so each count is taken
     # once; a cell the orbit missed counts 0.
@@ -189,18 +130,9 @@ def discrepancy_trend(
         a >= b for a, b in zip(schedule, schedule[1:])
     ):
         raise InvalidBound(f"schedule must be strictly increasing and positive: {schedule}")
-    x0 = as_scalar(x0)
-    _check_domain(t, x0)
-    if not schedule:
-        return []
     x, _, breaks, trans = _scaled_ints(t, x0)
-    points = breaks[:-1]
-    table = _walk_table(points, trans, breaks, schedule[-1])
     expected = tuple(length / t.total for length in t.lengths)
-    counts = [0] * t.d
-    out = []
-    for done, mark in zip([0, *schedule], schedule):
-        steps, x = _walk(points, trans, x, mark - done, table)
-        counts = [c + s for c, s in zip(counts, steps)]
-        out.append((mark, max(abs(Fraction(c, mark) - e) for c, e in zip(counts, expected))))
-    return out
+    return [
+        (mark, max(abs(Fraction(c, mark) - e) for c, e in zip(counts, expected)))
+        for mark, counts in zip(schedule, _visits(breaks[:-1], trans, breaks, x, schedule))
+    ]

@@ -34,6 +34,19 @@ as many pieces and costs about k visits per piece to build and read, so k is
 the largest power of two with k * pieces at most 1/32 of the work, at most
 32, and with k * pieces at most 2^17, which bounds the table's memory.  Below
 k = 2 the loop is the plain one, one lookup per step.
+
+Over one denominator the exchange is a bijection of the finite set of
+integers in [0, total), so every orbit is purely periodic.  The one counting
+walk, ``_visits``, counts the visits per piece of a sorted partition whose
+pieces each lie in one exchanged interval.  Every shift is a multiple of the
+gcd g of the exchange's breaks, so an orbit stays on one residue class mod g
+and returns within total // g steps; the table is sized by the smaller of
+that bound and the walk's length.  ``_walk`` counts visits per table piece
+and, once at the end, ``_expand`` pushes them down the levels, so no
+itinerary is stored or replayed.  It tests for the first return at block
+ends, so it sees a return after p steps at L = lcm(p, k), and counts n steps
+as q blocks of L plus one rerun of the first n mod L steps, which cannot
+return early.
 """
 
 from __future__ import annotations
@@ -44,7 +57,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -203,8 +216,12 @@ def image_partition(t: Iet) -> list[tuple[tuple[Fraction, Fraction], int]]:
     return out
 
 
-def _scaled_ints(t: Iet, x0: Fraction) -> tuple[int, int, list[int], list[int]]:
-    """Everything over one denominator: (x0, total, breaks, translations) as ints."""
+def _scaled_ints(t: Iet, x0: ScalarLike) -> tuple[int, int, list[int], list[int]]:
+    """Everything over one denominator: (x0, total, breaks, translations) as
+    ints, once x0 is coerced and checked to lie in [0, total): the one entry
+    of every orbit routine."""
+    x0 = as_scalar(x0)
+    _check_domain(t, x0)
     _, ints = _scaled([x0, *t.disc_top, *t.translations])
     breaks, trans = ints[1 : t.d + 1], ints[t.d + 1 :]
     return ints[0], breaks[-1], breaks, trans
@@ -335,6 +352,65 @@ def _expand(counts: list[int], table: _Table) -> list[int]:
     return counts
 
 
+def _walk(points: list[int], shift: list[int], x: int, n: int, table: _Table) -> tuple[list[int], int]:
+    """Visits per piece over n steps from x, and the point reached.
+
+    Piece j is the j-th gap of the sorted ``points`` and moves by
+    ``shift[j]``; ``table`` is their k-step table.  The walk looks up one
+    table piece per k steps and tests for a return to x at block ends, so it
+    sees a return after L = lcm(p, k) steps when the orbit returns after p;
+    the counts are then q blocks of L plus one rerun of r steps,
+    q, r = divmod(n, L), and the point reached is the end of that rerun.
+
+    >>> _walk([1], [1, -1], 0, 5, _Table([1], [1, -1], 1, []))
+    ([3, 2], 1)
+    >>> _walk([1], [1, -1], 0, 5, _blocks([1], [1, -1], 2, 2))
+    ([3, 2], 1)
+    """
+    cuts, moves, k, _ = table
+    counts = [0] * len(moves)
+    start = x
+    blocks = n // k
+    for b in range(1, blocks + 1):
+        p = bisect_right(cuts, x)
+        counts[p] += 1
+        x += moves[p]
+        if x == start:
+            q, r = divmod(n, b * k)
+            rest, x = _walk(points, shift, x, r, table)
+            return [c * q + e for c, e in zip(_expand(counts, table), rest)], x
+    counts = _expand(counts, table)
+    for _ in range(n - blocks * k):
+        j = bisect_right(points, x)
+        counts[j] += 1
+        x += shift[j]
+    return counts, x
+
+
+def _visits(
+    points: list[int], shift: list[int], breaks: list[int], x: int, marks: Sequence[int]
+) -> Iterator[list[int]]:
+    """Visits per gap of the sorted ``points`` over the first ``mark`` steps
+    from x, yielded for each of the increasing ``marks`` in turn.
+
+    Gap j moves by ``shift[j]`` and lies in one interval of the exchange
+    whose scaled ``breaks`` end at the total.  One table serves the whole
+    walk, sized by the last mark or the period bound total // gcd(breaks),
+    whichever is smaller; the walk goes on from mark to mark.  Nothing is
+    built before the first count is asked for.
+
+    >>> list(_visits([1], [1, -1], [1, 2], 0, [1, 2, 5]))
+    [[1, 0], [1, 1], [3, 2]]
+    """
+    total = breaks[-1]
+    table = _table(points, shift, total, min(marks[-1], total // math.gcd(*breaks)))
+    counts = [0] * len(shift)
+    for done, mark in zip([0, *marks], marks):
+        steps, x = _walk(points, shift, x, mark - done, table)
+        counts = [c + s for c, s in zip(counts, steps)]
+        yield counts
+
+
 def orbit_coding(t: Iet, x0: ScalarLike, n: int) -> list[int]:
     """Interval indices (1-based) visited by x0 over n steps, computed exactly.
 
@@ -344,8 +420,6 @@ def orbit_coding(t: Iet, x0: ScalarLike, n: int) -> list[int]:
     """
     if n < 0:
         raise InvalidBound(f"negative step count {n}")
-    x0 = as_scalar(x0)
-    _check_domain(t, x0)
     x, total, breaks, trans = _scaled_ints(t, x0)
     points = breaks[:-1]
     table = _table(points, trans, total, n)
@@ -375,7 +449,7 @@ def find_connections(t: Iet, max_m: int) -> list[Connection]:
     found = []
     d = t.d
     if d >= 2:
-        _, total, breaks, trans = _scaled_ints(t, Fraction(0))
+        _, total, breaks, trans = _scaled_ints(t, 0)
         points = breaks[:-1]
         cuts, moves, k, _ = _table(points, trans, total, (d - 1) * max_m)
         # The image pieces sorted by their starts, with their shifts: T^(-1)(y)

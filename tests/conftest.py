@@ -10,6 +10,7 @@ different deterministic stream; the default keeps CI byte-stable.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from bisect import bisect_left, bisect_right
@@ -30,7 +31,6 @@ from ietkit import (
     validate_permutation,
 )
 from ietkit.errors import DomainViolation
-from ietkit.iet import _scaled_ints
 
 SEED = int(os.environ.get("SEED", "57721"))
 
@@ -150,8 +150,18 @@ def reference_classify_slopes(slopes) -> MonotonicityClass:
 # periodicity nor on a k-step table.
 
 
+def scaled_ints(t, x0) -> tuple[int, int, list[int], list[int]]:
+    """(x0, total, breaks, translations) over the lcm of their denominators,
+    as ints: the references' own scaling, shared with no loop they check."""
+    values = [Fraction(x0), *t.disc_top, *t.translations]
+    den = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    breaks = ints[1 : t.d + 1]
+    return ints[0], breaks[-1], breaks, ints[t.d + 1 :]
+
+
 def reference_orbit_coding(t, x0, n: int) -> list[int]:
-    x, _, breaks, trans = _scaled_ints(t, Fraction(x0))
+    x, _, breaks, trans = scaled_ints(t, x0)
     codes = []
     for _ in range(n):
         j = bisect_right(breaks, x)
@@ -161,7 +171,7 @@ def reference_orbit_coding(t, x0, n: int) -> list[int]:
 
 
 def reference_find_connections(t, max_m: int) -> list[Connection]:
-    _, _, breaks, trans = _scaled_ints(t, Fraction(0))
+    _, _, breaks, trans = scaled_ints(t, 0)
     targets = {breaks[j]: j + 1 for j in range(t.d - 1)}
     found = []
     for i in range(1, t.d):
@@ -174,7 +184,7 @@ def reference_find_connections(t, max_m: int) -> list[Connection]:
 
 
 def reference_visit_frequencies(t, x0, n: int, cells: int = 64) -> OrbitStats:
-    x, total, breaks, trans = _scaled_ints(t, Fraction(x0))
+    x, total, breaks, trans = scaled_ints(t, x0)
     interval_counts = [0] * t.d
     cell_counts = [0] * cells
     for _ in range(n):
@@ -195,7 +205,7 @@ def reference_visit_frequencies(t, x0, n: int, cells: int = 64) -> OrbitStats:
 
 
 def reference_discrepancy_trend(t, x0, schedule) -> list[tuple[int, Fraction]]:
-    x, _, breaks, trans = _scaled_ints(t, Fraction(x0))
+    x, _, breaks, trans = scaled_ints(t, x0)
     expected = tuple(length / t.total for length in t.lengths)
     counts = [0] * t.d
     out = []

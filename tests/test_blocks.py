@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import pytest
 
-import ietkit.diagnostics as diagnostics
 import ietkit.iet as iet
 from ietkit import (
     build_iet,
@@ -397,7 +396,7 @@ def walk_tables(monkeypatch):
         tables.append((len(shift), table[2], len(table[1])))
         raise TableBuilt
 
-    monkeypatch.setattr(diagnostics, "_walk", stop)
+    monkeypatch.setattr(iet, "_walk", stop)
     return tables
 
 

@@ -362,6 +362,14 @@ def test_suspend_svg_outside_the_float_range_is_an_input_error(capsys, tmp_path,
     assert not svg_path.exists()
 
 
+def test_suspend_svg_that_cannot_be_written_prints_nothing(capsys, tmp_path):
+    svg_path = tmp_path / "missing" / "x.svg"
+    code, out, err = run_cli(capsys, "suspend", "--perm", "2,1", "--lengths", "1,1",
+                             "--heights", "1,-1", "--svg", str(svg_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] ") and str(svg_path) in err
+
+
 # ---------------------------------------------------------------------------
 # check
 
