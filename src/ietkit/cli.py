@@ -56,6 +56,16 @@ EXIT_DOMAIN = 5
 # canonical JSON
 
 
+def _digits(value: int) -> str:
+    """``str(value)``, or an IetkitError past the interpreter's digit limit,
+    which input parsing follows too."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise IetkitError(f"an output number has more than {limit} digits") from None
+
+
 def canonical_json(value: Any) -> str:
     """Deterministic JSON: sorted keys, Fractions as "p/q", floats as %.17g."""
     if value is None:
@@ -63,11 +73,11 @@ def canonical_json(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return str(value)
+        return _digits(value)
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, Fraction):
-        return json.dumps(f"{value.numerator}/{value.denominator}")
+        return json.dumps(f"{_digits(value.numerator)}/{_digits(value.denominator)}")
     if isinstance(value, Enum):
         return canonical_json(value.value)
     if isinstance(value, str):
@@ -251,7 +261,7 @@ def _svg_chains(diagram: SuspensionDiagram, witness: Witness | None) -> str:
     top = [flip(p) for p in diagram.top_chain]
     bottom = [flip(p) for p in diagram.bottom_chain]
     marks: list[tuple[float, float]] = []
-    if witness is not None and witness.relation.locus is not None:
+    if witness is not None:
         locus = witness.relation.locus
         if witness.relation.classification is SegmentClass.COLLINEAR_OVERLAP:
             marks = [flip(locus[0]), flip(locus[1])]
@@ -310,13 +320,15 @@ def cmd_suspend(job: dict) -> int:
     sigma = validate_permutation(job["perm"])
     diagram = build_suspension(sigma, _parse_vector(job["lengths"]), _parse_vector(job["heights"]))
     report = self_intersects(diagram)
-    # Drawn and written before anything is printed, so a curve that cannot
-    # be drawn or a file that cannot be written prints nothing.
+    # Serialized, drawn and written before anything is printed, so an output
+    # that cannot be printed writes no file, and a curve that cannot be drawn
+    # or a file that cannot be written prints nothing.
+    text = canonical_json(_diagram_payload(diagram, report.simple, report.witness))
     if "svg" in job:
         svg = _svg_chains(diagram, report.witness)
         with open(job["svg"], "w") as fh:
             fh.write(svg + "\n")
-    _emit(_diagram_payload(diagram, report.simple, report.witness))
+    sys.stdout.write(text + "\n")
     if job["require_simple"] and not report.simple:
         print("error: curve self-intersects but --require-simple was set", file=sys.stderr)
         return EXIT_NOT_SIMPLE

@@ -19,7 +19,8 @@ keeps each component and its derivative as integer coefficients over one
 common denominator, so at s = p/q a point is a homogeneous Horner sum in
 integers, every row over one positive scale, whose sign is the domain check.
 A sample classifies its slopes and runs the vertex sweep on those integers,
-and builds neither a ``Fraction`` nor a diagram unless it raises.  The slope
+and builds neither a ``Fraction`` nor a diagram; a contact at monotone
+slopes is handed to ``convexity_criterion``, which raises.  The slope
 classes, here and in the criterion, are signs of integer cross products, and
 the profile's signs are read off the diagram's integer profile.
 """
@@ -161,28 +162,6 @@ def slope_monotonicity(a: Sequence[ScalarLike], b: Sequence[ScalarLike]) -> Mono
     return _classify_slopes(widths, heights)
 
 
-def _diagram(
-    sigma: Permutation, a: Sequence[ScalarLike], b: Sequence[ScalarLike]
-) -> SuspensionDiagram:
-    """The diagram a verdict is decided on; the criterion needs two symbols."""
-    if sigma.d < 2:
-        raise InvalidSize("the criterion needs at least two symbols")
-    return build_suspension(sigma, a, b)
-
-
-def _lemma_violation(
-    diagram: SuspensionDiagram, monotonicity: MonotonicityClass, witness: Witness | None
-) -> LemmaViolation:
-    """The error for monotone slopes on a curve that is not simple."""
-    direction = (
-        "decreasing" if monotonicity is MonotonicityClass.STRICTLY_DECREASING else "increasing"
-    )
-    return LemmaViolation(
-        f"{direction} slopes but self-intersecting curve: {diagram.sigma}, "
-        f"a={diagram.lengths}, b={diagram.heights}, witness={witness}"
-    )
-
-
 def convexity_criterion(
     sigma: Permutation, a: Sequence[ScalarLike], b: Sequence[ScalarLike]
 ) -> CriterionReport:
@@ -195,16 +174,23 @@ def convexity_criterion(
     Ties are never certified, and non-monotone data gets an inconclusive
     verdict because the criterion is sufficient only.  The verdict is the
     one ``scan_curve`` decides; the report adds the intersection test for
-    every class and the profile's signs.
+    every class and the profile's signs.  This is the only code that raises
+    ``LemmaViolation``: a scan sample whose sweep finds a contact calls it.
     """
     if not is_irreducible(sigma):
         raise ReduciblePermutation(f"{sigma} splits at an invariant prefix")
-    diagram = _diagram(sigma, a, b)
-    monotonicity = _classify_slopes(*diagram._steps)
+    if sigma.d < 2:
+        raise InvalidSize("the criterion needs at least two symbols")
+    diagram = build_suspension(sigma, a, b)
+    monotonicity = _classify_slopes(*diagram._integers[1])
     verdict = _VERDICTS[monotonicity]
     report = self_intersects(diagram)
     if verdict in _POSITIVE_VERDICTS and not report.simple:
-        raise _lemma_violation(diagram, monotonicity, report.witness)
+        direction = "decreasing" if verdict is Verdict.POSITIVE_PAIR_BY_LEMMA else "increasing"
+        raise LemmaViolation(
+            f"{direction} slopes but self-intersecting curve: {sigma}, "
+            f"a={diagram.lengths}, b={diagram.heights}, witness={report.witness}"
+        )
     return CriterionReport(
         monotonicity=monotonicity,
         simple=report.simple,
@@ -321,22 +307,22 @@ def _sample_verdict(spec: CurveSpec, sigma: Permutation, s: Fraction) -> Verdict
 
     Every width and height of ``_integer_point`` has the same positive scale,
     so the slope class and the signs of the vertex sweep are those of the
-    diagram at s.  Only a sample that raises builds the diagram: a contact
-    found by the sweep raises LemmaViolation with the criterion's message
-    and witness.  With one symbol the sweep reports the two coinciding
-    chains, so the first sample's diagram raises InvalidSize.
+    diagram at s.  A contact found by the sweep at monotone slopes is handed
+    to ``convexity_criterion`` at the ``Fraction`` point, which raises
+    LemmaViolation, or InvalidSize for one symbol, whose sweep reports the
+    two coinciding chains.  Should the criterion return instead, the two
+    sweeps disagree, and the sample raises AssertionError.
     """
     _, values = _integer_point(spec, s)
     widths, heights = values[: sigma.d], values[sigma.d :]
-    monotonicity = _classify_slopes(widths, heights)
-    verdict = _VERDICTS[monotonicity]
+    verdict = _VERDICTS[_classify_slopes(widths, heights)]
     if verdict not in _POSITIVE_VERDICTS:
         return verdict
     top, bottom, _ = _chains(sigma, widths, heights)
     if _first_contact(top, bottom) is None:
         return verdict
-    diagram = _diagram(sigma, *curve_point(spec, s))
-    raise _lemma_violation(diagram, monotonicity, self_intersects(diagram).witness)
+    convexity_criterion(sigma, *curve_point(spec, s))
+    raise AssertionError(f"the vertex sweep found a contact at s = {s} that the criterion does not")
 
 
 @dataclass(frozen=True)
@@ -374,7 +360,8 @@ def scan_curve(
     intersection test runs for monotone slopes alone, and no profile is built.
     A sample is decided on the integers of its Horner sums, so one that
     certifies or not builds no ``Fraction`` and no diagram; only a sample
-    that raises does, to word its error as the criterion would.
+    whose vertex sweep finds a contact runs the criterion itself, which
+    raises the error.
     """
     if not is_irreducible(sigma):
         raise ReduciblePermutation(f"{sigma} splits at an invariant prefix")

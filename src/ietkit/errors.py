@@ -40,7 +40,9 @@ class OutOfDomain(IetkitError):
 
 
 class InvalidBound(IetkitError):
-    """An iteration bound or schedule is empty, non-positive, or not increasing."""
+    """An iteration bound or schedule is empty, non-positive, or not
+    increasing; or a scan has a bound that is not finite, an empty range, a
+    range whose grid step overflows, or an empty grid."""
 
 
 class DegenerateSegment(IetkitError):

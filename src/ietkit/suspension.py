@@ -102,6 +102,7 @@ class IntersectionReport:
 
 
 _IntChain = list[tuple[int, int]]
+_IntPair = tuple[list[int], list[int]]
 
 
 def _sign(value: _Coord) -> int:
@@ -144,29 +145,31 @@ class SuspensionDiagram:
         return self.sigma.d
 
     @cached_property
-    def _integers(self) -> tuple[int, _IntChain, _IntChain, tuple[list[int], list[int]]]:
-        """``(D, top, bottom, y sums)``: vertex (X, Y) stands for (X / D, Y / D),
-        with D the lcm of every length and height denominator, and the y sums
-        are the chains' heights in both orders.  No profile is computed here:
-        ``_profile`` reads it off the y sums when first needed."""
+    def _integers(self) -> tuple[int, _IntPair, _IntChain, _IntChain, _IntPair]:
+        """``(D, (X, Y), top, bottom, y sums)``: each (a_i, b_i) is the step
+        (X_i, Y_i) over D, the lcm of every length and height denominator, so
+        every X_i is positive; a chain vertex (X, Y) stands for (X / D, Y / D),
+        and the y sums are the chains' heights in both orders.  No profile is
+        computed here: ``_profile`` reads it off the y sums when first needed."""
         denom, scaled = _scaled(self.lengths + self.heights)
-        top, bottom, y_sums = _chains(self.sigma, scaled[: self.d], scaled[self.d :])
+        steps = scaled[: self.d], scaled[self.d :]
+        top, bottom, y_sums = _chains(self.sigma, *steps)
         assert top[-1] == bottom[-1]
-        return denom, top, bottom, y_sums
+        return denom, steps, top, bottom, y_sums
 
     @cached_property
     def _profile(self) -> list[int]:
         """Omega b, each entry over D."""
-        return _omega_times(self.sigma, self._integers[3])
+        return _omega_times(self.sigma, self._integers[4])
 
     @cached_property
     def top_chain(self) -> tuple[Point, ...]:
-        denom, top, _, _ = self._integers
+        denom, _, top, _, _ = self._integers
         return tuple(_unscaled(pt, denom) for pt in top)
 
     @cached_property
     def bottom_chain(self) -> tuple[Point, ...]:
-        denom, _, bottom, _ = self._integers
+        denom, _, _, bottom, _ = self._integers
         return tuple(_unscaled(pt, denom) for pt in bottom)
 
     @cached_property
@@ -175,22 +178,12 @@ class SuspensionDiagram:
         return tuple(Fraction(v, denom) for v in self._profile)
 
     @cached_property
-    def _steps(self) -> tuple[list[int], list[int]]:
-        """The widths X_i and heights Y_i of the integer top chain's segments:
-        each (a_i, b_i) scaled as the chains are, so every X_i is positive."""
-        top = self._integers[1]
-        return (
-            [x1 - x0 for (x0, _), (x1, _) in zip(top, top[1:])],
-            [y1 - y0 for (_, y0), (_, y1) in zip(top, top[1:])],
-        )
-
-    @cached_property
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(h / a for a, h in zip(self.lengths, self.heights))
 
     def _first_slope_vs(self, j: int) -> int:
         """sign(kappa_1 - kappa_j) = sign(Y_1 X_j - Y_j X_1), as X_1, X_j > 0."""
-        xs, ys = self._steps
+        xs, ys = self._integers[1]
         return _sign(ys[0] * xs[j - 1] - ys[j - 1] * xs[0])
 
     @cached_property
@@ -204,7 +197,7 @@ class SuspensionDiagram:
 
 def _chains(
     sigma: Permutation, xs: Sequence[int], ys: Sequence[int]
-) -> tuple[_IntChain, _IntChain, tuple[list[int], list[int]]]:
+) -> tuple[_IntChain, _IntChain, _IntPair]:
     """The integer top and bottom chains of the vectors (xs[i], ys[i]), and
     the y sums in both orders."""
     x_top, x_bottom = _sums(sigma, xs)
@@ -375,7 +368,7 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
     rational chains, and the witness is the integer relation with every
     coordinate divided by D.
     """
-    denom, top, bottom, _ = diagram._integers
+    denom, _, top, bottom, _ = diagram._integers
     pair = _first_contact(top, bottom)
     if pair is None:
         return IntersectionReport(True, None)

@@ -370,6 +370,25 @@ def test_suspend_svg_that_cannot_be_written_prints_nothing(capsys, tmp_path):
     assert err.startswith("error: [Errno 2] ") and str(svg_path) in err
 
 
+# Two lengths whose chains end at (Q1 + Q2) / (Q1 Q2), a denominator of
+# 8,000 digits: more than Python converts to text by default.
+_Q1, _Q2 = 10**4000 + 1, 10**3999 + 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["suspend", "--perm", "2,1", f"--lengths=1/{_Q1},1/{_Q2}", "--heights=1,1", "--svg", "{svg}"],
+    # The expected frequencies are the lengths over their sum.
+    ["orbit", "--perm", "3,2,1", f"--lengths=1/{_Q1},1/{_Q2},1/{_Q1 + 2}", "--x0", "0",
+     "--iters", "10"],
+], ids=["suspend-svg", "orbit"])
+def test_output_past_the_digit_limit_is_an_input_error(capsys, tmp_path, argv):
+    svg_path = tmp_path / "long.svg"
+    code, out, err = run_cli(capsys, *(arg.format(svg=svg_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: an output number has more than {sys.get_int_max_str_digits()} digits\n"
+    assert not svg_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -387,6 +406,17 @@ def test_check_hexagon(capsys):
     assert payload["chains_exchanged"] is False
     assert payload["connection_check_advised"] is True
     assert payload["slopes"] == ["1/1", "0/1", "-1/1"]
+
+
+def test_check_prints_a_diagonal_overlap_in_x_order(capsys):
+    # Both chains leave the origin along slope -1, so the first offender is
+    # the overlap of the two first segments, whose ends print left to right.
+    code, out, _ = run_cli(capsys, "check", "--perm", "2,1", "--lengths", "1,1",
+                           "--heights=-1,-1")
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert witness["classification"] == "CollinearOverlap"
+    assert witness["locus"] == [["0/1", "0/1"], ["1/1", "-1/1"]]
 
 
 def test_check_reducible_exit_code(capsys):

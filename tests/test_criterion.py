@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ietkit import criterion as _criterion
 from ietkit import (
-    CurveSpec,
     IntersectionReport,
     MonotonicityClass,
     PositivityClass,
@@ -563,12 +562,27 @@ def test_scan_certifies_without_a_diagram_or_a_fraction_point(monkeypatch):
 
     monkeypatch.setattr(_criterion, "build_suspension", refuse)
     monkeypatch.setattr(_criterion, "curve_point", refuse)
+    monkeypatch.setattr(_criterion, "convexity_criterion", refuse)
     sigma = validate_permutation([4, 3, 2, 1])
     grid = _linspace(F(1, 2), F(4), 20) + [0.3, 2.7]
     summary = scan_curve(mahler_spec(4), sigma, grid)
     assert summary.verdicts == (Verdict.POSITIVE_PAIR_BY_MIRRORED_LEMMA,) * len(grid)
     with pytest.raises(AssertionError, match="a diagram or a Fraction point was built"):
         convexity_criterion(sigma, *mahler_curve(4, 2))
+
+
+def test_scan_raises_a_plain_assertion_when_the_sweeps_disagree(monkeypatch):
+    # A contact that only the scan's own sweep reports is handed to the
+    # criterion, which finds the curve simple and returns: that is a bug in
+    # one of the two sweeps, not a counterexample to the lemma.
+    monkeypatch.setattr(_criterion, "_first_contact", lambda top, bottom: (1, 2))
+    sigma = validate_permutation([4, 3, 2, 1])
+    with pytest.raises(AssertionError) as info:
+        scan_curve(mahler_spec(4), sigma, [F(3, 2)])
+    assert type(info.value) is AssertionError
+    assert str(info.value) == (
+        "the vertex sweep found a contact at s = 3/2 that the criterion does not"
+    )
 
 
 def test_scan_decides_verdicts_without_the_return_profile(monkeypatch):

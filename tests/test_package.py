@@ -1,9 +1,17 @@
-"""The package's public names: each module's ``__all__``, exported once."""
+"""The package's public names, each module's ``__all__`` exported once, and
+the imports of the package and its tests."""
 
 from __future__ import annotations
 
+import ast
+import sys
+from pathlib import Path
+
 import ietkit
 from ietkit import criterion, diagnostics, iet, perm, suspension
+
+TESTS = Path(__file__).parent
+PACKAGE = Path(ietkit.__file__).parent
 
 
 def test_the_package_exports_each_module_name_once():
@@ -12,3 +20,48 @@ def test_the_package_exports_each_module_name_once():
         assert getattr(ietkit, name) is getattr(module, name), name
     assert sorted(ietkit.__all__) == sorted(name for _, name in names)
     assert len(set(ietkit.__all__)) == len(ietkit.__all__)
+
+
+def _imports(tree: ast.AST) -> list[ast.Import | ast.ImportFrom]:
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_the_oracles_import_only_the_standard_library():
+    # The oracles share no code with the package, and the benchmark loads
+    # the file by path, outside any test run.
+    for node in _imports(ast.parse((TESTS / "oracles.py").read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            assert node.level == 0, f"relative import at line {node.lineno}"
+            modules = [node.module]
+        for module in modules:
+            assert module.split(".")[0] in sys.stdlib_module_names, module
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names that ``path`` imports and never reads; a name listed in the
+    module's ``__all__`` is read."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    unused = []
+    for node in _imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # The package's __init__ imports its modules' names to export them.
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py"))
+    assert [name for path in paths for name in _unused_imports(path)] == []

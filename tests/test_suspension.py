@@ -239,6 +239,20 @@ def test_segment_relation_collinear_end_to_end():
     assert rel.locus == (1, 0)
 
 
+@pytest.mark.parametrize("p0, p1, q0, q1, locus", [
+    # |dx| = |dy|: x is the dominant axis on a tie, so the ends come back in
+    # x order; ordered along y, they would come back reversed.
+    ((0, 0), (2, -2), (1, -1), (3, -3), ((1, -1), (2, -2))),
+    # p spans 2 in x and 6 in y, so the ends come back in y order, however
+    # far from x = 0 the segment lies.
+    ((5, 0), (7, -6), (6, -3), (8, -9), ((7, -6), (6, -3))),
+], ids=["diagonal", "steep-away-from-0"])
+def test_segment_relation_orders_an_overlap_along_the_dominant_axis_of_p(p0, p1, q0, q1, locus):
+    rel = segment_relation(p0, p1, q0, q1)
+    assert rel.classification is SegmentClass.COLLINEAR_OVERLAP
+    assert rel.locus == locus
+
+
 def test_segment_relation_rejects_degenerate():
     with pytest.raises(DegenerateSegment):
         segment_relation((0, 0), (0, 0), (1, 0), (2, 0))
