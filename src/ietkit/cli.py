@@ -24,10 +24,8 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from . import criterion as _criterion
-from . import diagnostics as _diagnostics
 from .errors import (
     DimensionMismatch,
     DomainViolation,
@@ -35,15 +33,11 @@ from .errors import (
     InvalidBound,
     ReduciblePermutation,
 )
-from .iet import as_scalar, build_iet, find_connections
 from .perm import omega, validate_permutation
-from .suspension import (
-    SegmentClass,
-    SuspensionDiagram,
-    Witness,
-    build_suspension,
-    self_intersects,
-)
+
+if TYPE_CHECKING:
+    from .criterion import CurveSpec, Verdict
+    from .suspension import SuspensionDiagram, Witness
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -255,6 +249,8 @@ def _svg_float(value: Fraction) -> float:
 
 
 def _svg_chains(diagram: SuspensionDiagram, witness: Witness | None) -> str:
+    from .suspension import SegmentClass
+
     def flip(pt: Sequence[Fraction]) -> tuple[float, float]:
         return _svg_float(pt[0]), _svg_float(-pt[1])
 
@@ -307,6 +303,8 @@ def _svg_chains(diagram: SuspensionDiagram, witness: Witness | None) -> str:
 
 
 def _parse_vector(text: list[str]) -> list[Fraction]:
+    from .iet import as_scalar
+
     return [as_scalar(v) for v in text]
 
 
@@ -317,6 +315,8 @@ def cmd_omega(job: dict) -> int:
 
 
 def cmd_suspend(job: dict) -> int:
+    from .suspension import build_suspension, self_intersects
+
     sigma = validate_permutation(job["perm"])
     diagram = build_suspension(sigma, _parse_vector(job["lengths"]), _parse_vector(job["heights"]))
     report = self_intersects(diagram)
@@ -336,10 +336,12 @@ def cmd_suspend(job: dict) -> int:
 
 
 def cmd_check(job: dict) -> int:
+    from . import criterion
+
     sigma = validate_permutation(job["perm"])
     lengths = _parse_vector(job["lengths"])
     heights = _parse_vector(job["heights"])
-    report = _criterion.convexity_criterion(sigma, lengths, heights)
+    report = criterion.convexity_criterion(sigma, lengths, heights)
     _emit({
         "perm": sigma.images,
         "monotonicity": report.monotonicity,
@@ -355,11 +357,22 @@ def cmd_check(job: dict) -> int:
     return EXIT_OK
 
 
-def _load_curve(path: str) -> _criterion.CurveSpec:
+def _parse_int(text: str) -> int:
+    """``int(text)``, or an IetkitError past the interpreter's digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise IetkitError(f"a number in the curve file has more than {limit} digits") from None
+
+
+def _load_curve(path: str) -> CurveSpec:
+    from . import criterion
+
     with open(path) as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, parse_int=_parse_int)
     _validate(raw, _load_schema()["$defs"]["curvespec"])
-    spec = _criterion.curve_spec(raw["coeffs"])
+    spec = criterion.curve_spec(raw["coeffs"])
     if spec.d != raw["d"]:
         raise DimensionMismatch(f'curve file says d={raw["d"]} but has {spec.d} rows')
     return spec
@@ -379,9 +392,11 @@ def _grid(start: float, stop: float, samples: int) -> list[float]:
     return [start + k * step for k in range(samples)]
 
 
-def _scan_chunk(args: tuple) -> tuple[_criterion.Verdict, ...]:
+def _scan_chunk(args: tuple) -> tuple[Verdict, ...]:
+    from . import criterion
+
     spec, sigma, chunk = args
-    return _criterion.scan_curve(spec, sigma, chunk).verdicts
+    return criterion.scan_curve(spec, sigma, chunk).verdicts
 
 
 # The fewest samples a scan worker must have before a pool is worth forking.
@@ -393,6 +408,9 @@ _SAMPLES_PER_WORKER = 2048
 
 
 def cmd_scan(job: dict) -> int:
+    from . import criterion
+    from .iet import as_scalar
+
     sigma = validate_permutation(job["perm"])
     spec = _load_curve(job["curve"])
     grid_floats = _grid(job["from"], job["to"], job["samples"])
@@ -417,9 +435,9 @@ def cmd_scan(job: dict) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_scan_chunk, [(spec, sigma, c) for c in chunks])
             verdicts = [v for part in parts for v in part]
-        summary = _criterion.ScanSummary(tuple(verdicts), tuple(grid))
+        summary = criterion.ScanSummary(tuple(verdicts), tuple(grid))
     else:
-        summary = _criterion.scan_curve(spec, sigma, grid)
+        summary = criterion.scan_curve(spec, sigma, grid)
     _emit({
         "samples": summary.samples,
         "fractions": {v.value: frac for v, frac in summary.verdict_fractions.items()},
@@ -429,9 +447,12 @@ def cmd_scan(job: dict) -> int:
 
 
 def cmd_orbit(job: dict) -> int:
+    from .diagnostics import visit_frequencies
+    from .iet import build_iet
+
     sigma = validate_permutation(job["perm"])
     t = build_iet(sigma, _parse_vector(job["lengths"]))
-    stats = _diagnostics.visit_frequencies(t, job["x0"], job["iters"], job["refine"])
+    stats = visit_frequencies(t, job["x0"], job["iters"], job["refine"])
     _emit({
         "iterations": stats.n_iterations,
         "frequencies": stats.frequencies,
@@ -447,6 +468,8 @@ def cmd_orbit(job: dict) -> int:
 
 
 def cmd_connections(job: dict) -> int:
+    from .iet import build_iet, find_connections
+
     sigma = validate_permutation(job["perm"])
     t = build_iet(sigma, _parse_vector(job["lengths"]))
     hits = find_connections(t, job["max_m"])
@@ -564,7 +587,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("orbit", cmd_orbit, "visit frequencies and discrepancy", lengths=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--refine", type=int, default=_diagnostics.DEFAULT_REFINEMENT)
+    # No default here: main sets diagnostics' own, which only orbit loads.
+    p.add_argument("--refine", type=int)
 
     p = command("connections", cmd_connections, "search for finite break-point orbits",
                 lengths=True)
@@ -580,6 +604,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     # The parsed options in declaration order, less those left unset.
     job = {k: v for k, v in vars(args).items() if v is not None}
     run = job.pop("run")
+    if job["command"] == "orbit":
+        # refine is the job's last field, so the job, which jsonschema's
+        # rejection message prints, keeps its order.
+        from .diagnostics import DEFAULT_REFINEMENT
+
+        job.setdefault("refine", DEFAULT_REFINEMENT)
     try:
         _validate(job, _load_schema())
         return run(job)

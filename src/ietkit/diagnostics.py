@@ -10,8 +10,8 @@ Over that denominator the orbit is purely periodic, and the counting walk of
 that module for the walk.  ``visit_frequencies`` with cells^2 <= n walks the
 breaks and the cell starts, whose pieces each lie in one interval and one
 cell; the sqrt(n) gate keeps that partition small against the orbit.  With
-more cells the plain loop takes all n steps and counts only the cells it
-visits.
+more cells a plain loop counts only the cells it visits, and stops at the
+first return: it counts the periods in n and reruns the remainder.
 """
 
 from __future__ import annotations
@@ -48,20 +48,46 @@ class OrbitStats:
     refinement_discrepancy: Fraction
 
 
+def _plain_counts(
+    x: int, n: int, cells: int, breaks: list[int], trans: list[int]
+) -> tuple[list[int], dict[int, int]]:
+    """Visits per interval and per visited cell over n plain steps from x.
+
+    The loop stops at the first return to x, after p steps, and counts q
+    periods plus a rerun of r steps, q, r = divmod(n, p), which cannot
+    return early.
+
+    >>> _plain_counts(0, 5, 4, [1, 2], [1, -1])
+    ([3, 2], {0: 3, 2: 2})
+    """
+    total = breaks[-1]
+    interval_counts = [0] * len(breaks)
+    cell_counts: dict[int, int] = {}
+    start = x
+    for p in range(1, n + 1):
+        j = bisect_right(breaks, x)
+        interval_counts[j] += 1
+        c = x * cells // total
+        cell_counts[c] = cell_counts.get(c, 0) + 1
+        x += trans[j]
+        if x == start and p < n:
+            q, r = divmod(n, p)
+            rest, rest_cells = _plain_counts(start, r, cells, breaks, trans)
+            return (
+                [v * q + e for v, e in zip(interval_counts, rest)],
+                {k: v * q + rest_cells.get(k, 0) for k, v in cell_counts.items()},
+            )
+    return interval_counts, cell_counts
+
+
 def _orbit_counts(
     t: Iet, x0: ScalarLike, n: int, cells: int
 ) -> tuple[list[int], dict[int, int]]:
     x, total, breaks, trans = _scaled_ints(t, x0)
+    if cells * cells > n:
+        return _plain_counts(x, n, cells, breaks, trans)
     interval_counts = [0] * t.d
     cell_counts: dict[int, int] = {}
-    if cells * cells > n:
-        for _ in range(n):
-            j = bisect_right(breaks, x)
-            interval_counts[j] += 1
-            c = x * cells // total
-            cell_counts[c] = cell_counts.get(c, 0) + 1
-            x += trans[j]
-        return interval_counts, cell_counts
     # Cell c holds the integers from ceil(c * total / cells) on; cut at those
     # starts and at the interior breaks, each piece lies in one interval and
     # one cell.  When cells > total, some starts coincide or reach total.

@@ -11,8 +11,10 @@ provides:
   exchanged order, and ``_omega_times`` reads Omega v^T off those two sums in
   O(d).  Its ``assert`` checks every result against
   ``_omega_times_by_inversions``, which sums the sign definition of Omega
-  with a Fenwick tree in O(d log d), so the check costs little more than the
-  kernel and ``python -O`` drops it;
+  with a Fenwick tree in O(d log d).  The check is not cheap: on a power
+  curve at d = 128 it took 354 us against the kernel's 16 us, 18% of a whole
+  ``convexity_criterion`` call, and 20% at d = 32 (2-vCPU VM, CPython
+  3.11.7).  ``python -O`` drops it;
 * the irreducibility test (no proper prefix {1..k} is invariant);
 * symbol removal (``restrict``) and the decomposition into consecutive
   irreducible blocks, the two tools the inductive simplicity argument uses;

@@ -129,6 +129,33 @@ def test_valid_jobs_import_neither_jsonschema_nor_the_pool(tmp_path):
     assert lines[-1] == "[2] ['jsonschema']"
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["omega", "--perm", "3,1,2"], set()),
+    (["connections", "--perm", "2,1", "--lengths", "1,1", "--max-m", "3"], {"iet"}),
+    (["orbit", "--perm", "2,1", "--lengths", "1,1597/987", "--x0", "0", "--iters", "100"],
+     {"iet", "diagnostics"}),
+    (["suspend", "--perm", "3,2,1", "--lengths", "1,1,1", "--heights", "1,0,-1"],
+     {"iet", "suspension"}),
+    (["check", "--perm", "3,2,1", "--lengths", "1,1,1", "--heights", "1,0,-1"],
+     {"iet", "suspension", "criterion"}),
+    (["scan", "--perm", "3,2,1", "--curve", "CURVE", "--from", "0.5", "--to", "4",
+      "--samples", "5"], {"iet", "suspension", "criterion"}),
+], ids=["omega", "connections", "orbit", "suspend", "check", "scan"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    # Beyond the package, the CLI loads errors and perm; each command imports
+    # the other library modules it calls.
+    argv = [write_power_curve(tmp_path, 3) if arg == "CURVE" else arg for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(ietkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ietkit", *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    expected = {"ietkit", "ietkit.cli", "ietkit.errors", "ietkit.perm"}
+    assert {m for m in imported if m.split(".")[0] == "ietkit"} == expected | {
+        f"ietkit.{m}" for m in loaded}
+
+
 NOT_UNDER_ANY = " is not valid under any of the given schemas\n"
 SCAN_ARGS = ["scan", "--perm", "2,1", "--curve", "CURVE", "--from", "1", "--to", "2"]
 POWER2 = {"d": 2, "coeffs": [[0, 1], [0, 0, 1]]}
@@ -164,14 +191,17 @@ POWER2 = {"d": 2, "coeffs": [[0, 1], [0, 0, 1]]}
     (["suspend", "--perm", "2,1", "--lengths", "1,1", "--heights", "1,-1", "--svg", ""], None,
      "error: {'command': 'suspend', 'perm': [2, 1], 'lengths': ['1', '1'], 'heights': ['1', '-1'], "
      "'svg': '', 'require_simple': False}" + NOT_UNDER_ANY),
+    # An integer past the digit limit, which json.dumps cannot write.
+    ([*SCAN_ARGS, "--samples", "2"], '{"d": 2, "coeffs": [[1' + "0" * 4400 + ', 1], [0, 1]]}',
+     f"error: a number in the curve file has more than {sys.get_int_max_str_digits()} digits\n"),
 ], ids=["refine", "samples", "samples-max", "jobs", "perm", "x0", "curve-extra-key", "curve-d0",
-        "curve-coeff", "scan-bound-inf", "suspend-empty-svg"])
+        "curve-coeff", "scan-bound-inf", "suspend-empty-svg", "curve-long-int"])
 def test_rejected_jobs_keep_their_messages(capsys, tmp_path, argv, curve, err):
     # Messages are jsonschema's own, pinned as the CLI printed them before the
-    # quick schema check existed.
+    # quick schema check existed.  A curve given as a string is the file's text.
     path = tmp_path / "curve.json"
     if curve is not None:
-        path.write_text(json.dumps(curve))
+        path.write_text(curve if isinstance(curve, str) else json.dumps(curve))
     argv = [str(path) if arg == "CURVE" else arg for arg in argv]
     assert run_cli(capsys, *argv) == (2, "", err.replace("CURVE", repr(str(path))))
 

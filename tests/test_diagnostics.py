@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from ietkit import (
     validate_permutation,
     visit_frequencies,
 )
+from ietkit import diagnostics
 from ietkit.errors import InvalidBound, OutOfDomain
 
 from conftest import (
@@ -121,6 +123,27 @@ def test_frequencies_match_the_full_loop_on_random_exchanges():
         for n in across_periods(period_of(t, x0), rng) | {cells * cells}:
             got = visit_frequencies(t, x0, n, cells=cells)
             assert got == reference_visit_frequencies(t, x0, n, cells)
+
+
+@pytest.mark.parametrize("images, lengths, x0", [
+    ([1], [F(3)], F(1)),
+    ([2, 1], [F(1), F(1)], F(0)),
+    ([2, 1], [F(1), F(2, 3)], F(1, 3)),
+    ([3, 2, 1], [F(1), F(2), F(3)], F(1, 2)),
+], ids=["d1", "swap", "rotation", "d3"])
+def test_the_plain_loop_stops_at_the_first_return(monkeypatch, images, lengths, x0):
+    # 1000 cells: cells^2 > n, so the orbit is counted step by step, and the
+    # cells outnumber each scaled total, so some hold no integer.  An orbit
+    # that returns after p steps looks up p + (n mod p) intervals for n > p.
+    t = build_iet(validate_permutation(images), lengths)
+    p = period_of(t, x0)
+    lookups = []
+    monkeypatch.setattr(diagnostics, "bisect_right",
+                        lambda a, x: lookups.append(x) or bisect_right(a, x))
+    for n in sorted(across_periods(p, random.Random(f"{SEED}/plain-loop/{images}"))):
+        lookups.clear()
+        assert visit_frequencies(t, x0, n, cells=1000) == reference_visit_frequencies(t, x0, n, 1000)
+        assert len(lookups) == (n if n <= p else p + n % p)
 
 
 def test_near_golden_rotation_equidistributes():

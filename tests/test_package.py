@@ -4,8 +4,12 @@ the imports of the package and its tests."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ietkit
 from ietkit import criterion, diagnostics, iet, perm, suspension
@@ -20,6 +24,33 @@ def test_the_package_exports_each_module_name_once():
         assert getattr(ietkit, name) is getattr(module, name), name
     assert sorted(ietkit.__all__) == sorted(name for _, name in names)
     assert len(set(ietkit.__all__)) == len(ietkit.__all__)
+
+
+FRESH_IMPORT_SCRIPT = """
+import sys
+import ietkit
+
+print(sorted(m for m in sys.modules if m.startswith("ietkit.")))
+if sys.argv[1] == "dir":
+    names = dir(ietkit)
+    print(sorted(set(ietkit.__all__) - set(names)))
+else:
+    from ietkit import convexity_criterion
+    from ietkit.criterion import convexity_criterion as own
+    print(convexity_criterion is own)
+"""
+
+
+@pytest.mark.parametrize("first, then", [("name", "True"), ("dir", "[]")])
+def test_the_package_loads_its_modules_on_first_use(first, then):
+    # In a fresh interpreter, importing the package loads no submodule; the
+    # first exported name looked up is the module's own object, and dir()
+    # lists every exported name.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", FRESH_IMPORT_SCRIPT, first],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", then]
 
 
 def _imports(tree: ast.AST) -> list[ast.Import | ast.ImportFrom]:
