@@ -369,8 +369,14 @@ def _parse_int(text: str) -> int:
 def _load_curve(path: str) -> CurveSpec:
     from . import criterion
 
-    with open(path) as fh:
-        raw = json.load(fh, parse_int=_parse_int)
+    # JSON is UTF-8, whatever the locale's encoding.
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh, parse_int=_parse_int)
+        except UnicodeDecodeError as exc:
+            raise IetkitError(f"the curve file is not UTF-8: {exc}") from None
+        except RecursionError:
+            raise IetkitError("the curve file is nested too deeply") from None
     _validate(raw, _load_schema()["$defs"]["curvespec"])
     spec = criterion.curve_spec(raw["coeffs"])
     if spec.d != raw["d"]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -43,6 +42,7 @@ from .errors import (
     LemmaViolation,
     NonPositiveParameter,
     ReduciblePermutation,
+    _record,
 )
 from .iet import ScalarLike, _positive_lengths, as_scalar
 from .perm import Permutation, _scaled, is_irreducible
@@ -100,7 +100,7 @@ _VERDICTS = {
 }
 
 
-@dataclass(frozen=True)
+@_record
 class CriterionReport:
     """Outcome of the criterion with its supporting evidence.
 
@@ -219,7 +219,7 @@ def mahler_curve(d: int, s: ScalarLike) -> tuple[tuple[Fraction, ...], tuple[Fra
     return a, b
 
 
-@dataclass(frozen=True)
+@_record
 class CurveSpec:
     """A polynomial curve s -> a(s): row i holds the coefficients of a_i(s),
     constant term first.  Heights come from the exact symbolic derivative."""
@@ -325,7 +325,7 @@ def _sample_verdict(spec: CurveSpec, sigma: Permutation, s: Fraction) -> Verdict
     raise AssertionError(f"the vertex sweep found a contact at s = {s} that the criterion does not")
 
 
-@dataclass(frozen=True)
+@_record
 class ScanSummary:
     """The verdict at every grid point, with per-verdict sample fractions and
     the exceptional samples (everything that did not certify) as (s, verdict)

@@ -17,11 +17,10 @@ first return: it counts the periods in n and reruns the remainder.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidBound
+from .errors import InvalidBound, _record
 from .iet import Iet, ScalarLike, _scaled_ints, _visits
 
 __all__ = ["OrbitStats", "visit_frequencies", "discrepancy_trend"]
@@ -29,7 +28,7 @@ __all__ = ["OrbitStats", "visit_frequencies", "discrepancy_trend"]
 DEFAULT_REFINEMENT = 64
 
 
-@dataclass(frozen=True)
+@_record
 class OrbitStats:
     """Visit statistics of one finite orbit (all entries exact).
 

@@ -1,13 +1,87 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its frozen-record decorator.
 
 Every error raised on bad input derives from :class:`IetkitError`, which is a
 ``ValueError`` so that generic callers can catch it without importing this
 module.  :class:`LemmaViolation` is different in kind: it signals that an
 internal consistency check failed (a certified-simple curve turned out to
 self-intersect), which indicates a bug and should never be caught and ignored.
+
+:func:`_record` makes the package's immutable value types.  It lives here
+because every library module already imports this one, and the one module
+it imports, ``operator``, is one that ``collections`` and ``functools`` have
+already loaded, so a command loads no more modules for it.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _record(cls):
+    """Make ``cls`` a frozen record of its own annotated fields, in order.
+
+    These are the semantics of a frozen standard-library data class, whose
+    module would load ``inspect`` and ``ast`` at start-up and compile six
+    methods per class.  ``__init__`` takes the fields positionally or by
+    keyword, then calls ``__post_init__`` if the class has one.  Records are
+    equal when they are of one class with equal field tuples, and hash as
+    that tuple; ``repr`` reads ``Name(field=value, ...)``; ``__match_args__``
+    names the fields.  Assigning or deleting an attribute raises
+    ``AttributeError``, while ``cached_property`` and pickling, which write
+    the instance ``__dict__`` directly, still work.  Only ``__init__`` is
+    compiled per class, as ``collections.namedtuple`` compiles ``__new__``;
+    it stores each field with ``object.__setattr__``, which keeps attribute
+    reads as fast as on a plain instance.
+
+    >>> @_record
+    ... class Pair:
+    ...     a: int
+    ...     b: int
+    >>> Pair(1, b=2), Pair(1, 2) == Pair(1, 2), Pair.__match_args__
+    (Pair(a=1, b=2), True, ('a', 'b'))
+    >>> Pair(1, 2).a = 3
+    Traceback (most recent call last):
+        ...
+    AttributeError: cannot assign to field 'a'
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    lines = [f"def __init__(self, {', '.join(names)}):"]
+    lines += [f"    _set(self, {name!r}, {name})" for name in names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace = {"_set": object.__setattr__}
+    exec("\n".join(lines), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    # The field tuple, read in C; attrgetter of one name returns the value.
+    get = attrgetter(*names)
+    values = get if len(names) > 1 else lambda record: (get(record),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(values(self))
+
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = init, __eq__, __hash__, _repr
+    cls.__setattr__, cls.__delattr__ = _setattr, _delattr
+    cls.__match_args__ = names
+    return cls
 
 
 class IetkitError(ValueError):

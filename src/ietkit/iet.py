@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence, Union
@@ -64,6 +63,7 @@ from .errors import (
     InvalidBound,
     NonPositiveLength,
     OutOfDomain,
+    _record,
 )
 from .perm import Permutation, _omega_times, _scaled, _sums
 
@@ -114,7 +114,7 @@ def as_scalar(value: ScalarLike) -> Fraction:
         raise OutOfDomain(f"malformed scalar {value!r}") from exc
 
 
-@dataclass(frozen=True)
+@_record
 class Iet:
     """An interval exchange with its precomputed break points and translations.
 
@@ -138,7 +138,7 @@ class Iet:
         return self.disc_top[-1]
 
 
-@dataclass(frozen=True)
+@_record
 class Connection:
     """A finite orbit segment joining two interior break points: T^m(x_i) = x_j."""
 

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import EmptyResult, InvalidSize, NotABijection
+from .errors import EmptyResult, InvalidSize, NotABijection, _record
 
 __all__ = [
     "Permutation",
@@ -53,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class Permutation:
     """A bijection of {1..d}, stored as the image tuple ``images[i-1] = sigma(i)``.
 
@@ -82,7 +81,7 @@ class Permutation:
         return "[" + ",".join(str(s) for s in self.images) + "]"
 
 
-@dataclass(frozen=True)
+@_record
 class OmegaMatrix:
     """The antisymmetric matrix recording which interval pairs swap order.
 

@@ -32,13 +32,12 @@ No epsilon appears anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import DegenerateSegment, DimensionMismatch
+from .errors import DegenerateSegment, DimensionMismatch, _record
 from .iet import ScalarLike, _checked_lengths, as_scalar
 from .perm import Permutation, _omega_times, _scaled, _sums
 
@@ -69,7 +68,7 @@ class SegmentClass(Enum):
     COLLINEAR_OVERLAP = "CollinearOverlap"
 
 
-@dataclass(frozen=True)
+@_record
 class SegmentRelation:
     """Exact relation of two closed segments.
 
@@ -81,7 +80,7 @@ class SegmentRelation:
     locus: _RawPoint | tuple[_RawPoint, _RawPoint] | None
 
 
-@dataclass(frozen=True)
+@_record
 class Witness:
     """A forbidden contact between two chain segments (indices are 1-based)."""
 
@@ -92,7 +91,7 @@ class Witness:
     relation: SegmentRelation
 
 
-@dataclass(frozen=True)
+@_record
 class IntersectionReport:
     simple: bool
     witness: Witness | None
@@ -120,7 +119,7 @@ class PositivityClass(Enum):
     HAS_ZERO = "HasZero"
 
 
-@dataclass(frozen=True)
+@_record
 class SuspensionDiagram:
     """An exchange together with heights: vectors, slopes, chains, return profile.
 

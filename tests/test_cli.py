@@ -143,7 +143,8 @@ def test_valid_jobs_import_neither_jsonschema_nor_the_pool(tmp_path):
 ], ids=["omega", "connections", "orbit", "suspend", "check", "scan"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     # Beyond the package, the CLI loads errors and perm; each command imports
-    # the other library modules it calls.
+    # the other library modules it calls, and none loads dataclasses, which
+    # brings in inspect, for the package's records.
     argv = [write_power_curve(tmp_path, 3) if arg == "CURVE" else arg for arg in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(ietkit.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ietkit", *argv],
@@ -154,6 +155,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     expected = {"ietkit", "ietkit.cli", "ietkit.errors", "ietkit.perm"}
     assert {m for m in imported if m.split(".")[0] == "ietkit"} == expected | {
         f"ietkit.{m}" for m in loaded}
+    assert imported.isdisjoint({"dataclasses", "inspect"})
 
 
 NOT_UNDER_ANY = " is not valid under any of the given schemas\n"
@@ -194,14 +196,24 @@ POWER2 = {"d": 2, "coeffs": [[0, 1], [0, 0, 1]]}
     # An integer past the digit limit, which json.dumps cannot write.
     ([*SCAN_ARGS, "--samples", "2"], '{"d": 2, "coeffs": [[1' + "0" * 4400 + ', 1], [0, 1]]}',
      f"error: a number in the curve file has more than {sys.get_int_max_str_digits()} digits\n"),
+    # A file that is not UTF-8, whatever the locale's encoding.
+    ([*SCAN_ARGS, "--samples", "2"], b'{"d": 2, "coeffs": [[0, 1], [0, 0, 1]], "x": "\xff"}',
+     "error: the curve file is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 46: "
+     "invalid start byte\n"),
+    ([*SCAN_ARGS, "--samples", "2"], "[" * 100_000,
+     "error: the curve file is nested too deeply\n"),
 ], ids=["refine", "samples", "samples-max", "jobs", "perm", "x0", "curve-extra-key", "curve-d0",
-        "curve-coeff", "scan-bound-inf", "suspend-empty-svg", "curve-long-int"])
+        "curve-coeff", "scan-bound-inf", "suspend-empty-svg", "curve-long-int", "curve-not-utf8",
+        "curve-too-deep"])
 def test_rejected_jobs_keep_their_messages(capsys, tmp_path, argv, curve, err):
     # Messages are jsonschema's own, pinned as the CLI printed them before the
-    # quick schema check existed.  A curve given as a string is the file's text.
+    # quick schema check existed.  A curve given as a string or bytes is the
+    # file's text.
     path = tmp_path / "curve.json"
+    if isinstance(curve, dict):
+        curve = json.dumps(curve)
     if curve is not None:
-        path.write_text(curve if isinstance(curve, str) else json.dumps(curve))
+        path.write_bytes(curve.encode() if isinstance(curve, str) else curve)
     argv = [str(path) if arg == "CURVE" else arg for arg in argv]
     assert run_cli(capsys, *argv) == (2, "", err.replace("CURVE", repr(str(path))))
 

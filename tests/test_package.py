@@ -4,7 +4,9 @@ the imports of the package and its tests."""
 from __future__ import annotations
 
 import ast
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -13,17 +15,94 @@ import pytest
 
 import ietkit
 from ietkit import criterion, diagnostics, iet, perm, suspension
+from conftest import frozen_crossing_diagram
 
 TESTS = Path(__file__).parent
 PACKAGE = Path(ietkit.__file__).parent
+MODULES = (perm, iet, suspension, criterion, diagnostics)
 
 
 def test_the_package_exports_each_module_name_once():
-    names = [(module, name) for module in (perm, iet, suspension, criterion, diagnostics) for name in module.__all__]
+    names = [(module, name) for module in MODULES for name in module.__all__]
     for module, name in names:
         assert getattr(ietkit, name) is getattr(module, name), name
     assert sorted(ietkit.__all__) == sorted(name for _, name in names)
     assert len(set(ietkit.__all__)) == len(ietkit.__all__)
+
+
+RECORDS = [obj for module in MODULES for obj in map(module.__dict__.get, module.__all__)
+           if isinstance(obj, type) and "__match_args__" in vars(obj)]
+
+
+def _sigma():
+    return perm.validate_permutation([3, 2, 1])
+
+
+def _diagram():
+    diagram = suspension.build_suspension(_sigma(), [1, "1/2", 2], [1, 0, -1])
+    # Every cached attribute is read, so the pickled state holds them too.
+    (diagram.slopes, diagram.top_chain, diagram.bottom_chain, diagram.return_profile,
+     diagram.first_slope_vs_bottom_first, diagram.first_slope_vs_bottom_last)
+    return diagram
+
+
+def _curve():
+    spec = criterion.curve_spec([[0, 1], [0, 0, 1], [0, 0, 0, 1]])
+    spec._integer_rows
+    return spec
+
+
+# One instance of each record, as the library makes it.
+RECORD_EXAMPLES = {
+    "Permutation": _sigma,
+    "OmegaMatrix": lambda: perm.omega(_sigma()),
+    "Iet": lambda: iet.build_iet(_sigma(), [1, "1/2", 2]),
+    "Connection": lambda: iet.find_connections(
+        iet.build_iet(perm.validate_permutation([2, 1]), [1, 1]), 2)[0],
+    "SegmentRelation": lambda: suspension.self_intersects(frozen_crossing_diagram()).witness.relation,
+    "Witness": lambda: suspension.self_intersects(frozen_crossing_diagram()).witness,
+    "IntersectionReport": lambda: suspension.self_intersects(frozen_crossing_diagram()),
+    "SuspensionDiagram": _diagram,
+    "CriterionReport": lambda: criterion.convexity_criterion(_sigma(), [1, "1/2", 2], [1, 0, -1]),
+    "CurveSpec": _curve,
+    "ScanSummary": lambda: criterion.scan_curve(_curve(), _sigma(), [1, 2]),
+    "OrbitStats": lambda: diagnostics.visit_frequencies(
+        iet.build_iet(_sigma(), [1, "1/2", 2]), 0, 10),
+}
+
+
+def test_every_record_has_an_example():
+    assert sorted(cls.__name__ for cls in RECORDS) == sorted(RECORD_EXAMPLES)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_are_frozen_values_of_their_fields(cls):
+    record = RECORD_EXAMPLES[cls.__name__]()
+    assert type(record) is cls
+    names = cls.__match_args__
+    assert names == tuple(cls.__annotations__)
+    values = tuple(getattr(record, name) for name in names)
+    # Built positionally or by keyword, equal and hashed by the field tuple.
+    for built in (cls(*values), cls(**dict(zip(names, values)))):
+        assert built == record and hash(built) == hash(record) == hash(values)
+    assert record != values
+    assert type(cls.__name__, (cls,), {})(*values) != record
+    for name in names:
+        changed = copy.copy(record)
+        object.__setattr__(changed, name, object())
+        assert changed != record, name
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{cls.__name__}({fields})"
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in names) == values
+    # A round trip keeps the fields and whatever was cached.
+    loaded = pickle.loads(pickle.dumps(record))
+    assert loaded == record and repr(loaded) == repr(record)
+    assert loaded.__dict__ == record.__dict__
 
 
 FRESH_IMPORT_SCRIPT = """
