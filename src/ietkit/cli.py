@@ -302,12 +302,6 @@ def _svg_chains(diagram: SuspensionDiagram, witness: Witness | None) -> str:
 # commands
 
 
-def _parse_vector(text: list[str]) -> list[Fraction]:
-    from .iet import as_scalar
-
-    return [as_scalar(v) for v in text]
-
-
 def cmd_omega(job: dict) -> int:
     sigma = validate_permutation(job["perm"])
     _emit(omega(sigma).entries)
@@ -318,7 +312,7 @@ def cmd_suspend(job: dict) -> int:
     from .suspension import build_suspension, self_intersects
 
     sigma = validate_permutation(job["perm"])
-    diagram = build_suspension(sigma, _parse_vector(job["lengths"]), _parse_vector(job["heights"]))
+    diagram = build_suspension(sigma, job["lengths"], job["heights"])
     report = self_intersects(diagram)
     # Serialized, drawn and written before anything is printed, so an output
     # that cannot be printed writes no file, and a curve that cannot be drawn
@@ -339,9 +333,7 @@ def cmd_check(job: dict) -> int:
     from . import criterion
 
     sigma = validate_permutation(job["perm"])
-    lengths = _parse_vector(job["lengths"])
-    heights = _parse_vector(job["heights"])
-    report = criterion.convexity_criterion(sigma, lengths, heights)
+    report = criterion.convexity_criterion(sigma, job["lengths"], job["heights"])
     _emit({
         "perm": sigma.images,
         "monotonicity": report.monotonicity,
@@ -415,12 +407,10 @@ _SAMPLES_PER_WORKER = 2048
 
 def cmd_scan(job: dict) -> int:
     from . import criterion
-    from .iet import as_scalar
 
     sigma = validate_permutation(job["perm"])
     spec = _load_curve(job["curve"])
-    grid_floats = _grid(job["from"], job["to"], job["samples"])
-    grid = [as_scalar(s) for s in grid_floats]
+    grid = _grid(job["from"], job["to"], job["samples"])
     # One worker per chunk, never more workers than the CPUs this process may
     # run on, and a pool only when each worker gets enough samples to pay
     # for it; otherwise run serially.
@@ -436,12 +426,12 @@ def cmd_scan(job: dict) -> int:
 
         chunk_size = (len(grid) + workers - 1) // workers
         # Floats pickle faster than Fractions; each worker rationalizes its own.
-        chunks = [grid_floats[k : k + chunk_size] for k in range(0, len(grid), chunk_size)]
+        chunks = [grid[k : k + chunk_size] for k in range(0, len(grid), chunk_size)]
         # pool.map re-raises a worker's error here, so exit codes match --jobs 1.
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_scan_chunk, [(spec, sigma, c) for c in chunks])
             verdicts = [v for part in parts for v in part]
-        summary = criterion.ScanSummary(tuple(verdicts), tuple(grid))
+        summary = criterion.ScanSummary(tuple(verdicts), tuple(map(Fraction, grid)))
     else:
         summary = criterion.scan_curve(spec, sigma, grid)
     _emit({
@@ -457,7 +447,7 @@ def cmd_orbit(job: dict) -> int:
     from .iet import build_iet
 
     sigma = validate_permutation(job["perm"])
-    t = build_iet(sigma, _parse_vector(job["lengths"]))
+    t = build_iet(sigma, job["lengths"])
     stats = visit_frequencies(t, job["x0"], job["iters"], job["refine"])
     _emit({
         "iterations": stats.n_iterations,
@@ -477,7 +467,7 @@ def cmd_connections(job: dict) -> int:
     from .iet import build_iet, find_connections
 
     sigma = validate_permutation(job["perm"])
-    t = build_iet(sigma, _parse_vector(job["lengths"]))
+    t = build_iet(sigma, job["lengths"])
     hits = find_connections(t, job["max_m"])
     _emit({
         "max_m": job["max_m"],

@@ -5,9 +5,10 @@ vector ``a``.  The interval [0, sum(a)) is cut into half-open pieces
 I_j = [x_{j-1}, x_j) at the partial sums x_j, and each piece is translated so
 that the pieces stack in the order prescribed by sigma.  The translation of
 I_j is x'_{sigma(j)} - x_j, the j-th entry of the row vector a Omega.
-Construction scales the lengths to integers once; both sets of break points
-and the translations, -Omega a^T, are read off the same two partial-sum lists,
-the kernel that the chains and the return profile of a suspension share.
+An exchange stores only (sigma, a), scaled once to integers over the lcm D of
+the lengths' denominators: the break points and the translations, -Omega a^T,
+are read off the same two partial-sum lists, the kernel that the chains and
+the return profile of a suspension share, and divided by D when first read.
 
 All dynamics here is exact: lengths are ``fractions.Fraction`` values and
 points are compared by rational equality, never by tolerance.  A point x lies
@@ -56,6 +57,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -116,26 +118,47 @@ def as_scalar(value: ScalarLike) -> Fraction:
 
 @_record
 class Iet:
-    """An interval exchange with its precomputed break points and translations.
+    """An interval exchange, built by :func:`build_iet`, which checks its inputs.
 
-    ``disc_top`` holds x_1..x_d (right endpoints of the source intervals),
-    ``disc_bottom`` holds x'_1..x'_d (right endpoints of the image intervals),
-    and ``translations[j-1]`` is added to points of I_j.
+    Only ``sigma`` and ``lengths`` are stored; the other attributes are
+    derived from ``_integers`` when first read.  ``disc_top`` holds x_1..x_d
+    (right endpoints of the source intervals), ``disc_bottom`` holds
+    x'_1..x'_d (right endpoints of the image intervals), and
+    ``translations[j-1]`` is added to points of I_j.
     """
 
     sigma: Permutation
     lengths: tuple[Fraction, ...]
-    disc_top: tuple[Fraction, ...]
-    disc_bottom: tuple[Fraction, ...]
-    translations: tuple[Fraction, ...]
 
     @property
     def d(self) -> int:
         return self.sigma.d
 
-    @property
+    @cached_property
+    def _integers(self) -> tuple[int, list[int], list[int], list[int]]:
+        """``(D, top, bottom, shifts)``: disc_top, disc_bottom and the
+        translations as integers over D, the lcm of the length denominators."""
+        denom, scaled = _scaled(self.lengths)
+        sums = _sums(self.sigma, scaled)
+        # Omega is antisymmetric, so the row vector a Omega is -(Omega a^T).
+        shifts = [-v for v in _omega_times(self.sigma, sums)]
+        return denom, sums[0][1:], sums[1][1:], shifts
+
+    @cached_property
+    def disc_top(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._integers[0]) for v in self._integers[1])
+
+    @cached_property
+    def disc_bottom(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._integers[0]) for v in self._integers[2])
+
+    @cached_property
+    def translations(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._integers[0]) for v in self._integers[3])
+
+    @cached_property
     def total(self) -> Fraction:
-        return self.disc_top[-1]
+        return Fraction(self._integers[1][-1], self._integers[0])
 
 
 @_record
@@ -172,13 +195,9 @@ def build_iet(sigma: Permutation, a: Sequence[ScalarLike]) -> Iet:
     >>> t.translations
     (Fraction(2, 1), Fraction(-1, 1))
     """
-    lengths = _checked_lengths(sigma, a)
-    denom, scaled = _scaled(lengths)
-    sums = _sums(sigma, scaled)
-    disc_top, disc_bottom = (tuple(Fraction(x, denom) for x in part[1:]) for part in sums)
-    # Omega is antisymmetric, so the row vector a Omega is -(Omega a^T).
-    translations = tuple(Fraction(-v, denom) for v in _omega_times(sigma, sums))
-    return Iet(sigma, lengths, disc_top, disc_bottom, translations)
+    t = Iet(sigma, _checked_lengths(sigma, a))
+    t._integers  # scaled here, so the kernel's check runs at construction
+    return t
 
 
 def _check_domain(t: Iet, x: Fraction) -> None:
@@ -207,24 +226,21 @@ def image_partition(t: Iet) -> list[tuple[tuple[Fraction, Fraction], int]]:
     Returns ``[((left, right), j), ...]``: the image of I_j is [left, right).
     The pieces tile [0, total) exactly, which is the bijectivity witness.
     """
-    out = []
-    left = Fraction(0)
-    for k in range(1, t.d + 1):
-        right = t.disc_bottom[k - 1]
-        out.append(((left, right), t.sigma.inverse[k - 1]))
-        left = right
-    return out
+    ends = (Fraction(0), *t.disc_bottom)
+    return [((ends[k], ends[k + 1]), j) for k, j in enumerate(t.sigma.inverse)]
 
 
 def _scaled_ints(t: Iet, x0: ScalarLike) -> tuple[int, int, list[int], list[int]]:
     """Everything over one denominator: (x0, total, breaks, translations) as
     ints, once x0 is coerced and checked to lie in [0, total): the one entry
-    of every orbit routine."""
+    of every orbit routine.  The exchange's integer form is over D, so the
+    common denominator is D times the part of x0's denominator that D lacks."""
     x0 = as_scalar(x0)
     _check_domain(t, x0)
-    _, ints = _scaled([x0, *t.disc_top, *t.translations])
-    breaks, trans = ints[1 : t.d + 1], ints[t.d + 1 :]
-    return ints[0], breaks[-1], breaks, trans
+    denom, top, _, shifts = t._integers
+    q = x0.denominator // math.gcd(denom, x0.denominator)
+    breaks = [v * q for v in top]
+    return x0.numerator * (denom * q // x0.denominator), breaks[-1], breaks, [v * q for v in shifts]
 
 
 # A k-step table costs about k visits per piece of the partition to build
@@ -446,29 +462,23 @@ def find_connections(t: Iet, max_m: int) -> list[Connection]:
     """
     if max_m < 1:
         raise InvalidBound(f"max_m must be at least 1, got {max_m}")
+    _, top, bottom, shifts = t._integers
+    points = top[:-1]
+    cuts, moves, k, _ = _table(points, shifts, top[-1], (t.d - 1) * max_m)
+    # hits[y]: the (t, j) with T^t(y) = x_j and t < k.  T^(-1)(y) is y less
+    # the shift of the piece whose image holds y, as in ``apply_inverse``.
+    hits: dict[int, list[tuple[int, int]]] = {}
+    for j, y in enumerate(points, start=1):
+        for step in range(k):
+            hits.setdefault(y, []).append((step, j))
+            y -= shifts[t.sigma.inverse[bisect_right(bottom, y)] - 1]
     found = []
-    d = t.d
-    if d >= 2:
-        _, total, breaks, trans = _scaled_ints(t, 0)
-        points = breaks[:-1]
-        cuts, moves, k, _ = _table(points, trans, total, (d - 1) * max_m)
-        # The image pieces sorted by their starts, with their shifts: T^(-1)(y)
-        # is y less the shift of the last image piece that starts at or
-        # before y.
-        image_starts, image_shifts = zip(*sorted((s + m, m) for s, m in zip((0, *points), trans)))
-        # hits[y]: the (t, j) with T^t(y) = x_j and t < k.
-        hits: dict[int, list[tuple[int, int]]] = {}
-        for j, y in enumerate(points, start=1):
-            for step in range(k):
-                hits.setdefault(y, []).append((step, j))
-                y -= image_shifts[bisect_right(image_starts, y) - 1]
-        for i in range(1, d):
-            x = breaks[i - 1]
-            x += trans[bisect_right(points, x)]
-            for m in range(1, max_m + 1, k):
-                for step, j in hits.get(x, ()):
-                    if m + step <= max_m:
-                        found.append(Connection(m + step, i, j))
-                x += moves[bisect_right(cuts, x)]
+    for i, x in enumerate(points, start=1):
+        x += shifts[i]  # x_i starts piece i + 1
+        for m in range(1, max_m + 1, k):
+            for step, j in hits.get(x, ()):
+                if m + step <= max_m:
+                    found.append(Connection(m + step, i, j))
+            x += moves[bisect_right(cuts, x)]
     found.sort(key=lambda c: (c.m, c.i, c.j))
     return found

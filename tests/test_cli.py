@@ -161,61 +161,69 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
 NOT_UNDER_ANY = " is not valid under any of the given schemas\n"
 SCAN_ARGS = ["scan", "--perm", "2,1", "--curve", "CURVE", "--from", "1", "--to", "2"]
 POWER2 = {"d": 2, "coeffs": [[0, 1], [0, 0, 1]]}
+# A scalar the schema accepts, with more digits than int() reads by default.
+LONG_SCALAR = "1" + "0" * 4400
 
 
-@pytest.mark.parametrize("argv, curve, err", [
-    (["orbit", "--perm", "2,1", "--lengths", "1,1", "--x0", "0", "--iters", "5",
-      "--refine", "2000000"], None,
+@pytest.mark.parametrize("code, argv, curve, err", [
+    (2, ["orbit", "--perm", "2,1", "--lengths", "1,1", "--x0", "0", "--iters", "5",
+         "--refine", "2000000"], None,
      "error: {'command': 'orbit', 'perm': [2, 1], 'lengths': ['1', '1'], 'x0': '0', "
      "'iters': 5, 'refine': 2000000}" + NOT_UNDER_ANY),
-    ([*SCAN_ARGS, "--samples", "0"], POWER2,
+    (2, [*SCAN_ARGS, "--samples", "0"], POWER2,
      "error: {'command': 'scan', 'perm': [2, 1], 'curve': CURVE, 'samples': 0, 'jobs': 1, "
      "'from': 1.0, 'to': 2.0}" + NOT_UNDER_ANY),
-    ([*SCAN_ARGS, "--samples", "1048577"], POWER2,
+    (2, [*SCAN_ARGS, "--samples", "1048577"], POWER2,
      "error: {'command': 'scan', 'perm': [2, 1], 'curve': CURVE, 'samples': 1048577, "
      "'jobs': 1, 'from': 1.0, 'to': 2.0}" + NOT_UNDER_ANY),
-    ([*SCAN_ARGS, "--samples", "3", "--jobs", "0"], POWER2,
+    (2, [*SCAN_ARGS, "--samples", "3", "--jobs", "0"], POWER2,
      "error: {'command': 'scan', 'perm': [2, 1], 'curve': CURVE, 'samples': 3, 'jobs': 0, "
      "'from': 1.0, 'to': 2.0}" + NOT_UNDER_ANY),
-    (["omega", "--perm", "0,1"], None,
+    (2, ["omega", "--perm", "0,1"], None,
      "error: {'command': 'omega', 'perm': [0, 1]}" + NOT_UNDER_ANY),
-    (["orbit", "--perm", "2,1", "--lengths", "1,1", "--x0", "abc", "--iters", "5"], None,
+    (2, ["orbit", "--perm", "2,1", "--lengths", "1,1", "--x0", "abc", "--iters", "5"], None,
      "error: {'command': 'orbit', 'perm': [2, 1], 'lengths': ['1', '1'], 'x0': 'abc', "
      "'iters': 5, 'refine': 64}" + NOT_UNDER_ANY),
-    ([*SCAN_ARGS, "--samples", "3"], {**POWER2, "name": "x"},
+    (2, [*SCAN_ARGS, "--samples", "3"], {**POWER2, "name": "x"},
      "error: Additional properties are not allowed ('name' was unexpected)\n"),
-    ([*SCAN_ARGS, "--samples", "3"], {**POWER2, "d": 0},
+    (2, [*SCAN_ARGS, "--samples", "3"], {**POWER2, "d": 0},
      "error: 0 is less than the minimum of 1\n"),
-    ([*SCAN_ARGS, "--samples", "3"], {"d": 2, "coeffs": [[0, "1e3"], [0, 0, 1]]},
+    (2, [*SCAN_ARGS, "--samples", "3"], {"d": 2, "coeffs": [[0, "1e3"], [0, 0, 1]]},
      "error: '1e3'" + NOT_UNDER_ANY),
-    (["scan", "--perm", "2,1", "--curve", "CURVE", "--from", "1", "--to", "inf", "--samples", "3"],
-     POWER2, "error: scan bound --to is not finite: inf\n"),
-    (["suspend", "--perm", "2,1", "--lengths", "1,1", "--heights", "1,-1", "--svg", ""], None,
+    (2, ["scan", "--perm", "2,1", "--curve", "CURVE", "--from", "1", "--to", "inf",
+         "--samples", "3"], POWER2, "error: scan bound --to is not finite: inf\n"),
+    (2, ["suspend", "--perm", "2,1", "--lengths", "1,1", "--heights", "1,-1", "--svg", ""], None,
      "error: {'command': 'suspend', 'perm': [2, 1], 'lengths': ['1', '1'], 'heights': ['1', '-1'], "
      "'svg': '', 'require_simple': False}" + NOT_UNDER_ANY),
     # An integer past the digit limit, which json.dumps cannot write.
-    ([*SCAN_ARGS, "--samples", "2"], '{"d": 2, "coeffs": [[1' + "0" * 4400 + ', 1], [0, 1]]}',
+    (2, [*SCAN_ARGS, "--samples", "2"], '{"d": 2, "coeffs": [[' + LONG_SCALAR + ', 1], [0, 1]]}',
      f"error: a number in the curve file has more than {sys.get_int_max_str_digits()} digits\n"),
     # A file that is not UTF-8, whatever the locale's encoding.
-    ([*SCAN_ARGS, "--samples", "2"], b'{"d": 2, "coeffs": [[0, 1], [0, 0, 1]], "x": "\xff"}',
+    (2, [*SCAN_ARGS, "--samples", "2"], b'{"d": 2, "coeffs": [[0, 1], [0, 0, 1]], "x": "\xff"}',
      "error: the curve file is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 46: "
      "invalid start byte\n"),
-    ([*SCAN_ARGS, "--samples", "2"], "[" * 100_000,
+    (2, [*SCAN_ARGS, "--samples", "2"], "[" * 100_000,
      "error: the curve file is nested too deeply\n"),
+    # A length past the digit limit is parsed by the library, after the
+    # permutation and the vector sizes are checked.
+    (4, ["check", "--perm", "1,2", "--lengths", LONG_SCALAR + ",1", "--heights", "1,1"], None,
+     "error: [1,2] splits at an invariant prefix\n"),
+    (2, ["suspend", "--perm", "2,1", "--lengths", LONG_SCALAR + ",1,1", "--heights", "1,1"], None,
+     "error: 3 lengths for 2 symbols\n"),
 ], ids=["refine", "samples", "samples-max", "jobs", "perm", "x0", "curve-extra-key", "curve-d0",
         "curve-coeff", "scan-bound-inf", "suspend-empty-svg", "curve-long-int", "curve-not-utf8",
-        "curve-too-deep"])
-def test_rejected_jobs_keep_their_messages(capsys, tmp_path, argv, curve, err):
+        "curve-too-deep", "check-long-length-reducible", "suspend-long-length-count"])
+def test_rejected_jobs_keep_their_messages(capsys, tmp_path, code, argv, curve, err):
     # Messages are jsonschema's own, pinned as the CLI printed them before the
-    # quick schema check existed.  A curve given as a string or bytes is the
-    # file's text.
+    # quick schema check existed, or the library's.  A curve given as a string
+    # or bytes is the file's text.
     path = tmp_path / "curve.json"
     if isinstance(curve, dict):
         curve = json.dumps(curve)
     if curve is not None:
         path.write_bytes(curve.encode() if isinstance(curve, str) else curve)
     argv = [str(path) if arg == "CURVE" else arg for arg in argv]
-    assert run_cli(capsys, *argv) == (2, "", err.replace("CURVE", repr(str(path))))
+    assert run_cli(capsys, *argv) == (code, "", err.replace("CURVE", repr(str(path))))
 
 
 def test_scan_samples_are_bounded_by_the_schema():
@@ -374,6 +382,17 @@ def test_suspend_one_symbol_reports_the_overlap(capsys):
         "chain_a": "top", "index_a": 1, "chain_b": "bottom", "index_b": 1,
         "classification": "CollinearOverlap", "locus": [["0/1", "0/1"], ["1/1", "1/1"]],
     }
+
+
+def test_suspend_svg_marks_both_ends_of_an_overlap(capsys, tmp_path):
+    # With one symbol the two chains overlap from end to end, and the witness
+    # is drawn as one mark at each end of the overlap.
+    svg_path = tmp_path / "overlap.svg"
+    code, _, _ = run_cli(capsys, "suspend", "--perm", "1", "--lengths", "1", "--heights", "1",
+                         "--svg", str(svg_path))
+    assert code == 0
+    circles = ET.fromstring(svg_path.read_text()).findall(f"{SVG_NS}circle")
+    assert [(float(c.get("cx")), float(c.get("cy"))) for c in circles] == [(0, 0), (1, -1)]
 
 
 def test_suspend_svg_for_simple_curve_has_no_marks(capsys, tmp_path):
@@ -581,6 +600,17 @@ def test_scan_power_family(capsys, tmp_path):
         "fractions": {"PositivePairByMirroredLemma": "1/1"},
         "samples": 100,
     }
+
+
+def test_scan_of_one_sample_decides_the_lower_bound(capsys, tmp_path):
+    # a_1 = 2 - s leaves its domain at s = 2, so a grid that held --to
+    # would exit 5.
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"d": 2, "coeffs": [[2, -1], [0, 1]]}))
+    code, out, err = run_cli(capsys, "scan", "--perm", "2,1", "--curve", str(curve),
+                             "--from", "0.5", "--to", "3", "--samples", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["samples"] == 1
 
 
 def test_scan_output_is_byte_stable(capsys, tmp_path):

@@ -274,6 +274,8 @@ def test_mahler_curve_validates():
         mahler_curve(3, F(-1, 2))
     with pytest.raises(InvalidSize):
         mahler_curve(1, 2)
+    with pytest.raises(InvalidSize):
+        mahler_spec(1)
 
 
 def test_curve_point_matches_mahler_closed_form():

@@ -91,6 +91,12 @@ def test_unconvertible_values_are_input_errors(value, cause):
     assert type(info.value.__cause__) is cause
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_floats_are_input_errors(value):
+    with pytest.raises(OutOfDomain, match=f"^non-finite scalar {value!r}$"):
+        as_scalar(value)
+
+
 @pytest.mark.parametrize("text", ["1e3", "1E3", "2.5e-1", "1/2e1"])
 def test_exponent_strings_are_malformed(text):
     with pytest.raises(OutOfDomain):
@@ -248,6 +254,8 @@ def test_orbit_coding_period_two():
     t = _swap(1, 1)
     assert orbit_coding(t, F(1, 4), 4) == [1, 2, 1, 2]
     assert orbit_coding(t, F(1, 4), 0) == []
+    with pytest.raises(InvalidBound):
+        orbit_coding(t, F(1, 4), -1)
 
 
 def test_orbit_coding_matches_direct_iteration():

@@ -134,6 +134,15 @@ def test_restrict_everything_is_empty():
         restrict(validate_permutation([2, 1]), {1, 2})
 
 
+@pytest.mark.parametrize("symbol", [0, 3, -1])
+def test_symbols_outside_the_permutation_are_rejected(symbol):
+    p = validate_permutation([2, 1])
+    with pytest.raises(InvalidSize, match="outside 1..2"):
+        restrict(p, {1, symbol})
+    with pytest.raises(InvalidSize, match=f"symbol {symbol} outside 1..2"):
+        irreducible_component_containing(p, symbol)
+
+
 @given(perms, st.data())
 def test_restrict_composes_over_disjoint_sets(images, data):
     p = validate_permutation(images)

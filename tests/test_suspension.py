@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from ietkit import (
     IntersectionReport,
     PositivityClass,
     SegmentClass,
+    SegmentRelation,
     Witness,
     build_iet,
     build_suspension,
@@ -319,12 +321,24 @@ def all_pairs_report(diagram) -> IntersectionReport:
     """Every pair of chain segments in top-then-bottom, left-to-right order.
 
     The reference for ``self_intersects``: the same permitted contacts and the
-    same first offender, found without assuming x-monotone chains.
+    same first offender, found without assuming x-monotone chains.  It builds
+    its own integer chains, both axes over the lcm D of the a and b
+    denominators, and divides the witness locus by D.
     """
     d = diagram.d
-    chains = {"top": diagram.top_chain, "bottom": diagram.bottom_chain}
+    den = math.lcm(*(v.denominator for v in diagram.lengths + diagram.heights))
+    steps = [(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+             for a, b in zip(diagram.lengths, diagram.heights)]
+
+    def chain(order) -> list[tuple[int, int]]:
+        points = [(0, 0)]
+        for i in order:
+            points.append((points[-1][0] + steps[i - 1][0], points[-1][1] + steps[i - 1][1]))
+        return points
+
+    chains = {"top": chain(range(1, d + 1)), "bottom": chain(diagram.sigma.inverse)}
     segs = [("top", i) for i in range(1, d + 1)] + [("bottom", i) for i in range(1, d + 1)]
-    start, end = diagram.top_chain[0], diagram.top_chain[d]
+    start, end = chains["top"][0], chains["top"][d]
     for u, (ca, ia) in enumerate(segs):
         for cb, ib in segs[u + 1 :]:
             rel = segment_relation(
@@ -342,7 +356,12 @@ def all_pairs_report(diagram) -> IntersectionReport:
                 elif ca != cb and ia == ib == d:
                     if rel.locus == end:
                         continue
-            return IntersectionReport(False, Witness(ca, ia, cb, ib, rel))
+            if rel.classification is SegmentClass.COLLINEAR_OVERLAP:
+                locus = tuple((F(x, den), F(y, den)) for x, y in rel.locus)
+            else:
+                locus = (F(rel.locus[0], den), F(rel.locus[1], den))
+            exact = SegmentRelation(rel.classification, locus)
+            return IntersectionReport(False, Witness(ca, ia, cb, ib, exact))
     return IntersectionReport(True, None)
 
 
