@@ -206,6 +206,10 @@ def convexity_criterion(
 def mahler_curve(d: int, s: ScalarLike) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """The power curve a_i = s^i with derivative b_i = i s^(i-1); slopes i/s.
 
+    One running product gives both: a_i = a_(i-1) s and b_i = a_(i-1) i,
+    from a_0 = 1, so each power costs one multiplication of the previous
+    one instead of a fresh s^i.
+
     >>> mahler_curve(3, 2)
     ((Fraction(2, 1), Fraction(4, 1), Fraction(8, 1)), (Fraction(1, 1), Fraction(4, 1), Fraction(12, 1)))
     """
@@ -214,9 +218,13 @@ def mahler_curve(d: int, s: ScalarLike) -> tuple[tuple[Fraction, ...], tuple[Fra
     s = as_scalar(s)
     if s <= 0:
         raise NonPositiveParameter(f"curve parameter {s} is not positive")
-    a = tuple(s**i for i in range(1, d + 1))
-    b = tuple(i * power for i, power in enumerate((Fraction(1),) + a[:-1], start=1))
-    return a, b
+    a, b = [], []
+    power = Fraction(1)
+    for i in range(1, d + 1):
+        b.append(power * i)
+        power *= s
+        a.append(power)
+    return tuple(a), tuple(b)
 
 
 @_record

@@ -89,6 +89,25 @@ Scalar = Fraction
 ScalarLike = Union[Fraction, int, str, float]
 
 
+# An error message quotes a rejected value's repr up to this many characters.
+_QUOTED_MAX = 100
+
+
+def _quoted(value: object) -> str:
+    """``repr(value)``, or past ``_QUOTED_MAX`` characters only its type and
+    length, so that a huge input does not make a huge message.
+
+    >>> _quoted("1/0")
+    "'1/0'"
+    >>> _quoted("1" + "0" * 4400)
+    '(a str of 4401 characters)'
+    """
+    text = repr(value)
+    if len(text) <= _QUOTED_MAX:
+        return text
+    return f"(a {type(value).__name__} of {len(str(value))} characters)"
+
+
 def as_scalar(value: ScalarLike) -> Fraction:
     """Coerce to an exact rational; binary floats convert without rounding.
 
@@ -98,22 +117,24 @@ def as_scalar(value: ScalarLike) -> Fraction:
     never finishes.  For the same reason a Decimal whose exponent is larger in
     magnitude than ``sys.get_int_max_str_digits()`` (4300 where that limit is
     0 or missing) is malformed, whichever its sign and whatever its digits.
-    A Fraction comes back as it is.
+    The message quotes a rejected value whose repr has at most 100
+    characters, and names a longer one by its type and length.  A Fraction
+    comes back as it is.
     """
     if type(value) is Fraction:
         return value
     if isinstance(value, float) and not math.isfinite(value):
         raise OutOfDomain(f"non-finite scalar {value!r}")
     if isinstance(value, str) and ("e" in value or "E" in value):
-        raise OutOfDomain(f"malformed scalar {value!r}")
+        raise OutOfDomain(f"malformed scalar {_quoted(value)}")
     if isinstance(value, Decimal) and value.is_finite():
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
         if abs(value.as_tuple().exponent) > limit:
-            raise OutOfDomain(f"malformed scalar {value!r}")
+            raise OutOfDomain(f"malformed scalar {_quoted(value)}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise OutOfDomain(f"malformed scalar {value!r}") from exc
+        raise OutOfDomain(f"malformed scalar {_quoted(value)}") from exc
 
 
 @_record
@@ -176,7 +197,7 @@ def _positive_lengths(a: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
         raise NonPositiveLength("empty length vector")
     lengths = tuple(as_scalar(v) for v in a)
     for i, v in enumerate(lengths, start=1):
-        if v <= 0:
+        if v.numerator <= 0:
             raise NonPositiveLength(f"a_{i} = {v} is not positive")
     return lengths
 

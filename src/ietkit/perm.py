@@ -11,9 +11,11 @@ provides:
   exchanged order, and ``_omega_times`` reads Omega v^T off those two sums in
   O(d).  Its ``assert`` checks every result against
   ``_omega_times_by_inversions``, which sums the sign definition of Omega
-  with a Fenwick tree in O(d log d).  The check is not cheap: on a power
-  curve at d = 128 it took 354 us against the kernel's 16 us, 18% of a whole
-  ``convexity_criterion`` call, and 20% at d = 32 (2-vCPU VM, CPython
+  with a Fenwick tree in O(d log d).  The check is not cheap, and its share
+  grows as the rest of a call gets faster: on a power curve at d = 128 it
+  took 311 us against the kernel's 15 us, 20% of a whole
+  ``convexity_criterion`` call, 25% at d = 32 and 16% at d = 8 (medians of
+  three passes, one process each pinned to one CPU, 2-vCPU VM, CPython
   3.11.7).  ``python -O`` drops it;
 * the irreducibility test (no proper prefix {1..k} is invariant);
 * symbol removal (``restrict``) and the decomposition into consecutive
@@ -141,9 +143,19 @@ def omega(sigma: Permutation) -> OmegaMatrix:
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm of the denominators and every value as an integer over it."""
-    denom = math.lcm(*(v.denominator for v in values))
-    return denom, [v.numerator * (denom // v.denominator) for v in values]
+    """The lcm D of the denominators and every value as an integer over it.
+
+    Each value's ratio is read once, and D is divided once per distinct
+    denominator.
+
+    >>> _scaled([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 2), Fraction(0)])
+    (6, [3, -4, 15, 0])
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    denoms = {q for _, q in ratios}
+    denom = math.lcm(*denoms)
+    scale = {q: denom // q for q in denoms}
+    return denom, [p * scale[q] for p, q in ratios]
 
 
 def _sums(sigma: Permutation, ints: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -219,7 +231,8 @@ def is_irreducible(sigma: Permutation) -> bool:
     """
     top = 0
     for k, image in enumerate(sigma.images[:-1], start=1):
-        top = max(top, image)
+        if image > top:
+            top = image
         if top == k:
             return False
     return True

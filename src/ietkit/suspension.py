@@ -26,7 +26,8 @@ one left-to-right sweep that stops at the first zero or change of sign.
 With d = 1 there is no interior vertex and the two chains coincide.  Where
 the sweep stops, the leftmost contact lies in one top and one bottom
 segment, and that pair is the first offender.  One exact relation of the
-two integer segments, with every coordinate divided by D, is the witness.
+two integer segments is the witness, with each coordinate of its locus, an
+integer or one fraction n / m, divided by D once, into n / (m D).
 No epsilon appears anywhere.
 """
 
@@ -109,7 +110,12 @@ def _sign(value: _Coord) -> int:
 
 
 def _unscaled(pt: _RawPoint, denom: int) -> Point:
-    return Fraction(pt[0], denom), Fraction(pt[1], denom)
+    """pt / denom, each coordinate an int or a ``Fraction`` divided once."""
+    x, y = pt
+    return (
+        Fraction(x.numerator, x.denominator * denom),
+        Fraction(y.numerator, y.denominator * denom),
+    )
 
 
 class PositivityClass(Enum):
@@ -248,7 +254,9 @@ def segment_relation(
     """Classify two closed segments exactly via orientation tests.
 
     Coordinates may be rationals or integers; the verdict is tolerance-free
-    either way.  Crossing points come back as exact rationals.
+    either way.  Crossing points come back as exact rationals: at the
+    parameter t = num / den along p, each coordinate is the one fraction
+    (p0 den + num dp) / den, normalised once.
 
     >>> segment_relation((0, 0), (1, 1), (0, 1), (1, 0)).classification
     <SegmentClass.PROPER_CROSSING: 'ProperCrossing'>
@@ -279,8 +287,9 @@ def segment_relation(
     if o1 and o2 and o3 and o4 and (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0):
         dpx, dpy = p1[0] - p0[0], p1[1] - p0[1]
         dqx, dqy = q1[0] - q0[0], q1[1] - q0[1]
-        t = Fraction((q0[0] - p0[0]) * dqy - (q0[1] - p0[1]) * dqx, dpx * dqy - dpy * dqx)
-        locus = (p0[0] + t * dpx, p0[1] + t * dpy)
+        num = (q0[0] - p0[0]) * dqy - (q0[1] - p0[1]) * dqx
+        den = dpx * dqy - dpy * dqx
+        locus = (Fraction(p0[0] * den + num * dpx, den), Fraction(p0[1] * den + num * dpy, den))
         return SegmentRelation(SegmentClass.PROPER_CROSSING, locus)
 
     for oz, pt, s0, s1 in ((o1, q0, p0, p1), (o2, q1, p0, p1), (o3, p0, q0, q1), (o4, p1, q0, q1)):
@@ -319,10 +328,14 @@ def _first_contact(top: _IntChain, bottom: _IntChain) -> tuple[int, int] | None:
     above = None
     while i < d or j < d:
         on_top = j == d or (i < d and top[i][0] <= bottom[j][0])
+        # The vertex (x, y) against the other chain's segment (x0, y0)-(x1, y1),
+        # signed so that gap > 0 where the top chain is above.
         if on_top:
-            gap = _orient(bottom[j - 1], bottom[j], top[i])
+            (x0, y0), (x1, y1), (x, y) = bottom[j - 1], bottom[j], top[i]
+            gap = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
         else:
-            gap = -_orient(top[i - 1], top[i], bottom[j])
+            (x0, y0), (x1, y1), (x, y) = top[i - 1], top[i], bottom[j]
+            gap = (y1 - y0) * (x - x0) - (x1 - x0) * (y - y0)
         if gap == 0 or (above is not None and (gap > 0) != above):
             return i, j
         above = gap > 0
@@ -365,7 +378,9 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
     the dominant axis along which ``segment_relation`` orders an overlap's
     ends.  So the classification and the first offender are those of the
     rational chains, and the witness is the integer relation with every
-    coordinate divided by D.
+    coordinate divided by D.  A crossing's coordinate comes back as one
+    normalised fraction n / m, so it becomes n / (m D) in one ``Fraction``
+    construction, with no ``Fraction`` of a ``Fraction``.
     """
     denom, _, top, bottom, _ = diagram._integers
     pair = _first_contact(top, bottom)

@@ -1,8 +1,11 @@
 """Shared fixtures: seeded generators, the frozen intersection fixture, and
 references kept from the paths they were replaced by: the coding, connection,
 frequency and trend loops that take one lookup per iterate, the k-step table
-built by k one-step passes, and the ``Fraction`` Horner and slope classifier
-of the curve scan.
+built by k one-step passes, the ``Fraction`` Horner and slope classifier of
+the curve scan, and the criterion kernels that read a rational's parts and
+normalise it more than once: the scaling to one denominator, the crossing
+locus through its parameter t, the power curve by fresh powers, and the
+prefix-invariance definition of irreducibility.
 
 Set the SEED environment variable to rerun every randomized suite on a
 different deterministic stream; the default keeps CI byte-stable.
@@ -142,6 +145,40 @@ def reference_classify_slopes(slopes) -> MonotonicityClass:
     if all(x < y for x, y in pairs):
         return MonotonicityClass.STRICTLY_INCREASING
     return MonotonicityClass.NON_MONOTONE
+
+
+# ---------------------------------------------------------------------------
+# Criterion references: each reads a value's numerator and denominator
+# separately, or builds its results through intermediate ``Fraction``s.
+
+
+def reference_scaled(values) -> tuple[int, list[int]]:
+    """The lcm of the denominators and every value as an integer over it,
+    dividing the lcm once per value."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return denom, [v.numerator * (denom // v.denominator) for v in values]
+
+
+def reference_crossing(p0, p1, q0, q1):
+    """The crossing point of two properly crossing segments, as p0 + t (p1 - p0)
+    with t a ``Fraction``."""
+    dpx, dpy = p1[0] - p0[0], p1[1] - p0[1]
+    dqx, dqy = q1[0] - q0[0], q1[1] - q0[1]
+    t = Fraction((q0[0] - p0[0]) * dqy - (q0[1] - p0[1]) * dqx, dpx * dqy - dpy * dqx)
+    return p0[0] + t * dpx, p0[1] + t * dpy
+
+
+def reference_mahler_curve(d: int, s) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """a_i = s**i, each a fresh power, and b_i = i * s**(i - 1)."""
+    s = as_scalar(s)
+    a = tuple(s**i for i in range(1, d + 1))
+    b = tuple(i * power for i, power in enumerate((Fraction(1),) + a[:-1], start=1))
+    return a, b
+
+
+def reference_is_irreducible(images) -> bool:
+    """No proper prefix {1..k} is mapped onto itself."""
+    return not any(set(images[:k]) == set(range(1, k + 1)) for k in range(1, len(images)))
 
 
 # ---------------------------------------------------------------------------

@@ -210,9 +210,13 @@ LONG_SCALAR = "1" + "0" * 4400
      "error: [1,2] splits at an invariant prefix\n"),
     (2, ["suspend", "--perm", "2,1", "--lengths", LONG_SCALAR + ",1,1", "--heights", "1,1"], None,
      "error: 3 lengths for 2 symbols\n"),
+    # Such a length is rejected by its size, not quoted in full.
+    (2, ["orbit", "--perm", "2,1", "--lengths", LONG_SCALAR + ",1", "--x0", "0", "--iters", "5"],
+     None, "error: malformed scalar (a str of 4401 characters)\n"),
 ], ids=["refine", "samples", "samples-max", "jobs", "perm", "x0", "curve-extra-key", "curve-d0",
         "curve-coeff", "scan-bound-inf", "suspend-empty-svg", "curve-long-int", "curve-not-utf8",
-        "curve-too-deep", "check-long-length-reducible", "suspend-long-length-count"])
+        "curve-too-deep", "check-long-length-reducible", "suspend-long-length-count",
+        "orbit-long-length"])
 def test_rejected_jobs_keep_their_messages(capsys, tmp_path, code, argv, curve, err):
     # Messages are jsonschema's own, pinned as the CLI printed them before the
     # quick schema check existed, or the library's.  A curve given as a string

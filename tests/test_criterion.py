@@ -50,6 +50,7 @@ from conftest import (
     monotone_instance,
     reference_classify_slopes,
     reference_curve_point,
+    reference_mahler_curve,
 )
 from oracles import oracle_profile
 
@@ -257,6 +258,14 @@ def test_mahler_curve_small_cases():
     assert a == (F(2), F(4), F(8))
     assert b == (F(1), F(4), F(12))
     assert tuple(h / w for w, h in zip(a, b)) == (F(1, 2), F(1), F(3, 2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 32, 128])
+@pytest.mark.parametrize("s", [1, 3, F(1, 2), F(9, 10), F(13, 11), F(7, 3)], ids=lambda s: f"s={s}")
+def test_mahler_curve_matches_fresh_powers(d, s):
+    a, b = mahler_curve(d, s)
+    assert (a, b) == reference_mahler_curve(d, s)
+    assert all(type(v) is F for v in a + b)
 
 
 def test_mahler_slopes_are_exactly_i_over_s():

@@ -91,6 +91,20 @@ def test_unconvertible_values_are_input_errors(value, cause):
     assert type(info.value.__cause__) is cause
 
 
+@pytest.mark.parametrize("value, message", [
+    # A repr of 100 characters is quoted; one of 101 is named by its length.
+    ("1/" + "0" * 96, "malformed scalar '1/" + "0" * 96 + "'"),
+    ("1/" + "0" * 97, "malformed scalar (a str of 99 characters)"),
+    ("1" + "0" * 4400, "malformed scalar (a str of 4401 characters)"),
+    ("x" * 10**6, "malformed scalar (a str of 1000000 characters)"),
+    ([0] * 50, "malformed scalar (a list of 150 characters)"),
+], ids=["repr-100", "repr-101", "past-the-digit-limit", "a-million-characters", "list"])
+def test_long_rejected_values_are_named_by_their_length(value, message):
+    with pytest.raises(OutOfDomain) as info:
+        as_scalar(value)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_non_finite_floats_are_input_errors(value):
     with pytest.raises(OutOfDomain, match=f"^non-finite scalar {value!r}$"):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from ietkit import (
 )
 from ietkit.errors import EmptyResult, InvalidSize, NotABijection
 
+from conftest import reference_is_irreducible, reference_scaled
 from oracles import oracle_omega
 
 perms = st.integers(1, 7).flatmap(lambda d: st.permutations(range(1, d + 1)))
@@ -113,6 +117,44 @@ def test_omega_times_check_is_live(monkeypatch):
         build_iet(p, [1, 2, 3])
     with pytest.raises(AssertionError):
         build_suspension(p, [1, 2, 3], [1, 2, 3]).return_profile
+
+
+# Denominators that repeat, divide one another (2, 4, 8, 16; 3, 9), are
+# coprime (5, 7, 11) or large (2^61 - 1), over numerators of either sign and 0.
+scalable = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.builds(
+        Fraction,
+        st.one_of(st.integers(-50, 50), st.integers(-(10**30), 10**30)),
+        st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 35, 2**61 - 1]),
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(scalable, min_size=1, max_size=24))
+def test_scaled_matches_reference(values):
+    denom, ints = _perm._scaled(values)
+    assert (denom, ints) == reference_scaled(values)
+    assert [Fraction(v, denom) for v in ints] == values
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([Fraction(-3, 4)], (4, [-3])),
+    ([Fraction(0)], (1, [0])),
+    ([7], (1, [7])),
+    ([Fraction(1, 4), Fraction(1, 2), Fraction(-1, 4), Fraction(0), Fraction(1, 4)],
+     (4, [1, 2, -1, 0, 1])),
+    ([Fraction(1, 5), Fraction(2, 7), Fraction(-1, 3)], (105, [21, 30, -35])),
+], ids=["single-negative", "single-zero", "single-int", "nested-repeated", "coprime"])
+def test_scaled_examples(values, expected):
+    assert _perm._scaled(values) == expected == reference_scaled(values)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_is_irreducible_matches_the_prefix_definition_on_every_permutation(d):
+    for images in itertools.permutations(range(1, d + 1)):
+        assert is_irreducible(_perm.Permutation(images)) is reference_is_irreducible(images)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ietkit import (
@@ -36,8 +36,9 @@ from conftest import (
     monotone_instance,
     random_height,
     random_length,
+    reference_crossing,
 )
-from oracles import oracle_omega, oracle_profile, oracle_simple
+from oracles import oracle_omega, oracle_profile, oracle_simple, segment_contact
 
 F = Fraction
 
@@ -253,6 +254,57 @@ def test_segment_relation_orders_an_overlap_along_the_dominant_axis_of_p(p0, p1,
     rel = segment_relation(p0, p1, q0, q1)
     assert rel.classification is SegmentClass.COLLINEAR_OVERLAP
     assert rel.locus == locus
+
+
+plane_coords = st.one_of(st.integers(-40, 40), st.fractions(-40, 40, max_denominator=12))
+plane_points = st.tuples(plane_coords, plane_coords)
+interior_t = st.fractions(0, 1, max_denominator=12).filter(lambda t: 0 < t < 1)
+reach = st.fractions(0, 5, max_denominator=12).filter(lambda t: t > 0)
+
+
+def assert_crossing_matches_references(p0, p1, q0, q1):
+    rel = segment_relation(p0, p1, q0, q1)
+    assert rel.classification is SegmentClass.PROPER_CROSSING
+    assert rel.locus == reference_crossing(p0, p1, q0, q1)
+    assert segment_contact(p0, p1, q0, q1) == ("point", rel.locus)
+    assert all(type(c) is F for c in rel.locus)
+
+
+@settings(max_examples=200)
+@given(plane_points, plane_points, interior_t, plane_points, reach, reach)
+def test_segment_relation_crossings_match_references(p0, p1, t, w, before, after):
+    # q runs along w through the point at t on p, so the two cross there;
+    # each case is checked in Fraction coordinates and, times the lcm of
+    # their denominators, in integers.
+    dp = (p1[0] - p0[0], p1[1] - p0[1])
+    assume(dp[0] * w[1] - dp[1] * w[0] != 0)
+    at = (p0[0] + t * dp[0], p0[1] + t * dp[1])
+    q0 = (at[0] - before * w[0], at[1] - before * w[1])
+    q1 = (at[0] + after * w[0], at[1] + after * w[1])
+    corners = (p0, p1, q0, q1)
+    assert_crossing_matches_references(*corners)
+    scale = math.lcm(*(F(c).denominator for pt in corners for c in pt))
+    scaled = [(int(x * scale), int(y * scale)) for x, y in corners]
+    assert_crossing_matches_references(*scaled)
+    assert segment_relation(*scaled).locus == tuple(c * scale for c in at)
+
+
+@settings(max_examples=200)
+@given(plane_points, plane_points, plane_points, plane_points)
+def test_segment_relation_agrees_with_the_parametric_oracle(p0, p1, q0, q1):
+    assume(p0 != p1 and q0 != q1)
+    rel = segment_relation(p0, p1, q0, q1)
+    kind, locus = segment_contact(p0, p1, q0, q1)
+    if rel.classification is SegmentClass.PROPER_CROSSING:
+        assert rel.locus == reference_crossing(p0, p1, q0, q1)
+    if rel.classification is SegmentClass.COLLINEAR_OVERLAP:
+        assert kind == "overlap" and set(rel.locus) == set(locus)
+    else:
+        assert (kind, locus) == {
+            SegmentClass.DISJOINT: ("none", None),
+            SegmentClass.ENDPOINT_TOUCH: ("point", rel.locus),
+            SegmentClass.PROPER_CROSSING: ("point", rel.locus),
+        }[rel.classification]
 
 
 def test_segment_relation_rejects_degenerate():
