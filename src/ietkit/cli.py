@@ -24,7 +24,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -32,6 +32,7 @@ from .errors import (
     IetkitError,
     InvalidBound,
     ReduciblePermutation,
+    _quoted,
 )
 from .perm import omega, validate_permutation
 
@@ -98,8 +99,9 @@ def _load_schema() -> dict:
 
 
 class SchemaRejection(IetkitError):
-    """A job or curve file that the shipped schema rejects; the message is
-    ``jsonschema``'s own."""
+    """A job or curve file that the shipped schema rejects.  The message names
+    the option or the file path of the first failure, the keyword that fails,
+    in ``jsonschema``'s phrasing, and the value, quoted up to a length bound."""
 
 
 def _is_number(x: Any) -> bool:
@@ -120,88 +122,159 @@ _TYPES = {
 }
 
 
-def _ref(x: Any, ref: str, schema: dict, root: dict) -> bool:
-    # Only local JSON pointers without escapes: any other $ref is not understood.
+def _unsupported(keyword: str, value: Any) -> NoReturn:
+    raise NotImplementedError(f"schema keyword {keyword!r} with {value!r} is not supported")
+
+
+# keyword -> test(instance, keyword value): True when the keyword holds.
+_ASSERTIONS = {
+    # One type name; a list of names is not supported.
+    "type": lambda x, t: _TYPES[t](x),
+    # jsonschema compares a string const with plain ==, other consts by rules
+    # of its own, such as 1 != True.
+    "const": lambda x, c: x == c if isinstance(c, str) else _unsupported("const", c),
+    # re.search, as jsonschema does: "^...$" also matches before a final "\n".
+    "pattern": lambda x, p: not isinstance(x, str) or re.search(p, x) is not None,
+    "minimum": lambda x, m: not _is_number(x) or not x < m,
+    "maximum": lambda x, m: not _is_number(x) or not x > m,
+    "minItems": lambda x, m: not isinstance(x, list) or len(x) >= m,
+    "minLength": lambda x, m: not isinstance(x, str) or len(x) >= m,
+}
+
+
+def _below(children: Any, root: dict) -> tuple | None:
+    """The first failure among ``(step, value, schema)`` children, its path
+    led by ``step``: paths are built only on the way back from a failure."""
+    for step, value, sub in children:
+        failure = _first_failure(value, sub, root)
+        if failure is not None:
+            path, keyword, detail = failure
+            return (step, *path), keyword, detail
+    return None
+
+
+def _ref(x: Any, ref: str, schema: dict, root: dict) -> tuple | None:
+    # Only local JSON pointers without escapes.
     if not ref.startswith("#/") or any(c in ref for c in "~%"):
-        return False
+        _unsupported("$ref", ref)
     target: Any = root
     for part in ref[2:].split("/"):
-        if not isinstance(target, dict) or part not in target:
-            return False
         target = target[part]
-    return _accepts(x, target, root)
+    return _first_failure(x, target, root)
 
 
-def _properties(x: Any, props: dict, schema: dict, root: dict) -> bool:
-    return not isinstance(x, dict) or all(
-        _accepts(x[k], sub, root) for k, sub in props.items() if k in x
-    )
+def _required(x: Any, keys: list, schema: dict, root: dict) -> tuple | None:
+    missing = [k for k in keys if k not in x] if isinstance(x, dict) else []
+    return ((), "required", missing[0]) if missing else None
 
 
-def _additional(x: Any, sub: Any, schema: dict, root: dict) -> bool:
-    props = schema.get("properties", {})
-    return not isinstance(x, dict) or all(_accepts(x[k], sub, root) for k in x if k not in props)
+def _additional(x: Any, sub: Any, schema: dict, root: dict) -> tuple | None:
+    if not isinstance(x, dict):
+        return None
+    extras = [k for k in x if k not in schema.get("properties", {})]
+    if sub is False:
+        # jsonschema reports an unexpected property at the object itself.
+        return ((), "additionalProperties", extras[0]) if extras else None
+    return _below(((k, x[k], sub) for k in extras), root)
 
 
-# keyword -> check(instance, keyword value, enclosing schema, root schema)
-_KEYWORDS = {
+def _one_of(x: Any, subs: list, schema: dict, root: dict) -> tuple | None:
+    failures = [_first_failure(x, sub, root) for sub in subs]
+    valid = failures.count(None)
+    if valid == 1:
+        return None
+    # When no branch holds, the branch that the instance's constants select,
+    # such as a job's command, is the one that fails on another keyword.
+    chosen = [f for f in failures if f[1] != "const"] if valid == 0 else []
+    return chosen[0] if chosen else ((), "oneOf", valid)
+
+
+# keyword -> check(instance, keyword value, enclosing schema, root schema):
+# None, or the first failure within the instance.
+_APPLICATORS = {
     "$ref": _ref,
-    # One type name; a list of names is not understood.
-    "type": lambda x, t, s, r: isinstance(t, str) and t in _TYPES and _TYPES[t](x),
-    # jsonschema compares a string const with plain ==; other consts are not understood.
-    "const": lambda x, c, s, r: isinstance(c, str) and x == c,
-    # re.search, as jsonschema does: "^...$" also matches before a final "\n".
-    "pattern": lambda x, p, s, r: not isinstance(x, str) or re.search(p, x) is not None,
-    "minimum": lambda x, m, s, r: not _is_number(x) or not x < m,
-    "maximum": lambda x, m, s, r: not _is_number(x) or not x > m,
-    "minItems": lambda x, m, s, r: not isinstance(x, list) or len(x) >= m,
-    "minLength": lambda x, m, s, r: not isinstance(x, str) or len(x) >= m,
-    "items": lambda x, sub, s, r: not isinstance(x, list) or all(_accepts(v, sub, r) for v in x),
-    "properties": _properties,
-    "required": lambda x, keys, s, r: not isinstance(x, dict) or all(k in x for k in keys),
+    "items": lambda x, sub, s, r: _below(((i, v, sub) for i, v in enumerate(x)), r)
+    if isinstance(x, list) else None,
+    "properties": lambda x, props, s, r: _below(
+        ((k, x[k], sub) for k, sub in props.items() if k in x), r)
+    if isinstance(x, dict) else None,
+    "required": _required,
     "additionalProperties": _additional,
-    "anyOf": lambda x, subs, s, r: any(_accepts(x, sub, r) for sub in subs),
-    "oneOf": lambda x, subs, s, r: sum(_accepts(x, sub, r) for sub in subs) == 1,
+    "anyOf": lambda x, subs, s, r: None if any(
+        _first_failure(x, sub, r) is None for sub in subs) else ((), "anyOf", None),
+    "oneOf": _one_of,
 }
 _ANNOTATIONS = {"title", "$defs"}
 _DIALECT = "https://json-schema.org/draft/2020-12/schema"
 
 
-def _accepts(instance: Any, schema: Any, root: dict) -> bool:
-    """True only if ``instance`` is valid under ``schema`` (Draft 2020-12).
-
-    False means invalid *or* not understood: a keyword outside ``_KEYWORDS``
-    makes the whole schema unknown.  Every bound, pattern and constant is read
-    from the schema itself.
+def _first_failure(instance: Any, schema: Any, root: dict) -> tuple | None:
+    """None if ``instance`` is valid under ``schema`` (Draft 2020-12), else
+    its first failure ``(path, keyword, detail)``: the keys and indices that
+    lead to the failing value, the keyword it fails, and what the message
+    names of the keyword, such as its bound.  Every bound, pattern and
+    constant is read from the schema; any keyword outside ``_ASSERTIONS``
+    and ``_APPLICATORS`` raises NotImplementedError naming it.
     """
     if isinstance(schema, bool):
-        return schema
-    if not isinstance(schema, dict):
-        return False
+        return None if schema else ((), None, None)
     for key, value in schema.items():
-        check = _KEYWORDS.get(key)
-        if check is not None:
-            if not check(instance, value, schema, root):
-                return False
+        test = _ASSERTIONS.get(key)
+        if test is not None:
+            if not test(instance, value):
+                return (), key, value
+        elif key in _APPLICATORS:
+            failure = _APPLICATORS[key](instance, value, schema, root)
+            if failure is not None:
+                return failure
         elif key not in _ANNOTATIONS and not (key == "$schema" and value == _DIALECT):
-            return False
-    return True
+            _unsupported(key, value)
+    return None
 
 
-def _validate(instance: Any, schema: dict) -> None:
-    """Raise SchemaRejection unless ``instance`` is valid under ``schema``.
+# keyword -> reason, in jsonschema's words, for the failing value and the
+# failure's detail, each quoted up to a length bound.
+_REASONS = {
+    None: "False schema does not allow {value}",
+    "type": "{value} is not of type {detail}",
+    "const": "{detail} was expected",
+    "pattern": "{value} does not match {detail}",
+    "minimum": "{value} is less than the minimum of {detail}",
+    "maximum": "{value} is greater than the maximum of {detail}",
+    "minItems": "{value} is too short",
+    "minLength": "{value} is too short",
+    "required": "{detail} is a required property",
+    "additionalProperties": "Additional properties are not allowed ({detail} was unexpected)",
+    "anyOf": "{value} is not valid under any of the given schemas",
+    "oneOf": "{value} is not valid under exactly one of the given schemas",
+}
 
-    A valid job is accepted by ``_accepts`` without importing ``jsonschema``;
-    anything else is decided by ``jsonschema``, whose message is kept.
-    """
-    if _accepts(instance, schema, schema):
-        return
-    import jsonschema
 
-    try:
-        jsonschema.Draft202012Validator(schema).validate(instance)
-    except jsonschema.ValidationError as exc:
-        raise SchemaRejection(exc.message) from exc
+def _option(path: tuple) -> str:
+    """Where a job fails: its option, such as ``--max-m``, and an item of a
+    comma-separated list counted from 1, as in ``--perm item 2``."""
+    if not path:
+        return "job"
+    return "--" + path[0].replace("_", "-") + "".join(f" item {i + 1}" for i in path[1:])
+
+
+def _file_path(path: tuple) -> str:
+    """Where a curve file fails: ``curve file`` and a path such as ``coeffs[2][0]``."""
+    steps = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+    return f"curve file {steps.removeprefix('.')}" if steps else "curve file"
+
+
+def _validate(instance: Any, schema: dict, where: Callable[[tuple], str] = _option) -> None:
+    """Raise SchemaRejection unless ``instance`` is valid under ``schema``;
+    the message reads ``where(path): reason`` for the first failure."""
+    failure = _first_failure(instance, schema, schema)
+    if failure is not None:
+        path, keyword, detail = failure
+        value = instance
+        for step in path:
+            value = value[step]
+        reason = _REASONS[keyword].format(value=_quoted(value), detail=_quoted(detail))
+        raise SchemaRejection(f"{where(path)}: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +442,10 @@ def _load_curve(path: str) -> CurveSpec:
             raise IetkitError(f"the curve file is not UTF-8: {exc}") from None
         except RecursionError:
             raise IetkitError("the curve file is nested too deeply") from None
-    _validate(raw, _load_schema()["$defs"]["curvespec"])
+    _validate(raw, _load_schema()["$defs"]["curvespec"], _file_path)
     spec = criterion.curve_spec(raw["coeffs"])
     if spec.d != raw["d"]:
-        raise DimensionMismatch(f'curve file says d={raw["d"]} but has {spec.d} rows')
+        raise DimensionMismatch(f'curve file says d={_quoted(raw["d"])} but has {spec.d} rows')
     return spec
 
 
@@ -443,12 +516,12 @@ def cmd_scan(job: dict) -> int:
 
 
 def cmd_orbit(job: dict) -> int:
-    from .diagnostics import visit_frequencies
+    from .diagnostics import DEFAULT_REFINEMENT, visit_frequencies
     from .iet import build_iet
 
     sigma = validate_permutation(job["perm"])
     t = build_iet(sigma, job["lengths"])
-    stats = visit_frequencies(t, job["x0"], job["iters"], job["refine"])
+    stats = visit_frequencies(t, job["x0"], job["iters"], job.get("refine", DEFAULT_REFINEMENT))
     _emit({
         "iterations": stats.n_iterations,
         "frequencies": stats.frequencies,
@@ -571,8 +644,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("check", cmd_check, "run the convexity criterion", lengths=True, heights=True)
 
-    # The job keys follow the declaration order, which jsonschema's
-    # rejection message prints.
     p = command("scan", cmd_scan, "sweep a polynomial curve family")
     p.add_argument("--curve", required=True, help="JSON file with d and coeffs")
     p.add_argument("--samples", type=int, required=True)
@@ -583,7 +654,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("orbit", cmd_orbit, "visit frequencies and discrepancy", lengths=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--iters", type=int, required=True)
-    # No default here: main sets diagnostics' own, which only orbit loads.
+    # No default here: cmd_orbit takes diagnostics' own, which only orbit loads.
     p.add_argument("--refine", type=int)
 
     p = command("connections", cmd_connections, "search for finite break-point orbits",
@@ -597,15 +668,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     args = parser.parse_args(_attach_signed_values(argv, parser))
-    # The parsed options in declaration order, less those left unset.
+    # The parsed options, less those left unset.
     job = {k: v for k, v in vars(args).items() if v is not None}
     run = job.pop("run")
-    if job["command"] == "orbit":
-        # refine is the job's last field, so the job, which jsonschema's
-        # rejection message prints, keeps its order.
-        from .diagnostics import DEFAULT_REFINEMENT
-
-        job.setdefault("refine", DEFAULT_REFINEMENT)
     try:
         _validate(job, _load_schema())
         return run(job)

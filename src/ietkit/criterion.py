@@ -42,6 +42,7 @@ from .errors import (
     LemmaViolation,
     NonPositiveParameter,
     ReduciblePermutation,
+    _quoted,
     _record,
 )
 from .iet import ScalarLike, _positive_lengths, as_scalar
@@ -217,7 +218,7 @@ def mahler_curve(d: int, s: ScalarLike) -> tuple[tuple[Fraction, ...], tuple[Fra
         raise InvalidSize("need at least two symbols")
     s = as_scalar(s)
     if s <= 0:
-        raise NonPositiveParameter(f"curve parameter {s} is not positive")
+        raise NonPositiveParameter(f"curve parameter {_quoted(s, str)} is not positive")
     a, b = [], []
     power = Fraction(1)
     for i in range(1, d + 1):
@@ -292,7 +293,8 @@ def _integer_point(spec: CurveSpec, s: Fraction) -> tuple[int, list[int]]:
     scale = denom * q_powers[-1]
     for i, v in enumerate(values[: spec.d], start=1):
         if v <= 0:
-            raise DomainViolation(f"component {i} is {Fraction(v, scale)} at s = {s}")
+            value = _quoted(Fraction(v, scale), str)
+            raise DomainViolation(f"component {i} is {value} at s = {_quoted(s, str)}")
     return scale, values
 
 

@@ -9,12 +9,41 @@ self-intersect), which indicates a bug and should never be caught and ignored.
 :func:`_record` makes the package's immutable value types.  It lives here
 because every library module already imports this one, and the one module
 it imports, ``operator``, is one that ``collections`` and ``functools`` have
-already loaded, so a command loads no more modules for it.
+already loaded, so a command loads no more modules for it.  Likewise
+:func:`_quoted`, which bounds the value that an error message quotes.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+
+# An error message quotes a rejected value's text up to this many characters.
+_QUOTED_MAX = 100
+
+
+def _quoted(value: object, show=repr) -> str:
+    """``show(value)``, or past ``_QUOTED_MAX`` characters only the value's
+    type and length, so that a huge input does not make a huge message.  An
+    int past the interpreter's digit limit, which has no text, is named by
+    that limit.
+
+    >>> from fractions import Fraction
+    >>> _quoted("1/0"), _quoted(Fraction(1, 2), str)
+    ("'1/0'", '1/2')
+    >>> _quoted("1" + "0" * 4400), _quoted(10**4000)
+    ('(a str of 4401 characters)', '(an int of 4001 characters)')
+    >>> _quoted(Fraction(1, 10**5000), str)
+    '(a Fraction past the digit limit)'
+    """
+    name = type(value).__name__
+    name = f"an {name}" if name[0] in "aeiou" else f"a {name}"
+    try:
+        text = show(value)
+    except ValueError:
+        return f"({name} past the digit limit)"
+    if len(text) <= _QUOTED_MAX:
+        return text
+    return f"({name} of {len(str(value))} characters)"
 
 
 def _repr(self) -> str:

@@ -65,6 +65,7 @@ from .errors import (
     InvalidBound,
     NonPositiveLength,
     OutOfDomain,
+    _quoted,
     _record,
 )
 from .perm import Permutation, _omega_times, _scaled, _sums
@@ -87,25 +88,6 @@ __all__ = [
 # boundary (binary floats convert exactly) and never compared by tolerance.
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str, float]
-
-
-# An error message quotes a rejected value's repr up to this many characters.
-_QUOTED_MAX = 100
-
-
-def _quoted(value: object) -> str:
-    """``repr(value)``, or past ``_QUOTED_MAX`` characters only its type and
-    length, so that a huge input does not make a huge message.
-
-    >>> _quoted("1/0")
-    "'1/0'"
-    >>> _quoted("1" + "0" * 4400)
-    '(a str of 4401 characters)'
-    """
-    text = repr(value)
-    if len(text) <= _QUOTED_MAX:
-        return text
-    return f"(a {type(value).__name__} of {len(str(value))} characters)"
 
 
 def as_scalar(value: ScalarLike) -> Fraction:
@@ -198,7 +180,7 @@ def _positive_lengths(a: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
     lengths = tuple(as_scalar(v) for v in a)
     for i, v in enumerate(lengths, start=1):
         if v.numerator <= 0:
-            raise NonPositiveLength(f"a_{i} = {v} is not positive")
+            raise NonPositiveLength(f"a_{i} = {_quoted(v, str)} is not positive")
     return lengths
 
 
@@ -223,7 +205,7 @@ def build_iet(sigma: Permutation, a: Sequence[ScalarLike]) -> Iet:
 
 def _check_domain(t: Iet, x: Fraction) -> None:
     if not 0 <= x < t.total:
-        raise OutOfDomain(f"{x} outside [0, {t.total})")
+        raise OutOfDomain(f"{_quoted(x, str)} outside [0, {_quoted(t.total, str)})")
 
 
 def apply(t: Iet, x: ScalarLike) -> Fraction:

@@ -40,7 +40,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import EmptyResult, InvalidSize, NotABijection, _record
+from .errors import EmptyResult, InvalidSize, NotABijection, _quoted, _record
 
 __all__ = [
     "Permutation",
@@ -114,9 +114,9 @@ def validate_permutation(images: Sequence[int]) -> Permutation:
     seen = [False] * d
     for v in images:
         if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= d:
-            raise NotABijection(f"value {v!r} outside 1..{d} in {list(images)}")
+            raise NotABijection(f"value {_quoted(v)} outside 1..{d} in {_quoted(list(images))}")
         if seen[v - 1]:
-            raise NotABijection(f"value {v} repeated in {list(images)}")
+            raise NotABijection(f"value {v} repeated in {_quoted(list(images))}")
         seen[v - 1] = True
     return Permutation(tuple(images))
 

@@ -33,7 +33,7 @@ from ietkit import (
     random_irreducible,
     validate_permutation,
 )
-from ietkit.errors import DomainViolation
+from ietkit.errors import DomainViolation, _quoted
 
 SEED = int(os.environ.get("SEED", "57721"))
 
@@ -131,7 +131,7 @@ def reference_curve_point(spec, s):
     a = tuple(reference_poly_eval(row, s) for row in spec.coeffs)
     for i, v in enumerate(a, start=1):
         if v <= 0:
-            raise DomainViolation(f"component {i} is {v} at s = {s}")
+            raise DomainViolation(f"component {i} is {_quoted(v, str)} at s = {_quoted(s, str)}")
     b = tuple(reference_poly_eval([k * c for k, c in enumerate(row)][1:], s) for row in spec.coeffs)
     return a, b
 

@@ -20,14 +20,18 @@ from ietkit import (
     as_scalar,
     build_iet,
     convexity_criterion,
+    curve_point,
+    curve_spec,
     find_connections,
     image_partition,
+    mahler_curve,
     orbit_coding,
     random_irreducible,
     validate_permutation,
 )
 from ietkit.errors import (
     DimensionMismatch,
+    IetkitError,
     InvalidBound,
     NonPositiveLength,
     OutOfDomain,
@@ -102,6 +106,33 @@ def test_unconvertible_values_are_input_errors(value, cause):
 def test_long_rejected_values_are_named_by_their_length(value, message):
     with pytest.raises(OutOfDomain) as info:
         as_scalar(value)
+    assert str(info.value) == message
+
+
+def _rotation(*lengths):
+    return build_iet(validate_permutation([2, 1]), lengths)
+
+
+@pytest.mark.parametrize("call, message", [
+    # A value whose text has 100 characters is quoted, as a rational "p/q";
+    # one of 101 is named by its length.
+    (lambda: apply(_rotation(1, 1), Fraction(5, 2)), "5/2 outside [0, 2)"),
+    (lambda: apply(_rotation(1, 1), 10**99), f"{10**99} outside [0, 2)"),
+    (lambda: apply(_rotation(1, 1), 10**100), "(a Fraction of 101 characters) outside [0, 2)"),
+    (lambda: apply(_rotation(10**100, 1), -1), "-1 outside [0, (a Fraction of 101 characters))"),
+    (lambda: _rotation("-1/2", 1), "a_1 = -1/2 is not positive"),
+    (lambda: _rotation(-(10**100), 1), "a_1 = (a Fraction of 102 characters) is not positive"),
+    (lambda: curve_point(curve_spec([[-(10**100)]]), 1),
+     "component 1 is (a Fraction of 102 characters) at s = 1"),
+    (lambda: mahler_curve(2, -(10**100)),
+     "curve parameter (a Fraction of 102 characters) is not positive"),
+    (lambda: validate_permutation([10**100, 1]),
+     "value (an int of 101 characters) outside 1..2 in (a list of 106 characters)"),
+], ids=["short", "text-100", "text-101", "long-total", "short-length", "long-length",
+        "curve-component", "curve-parameter", "permutation-value"])
+def test_library_messages_name_a_long_value_by_its_length(call, message):
+    with pytest.raises(IetkitError) as info:
+        call()
     assert str(info.value) == message
 
 

@@ -136,17 +136,41 @@ def _imports(tree: ast.AST) -> list[ast.Import | ast.ImportFrom]:
     return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
-def test_the_oracles_import_only_the_standard_library():
-    # The oracles share no code with the package, and the benchmark loads
-    # the file by path, outside any test run.
-    for node in _imports(ast.parse((TESTS / "oracles.py").read_text())):
+def _imported(path: Path) -> list[tuple[str, str]]:
+    """``("file:line", module)`` for each module that ``path`` imports; a
+    relative import's module starts with its dots."""
+    found = []
+    for node in _imports(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         else:
-            assert node.level == 0, f"relative import at line {node.lineno}"
-            modules = [node.module]
-        for module in modules:
-            assert module.split(".")[0] in sys.stdlib_module_names, module
+            modules = ["." * node.level + (node.module or "")]
+        found += [(f"{path.name}:{node.lineno}", module) for module in modules]
+    return found
+
+
+def _in_the_standard_library(module: str) -> bool:
+    return module.split(".")[0] in sys.stdlib_module_names
+
+
+def test_the_oracles_import_only_the_standard_library():
+    # The oracles share no code with the package, and the benchmark loads
+    # the file by path, outside any test run.
+    imported = _imported(TESTS / "oracles.py")
+    assert [(where, m) for where, m in imported if not _in_the_standard_library(m)] == []
+
+
+def test_the_package_has_no_runtime_dependency():
+    # Beyond its own modules the package imports only the standard library,
+    # so no module loads jsonschema, which only the tests use to check the
+    # CLI's schema validator; and pyproject.toml lists no dependency.
+    imported = [item for path in sorted(PACKAGE.glob("*.py")) for item in _imported(path)]
+    assert [(where, m) for where, m in imported
+            if not m.startswith(".") and not _in_the_standard_library(m)] == []
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    assert "jsonschema>=4" in project["optional-dependencies"]["test"]
 
 
 def _unused_imports(path: Path) -> list[str]:

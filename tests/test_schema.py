@@ -1,26 +1,50 @@
-"""The CLI's quick schema check against jsonschema's Draft 2020-12 validator.
+"""The CLI's schema validator against jsonschema's Draft 2020-12 validator.
 
-``ietkit.cli._accepts`` lets a valid job skip the ``jsonschema`` import, so it
-must accept a job exactly when ``Draft202012Validator.is_valid`` does, on the
-job schema and on its ``curvespec`` sub-schema.
+``ietkit.cli._first_failure`` is the CLI's only validator, and ``jsonschema``
+is a test dependency alone.  On the job schema and on its ``curvespec``
+sub-schema, it must reject exactly when ``Draft202012Validator`` does, and the
+path and keyword of the failure it reports must be those of an error that
+``jsonschema`` reports; for a job, an error of the branch that its command
+selects.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from typing import Any
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from ietkit.cli import _accepts, _load_schema
+from ietkit.cli import _first_failure, _load_schema
 
 SCHEMA = _load_schema()
 CURVESPEC = SCHEMA["$defs"]["curvespec"]
 JOB_VALIDATOR = Draft202012Validator(SCHEMA)
 CURVE_VALIDATOR = Draft202012Validator(CURVESPEC)
+BRANCHES = {b["properties"]["command"]["const"]: k for k, b in enumerate(SCHEMA["oneOf"])}
+
+
+def accepts(instance: Any, schema: dict) -> bool:
+    return _first_failure(instance, schema, schema) is None
+
+
+def reported(validator: Draft202012Validator, instance: Any, branch: int | None = None) -> set:
+    """The (path, keyword) of every error that ``validator`` reports for
+    ``instance``, and of every error in their contexts; under ``oneOf``, only
+    those of branch ``branch`` when it is given."""
+    found = set()
+    errors = list(validator.iter_errors(instance))
+    while errors:
+        error = errors.pop()
+        found.add((tuple(error.absolute_path), error.validator))
+        errors += [e for e in error.context if branch is None or error.validator != "oneOf"
+                   or e.relative_schema_path[0] == branch]
+    return found
+
 
 # Values that probe types and bounds: bool and integral floats in integer
 # slots, the refine maximum and one past it, non-finite floats, and scalar
@@ -102,13 +126,21 @@ valid_curve = st.fixed_dictionaries({
 @settings(max_examples=1500)
 @given(mutated(valid_job()))
 def test_quick_check_agrees_with_jsonschema_on_jobs(job):
-    assert _accepts(job, SCHEMA, SCHEMA) == JOB_VALIDATOR.is_valid(job)
+    failure = _first_failure(job, SCHEMA, SCHEMA)
+    assert (failure is None) == JOB_VALIDATOR.is_valid(job)
+    if failure is not None:
+        command = job.get("command")
+        branch = BRANCHES.get(command) if isinstance(command, str) else None
+        assert failure[:2] in reported(JOB_VALIDATOR, job, branch)
 
 
 @settings(max_examples=500)
 @given(st.one_of(mutated(valid_curve), odd))
 def test_quick_check_agrees_with_jsonschema_on_curve_files(raw):
-    assert _accepts(raw, CURVESPEC, CURVESPEC) == CURVE_VALIDATOR.is_valid(raw)
+    failure = _first_failure(raw, CURVESPEC, CURVESPEC)
+    assert (failure is None) == CURVE_VALIDATOR.is_valid(raw)
+    if failure is not None:
+        assert failure[:2] in reported(CURVE_VALIDATOR, raw)
 
 
 ORBIT = {"command": "orbit", "perm": [2, 1], "lengths": ["1", "1"], "x0": "0", "iters": 5}
@@ -135,7 +167,7 @@ SCAN = {"command": "scan", "perm": [2, 1], "curve": "c.json", "from": 1.0, "to":
 ])
 def test_quick_check_named_cases(job, valid):
     assert JOB_VALIDATOR.is_valid(job) == valid
-    assert _accepts(job, SCHEMA, SCHEMA) == valid
+    assert accepts(job, SCHEMA) == valid
 
 
 def test_quick_check_reads_the_schema():
@@ -143,12 +175,16 @@ def test_quick_check_reads_the_schema():
     schema = copy.deepcopy(SCHEMA)
     orbit = next(b for b in schema["oneOf"] if b["properties"]["command"] == {"const": "orbit"})
     orbit["properties"]["refine"]["maximum"] = 10
-    assert _accepts({**ORBIT, "refine": 10}, schema, schema)
-    assert not _accepts({**ORBIT, "refine": 11}, schema, schema)
-    # A keyword the check does not know is never taken as accepting.
+    assert accepts({**ORBIT, "refine": 10}, schema)
+    assert not accepts({**ORBIT, "refine": 11}, schema)
+    # A keyword the check does not know is an internal error that names it,
+    # unless a keyword before it has already failed.
     orbit["properties"]["refine"]["multipleOf"] = 2
-    assert not _accepts({**ORBIT, "refine": 10}, schema, schema)
     assert Draft202012Validator(schema).is_valid({**ORBIT, "refine": 10})
+    with pytest.raises(NotImplementedError, match="'multipleOf'"):
+        accepts({**ORBIT, "refine": 10}, schema)
+    assert _first_failure({**ORBIT, "refine": 11}, schema, schema) == (
+        ("refine",), "maximum", 10)
 
 
 OVERLAP = {"oneOf": [{"type": "integer"}, {"minimum": 0}]}
@@ -165,4 +201,4 @@ OVERLAP = {"oneOf": [{"type": "integer"}, {"minimum": 0}]}
     ({"additionalProperties": {"type": "string"}}, {"a": 1}),
 ])
 def test_quick_check_agrees_on_small_schemas(schema, instance):
-    assert _accepts(instance, schema, schema) == Draft202012Validator(schema).is_valid(instance)
+    assert accepts(instance, schema) == Draft202012Validator(schema).is_valid(instance)
