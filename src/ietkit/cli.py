@@ -8,6 +8,11 @@ anything runs.  Output is canonical JSON on stdout: keys sorted, rationals
 as "p/q" strings, floats with 17 significant digits, so identical inputs give
 byte-identical output.
 
+Vectors such as the heights b are often negative, so each subparser is a
+``_SignedValues``, whose ``_parse_optional`` hook reads a token that starts
+with a single "-", such as ``-1,1`` or ``-inf``, as a value unless it is one
+of the parser's own option strings: argparse alone reads it as an option.
+
 Exit codes: 0 success, 2 input validation, 3 simplicity required but violated,
 4 reducible permutation, 5 curve left its positivity domain.
 """
@@ -318,7 +323,8 @@ def _svg_float(value: Fraction) -> float:
     try:
         return float(value)
     except OverflowError:
-        raise IetkitError(f"SVG coordinate {value} is outside the float range") from None
+        raise IetkitError(
+            f"SVG coordinate {_quoted(value, str)} is outside the float range") from None
 
 
 def _svg_chains(diagram: SuspensionDiagram, witness: Witness | None) -> str:
@@ -351,7 +357,7 @@ def _svg_chains(diagram: SuspensionDiagram, witness: Witness | None) -> str:
         points = diagram.top_chain + diagram.bottom_chain
         extent = max(max(pt[k] for pt in points) - min(pt[k] for pt in points) for k in (0, 1))
         problem = "rounds to 0 as a float" if float_span == 0 else "is outside the float range"
-        raise IetkitError(f"SVG view box over a span of {extent} {problem}")
+        raise IetkitError(f"SVG view box over a span of {_quoted(extent, str)} {problem}")
     stroke = 0.01 * span
 
     def polyline(points: list[tuple[float, float]], color: str) -> str:
@@ -553,66 +559,37 @@ def cmd_connections(job: dict) -> int:
 # argument parsing
 
 
+def _typed(convert: Callable[[str], Any], problem: str) -> Callable[[str], Any]:
+    """``convert`` as an argparse type, whose error quotes the token up to a
+    length bound, as in ``invalid int value: 'x'``."""
+    def parse(text: str) -> Any:
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{problem}: {_quoted(text)}") from None
+    return parse
+
+
 def _split_ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+    return [int(v) for v in text.split(",")]
 
 
 def _split_strs(text: str) -> list[str]:
     return [v.strip() for v in text.split(",")]
 
 
-# Options whose value may start with "-".  argparse takes a token such as
-# "-1,1", "-1/2" or "-inf" for an option, as it is not a plain negative number.
-_SIGNED_OPTIONS = ("--lengths", "--heights", "--from", "--to")
+class _SignedValues(argparse.ArgumentParser):
+    """A subcommand's parser that reads a token such as ``-1,1``, ``-1/2`` or
+    ``-inf`` as a value: argparse alone takes a token that starts with "-"
+    and is not a plain negative number for an option.  Only the parser's own
+    option strings, such as ``-h``, and tokens that start with "--" are read
+    as options, so abbreviations and their errors stay argparse's."""
 
-
-def _command_options(parser: argparse.ArgumentParser, argv: Sequence[str]) -> list[str]:
-    """The option strings of the subcommand that ``argv`` names, if any."""
-    commands = next(a.choices for a in parser._actions if a.dest == "command")
-    command = next((token for token in argv if not token.startswith("-")), None)
-    if command not in commands:
-        return []
-    return [o for a in commands[command]._actions for o in a.option_strings]
-
-
-def _resolve(token: str, options: list[str]) -> str | None:
-    """The option argparse reads ``token`` as: itself, or the one option that
-    it abbreviates; None when it names none or several."""
-    if token in options:
-        return token
-    if not token.startswith("--"):
-        return None
-    matches = [o for o in options if o.startswith(token)]
-    return matches[0] if len(matches) == 1 else None
-
-
-def _attach_signed_values(argv: Sequence[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Spell ``--heights -1,1`` as ``--heights=-1,1``, which argparse reads
-    as one option and its value.  An option argparse resolves to one of
-    ``_SIGNED_OPTIONS`` by a unique prefix, such as ``--height``, is spelt
-    out in full; an ambiguous one, such as ``--he`` (``--heights`` or
-    ``--help``), is left for argparse to reject.  A next token that starts
-    with "--", or is "-h", is left alone.
-
-    >>> parser = _build_parser()
-    >>> _attach_signed_values(["check", "--heights", "-1,1", "--lengths", "1,1"], parser)
-    ['check', '--heights=-1,1', '--lengths', '1,1']
-    >>> _attach_signed_values(["check", "--height", "-1,1", "--he", "-1"], parser)
-    ['check', '--heights=-1,1', '--he', '-1']
-    """
-    options = _command_options(parser, argv)
-    out: list[str] = []
-    for token in argv:
-        option = _resolve(out[-1], options) if out else None
-        if (option in _SIGNED_OPTIONS and token.startswith("-")
-                and not token.startswith("--") and token != "-h"):
-            out[-1] = f"{option}={token}"
-        else:
-            out.append(token)
-    return out
+    def _parse_optional(self, arg_string: str) -> Any:
+        if (arg_string.startswith("-") and not arg_string.startswith("--")
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -620,13 +597,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ietkit",
         description="Interval exchanges, suspension polygons, and the convexity criterion.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SignedValues)
+    ints = _typed(_split_ints, "not a comma-separated integer list")
+    integer = _typed(int, "invalid int value")
+    real = _typed(float, "invalid float value")
 
     def command(name: str, run: Callable[[dict], int], help: str, lengths: bool = False,
                 heights: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
-        p.add_argument("--perm", type=_split_ints, required=True,
+        p.add_argument("--perm", type=ints, required=True,
                        help="one-line permutation images, e.g. 3,1,2")
         if lengths:
             p.add_argument("--lengths", type=_split_strs, required=True,
@@ -646,28 +626,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("scan", cmd_scan, "sweep a polynomial curve family")
     p.add_argument("--curve", required=True, help="JSON file with d and coeffs")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--from", type=float, required=True)
-    p.add_argument("--to", type=float, required=True)
+    p.add_argument("--samples", type=integer, required=True)
+    p.add_argument("--jobs", type=integer, default=1)
+    p.add_argument("--from", type=real, required=True)
+    p.add_argument("--to", type=real, required=True)
 
     p = command("orbit", cmd_orbit, "visit frequencies and discrepancy", lengths=True)
     p.add_argument("--x0", required=True)
-    p.add_argument("--iters", type=int, required=True)
+    p.add_argument("--iters", type=integer, required=True)
     # No default here: cmd_orbit takes diagnostics' own, which only orbit loads.
-    p.add_argument("--refine", type=int)
+    p.add_argument("--refine", type=integer)
 
     p = command("connections", cmd_connections, "search for finite break-point orbits",
                 lengths=True)
-    p.add_argument("--max-m", dest="max_m", type=int, required=True)
+    p.add_argument("--max-m", dest="max_m", type=integer, required=True)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser()
-    args = parser.parse_args(_attach_signed_values(argv, parser))
+    args = _build_parser().parse_args(argv)
     # The parsed options, less those left unset.
     job = {k: v for k, v in vars(args).items() if v is not None}
     run = job.pop("run")
@@ -681,7 +659,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (IetkitError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if getattr(exc, "filename", None) is not None:
+            # str(exc), with the path quoted up to a length bound.
+            message = f"[Errno {exc.errno}] {exc.strerror}: {_quoted(exc.filename)}"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -33,7 +33,12 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
-    code = main(list(argv))
+    """The exit code, stdout and stderr of ``ietkit *argv``, argparse's own
+    rejections included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -259,20 +264,57 @@ def test_scan_rejects_a_range_whose_grid_step_overflows(capsys, tmp_path):
     assert run_cli(capsys, *argv) == (2, "", err)
 
 
-@pytest.mark.parametrize("argv, option, value", [
-    (["check", "--perm", "2,1", "--lengths", "1,1"], "--heights", "-1,1"),
-    (["check", "--perm", "3,1,2", "--lengths", "1,3/2,1"], "--heights", "-1/2,-3/4,1/5"),
-    (["suspend", "--perm", "2,1", "--lengths", "1,1", "--require-simple"], "--heights", "-1,-2"),
-    (["check", "--perm", "2,1", "--heights", "1,1"], "--lengths", "-1,1"),
-    (["scan", "--perm", "2,1", "--curve", "{curve}", "--to", "2", "--samples", "3"],
-     "--from", "-inf"),
-], ids=["heights", "heights-fractions", "suspend-heights", "negative-length", "scan-from"])
-def test_a_value_may_start_with_a_minus_sign(capsys, tmp_path, argv, option, value):
+# One valid job per command, which names every option that takes a value.
+VALID_JOBS = {
+    "omega": ["--perm", "2,1"],
+    "suspend": ["--perm", "2,1", "--lengths", "1,1", "--heights", "1,-1", "--svg", "out.svg"],
+    "check": ["--perm", "2,1", "--lengths", "1,1", "--heights", "1,-1"],
+    "scan": ["--perm", "2,1", "--curve", "curve.json", "--samples", "3", "--jobs", "1",
+             "--from", "1", "--to", "2"],
+    "orbit": ["--perm", "2,1", "--lengths", "1,1", "--x0", "0", "--iters", "5", "--refine", "4"],
+    "connections": ["--perm", "2,1", "--lengths", "1,1", "--max-m", "3"],
+}
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("omega", "--perm", "-1,2"),
+    ("suspend", "--perm", "-2,1"),
+    ("suspend", "--lengths", "-1,1"),
+    ("suspend", "--heights", "-1,-2"),
+    ("suspend", "--svg", "-out.svg"),
+    ("check", "--perm", "-2,1"),
+    ("check", "--lengths", "-1,1"),
+    ("check", "--heights", "-1,1"),
+    ("check", "--heights", "-1/2,-3/4"),
+    ("scan", "--perm", "-2,1"),
+    ("scan", "--curve", "-curve.json"),
+    ("scan", "--samples", "-1_0"),
+    ("scan", "--jobs", "-1_0"),
+    ("scan", "--from", "-inf"),
+    ("scan", "--to", "-1e3"),
+    ("orbit", "--perm", "-2,1"),
+    ("orbit", "--lengths", "-1,1"),
+    ("orbit", "--x0", "-1/2"),
+    ("orbit", "--iters", "-1e3"),
+    ("orbit", "--refine", "-1_0"),
+    ("connections", "--perm", "-2,1"),
+    ("connections", "--lengths", "-1/2,1"),
+    ("connections", "--max-m", "-1_0"),
+], ids=["omega-perm", "suspend-perm", "suspend-lengths", "suspend-heights", "suspend-svg",
+        "check-perm", "negative-length", "heights", "heights-fractions", "scan-perm",
+        "scan-curve", "scan-samples", "scan-jobs", "scan-from", "scan-to", "orbit-perm",
+        "orbit-lengths", "orbit-x0", "orbit-iters", "orbit-refine", "connections-perm",
+        "connections-lengths", "connections-max-m"])
+def test_a_value_may_start_with_a_minus_sign(capsys, tmp_path, monkeypatch, command, option,
+                                             value):
     # "--heights -1,1" reads as "--heights=-1,1": argparse alone would take
     # "-1,1" for an option, as it is not a plain negative number.
-    curve = tmp_path / "curve.json"
-    curve.write_text(json.dumps(POWER2))
-    argv = [arg.format(curve=curve) for arg in argv]
+    monkeypatch.chdir(tmp_path)
+    for name in ("curve.json", "-curve.json"):
+        (tmp_path / name).write_text(json.dumps(POWER2))
+    job = VALID_JOBS[command]
+    at = job.index(option)
+    argv = [command, *job[:at], *job[at + 2:]]
     spaced = run_cli(capsys, *argv, option, value)
     assert spaced == run_cli(capsys, *argv, f"{option}={value}")
     assert "expected one argument" not in spaced[2]
@@ -305,6 +347,32 @@ def test_an_ambiguous_prefix_keeps_the_argparse_error(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "ambiguous option: --he could match --help, --heights" in err
+
+
+CHECK_ARGS = ["check", "--perm", "2,1", "--lengths", "1,1"]
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    # A signed value reaches the check of its option.
+    (["omega", "--perm", "-1,2"], "error: --perm item 1: -1 is less than the minimum of 1"),
+    (["orbit", "--perm", "2,1", "--lengths", "1,1", "--x0", "-1/2", "--iters", "5"],
+     "error: -1/2 outside [0, 2)"),
+    (["orbit", "--perm", "2,1", "--lengths", "1,1", "--x0", "0", "--iters", "-1e3"],
+     "ietkit orbit: error: argument --iters: invalid int value: '-1e3'"),
+    # The parser's own options, "--", abbreviations and the top-level parser
+    # keep argparse's errors.
+    ([*CHECK_ARGS, "--heights", "-h"],
+     "ietkit check: error: argument --heights: expected one argument"),
+    (["suspend", "--perm", "2,1", "--lengths", "1,1", "--heights", "1,-1", "--svg", "--"],
+     "ietkit suspend: error: argument --svg: expected one argument"),
+    ([*CHECK_ARGS, "--he", "-1,1"],
+     "ietkit check: error: ambiguous option: --he could match --help, --heights"),
+    (["-x", "omega"], "ietkit omega: error: the following arguments are required: --perm"),
+], ids=["perm", "x0", "iters", "heights-h", "svg-double-dash", "ambiguous-prefix", "top-level"])
+def test_a_signed_value_is_read_by_its_option(capsys, argv, last_line):
+    # argparse's errors follow a usage line, which wraps with the terminal.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err.splitlines()[-1]) == (2, "", last_line)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +473,14 @@ def test_suspend_svg_for_simple_curve_has_no_marks(capsys, tmp_path):
 
 @pytest.mark.parametrize("lengths, heights, named", [
     # float() of a 401-digit coordinate overflows.
-    ("1" + "0" * 400 + ",1", "1,-1", "1" + "0" * 400),
+    ("1" + "0" * 400 + ",1", "1,-1", "coordinate (a Fraction of 401 characters) is outside"),
     # Each coordinate is a float, but the y span 2e308 is not.
-    ("1,1", "1" + "0" * 308 + ",-1" + "0" * 308, "2" + "0" * 308),
+    ("1,1", "1" + "0" * 308 + ",-1" + "0" * 308,
+     "span of (a Fraction of 309 characters) is outside"),
     # Every coordinate underflows to 0, so the float span is 0 but the exact
     # x span 2/10^400 is not.
     ("1/1" + "0" * 400 + ",1/1" + "0" * 400, "1/1" + "0" * 400 + ",-1/1" + "0" * 400,
-     "span of 1/5" + "0" * 399 + " rounds to 0"),
+     "span of (a Fraction of 402 characters) rounds to 0"),
 ], ids=["coordinate", "view-box-span", "view-box-underflow"])
 def test_suspend_svg_outside_the_float_range_is_an_input_error(capsys, tmp_path, lengths,
                                                                heights, named):
@@ -459,7 +528,7 @@ ORBIT_ARGS = ["orbit", "--perm", "2,1", "--lengths", "1,1", "--x0", "0", "--iter
 
 @pytest.mark.parametrize("code, argv, curve", [
     # Each option that the schema checks, with the huge value in the job.
-    (2, ["omega", f"--perm=-{HUGE},1"], None),
+    (2, ["omega", "--perm", f"-{HUGE},1"], None),
     (2, ["orbit", "--perm", "2,1", "--lengths", f"{HUGE}x,1", "--x0", "0", "--iters", "5"], None),
     (2, ["check", "--perm", "2,1", "--lengths", "1,1", "--heights", f"1,{HUGE}x"], None),
     (2, [*ORBIT_ARGS[:-4], "--x0", f"{HUGE}x", "--iters", "5"], None),
@@ -484,16 +553,47 @@ ORBIT_ARGS = ["orbit", "--perm", "2,1", "--lengths", "1,1", "--x0", "0", "--iter
      None),
     (2, ["check", "--perm", "2,1", "--lengths", f"-{HUGE},1", "--heights", "1,1"], None),
     (5, [*SCAN_ARGS, "--samples", "3"], {"d": 2, "coeffs": [[f"-{HUGE}", 1], [0, 0, 1]]}),
+    # The SVG's coordinates and span, and paths that cannot be opened.
+    (2, ["suspend", "--perm", "2,1", "--lengths", f"{HUGE},1", "--heights", "1,-1", "--svg", "SVG"],
+     None),
+    (2, ["suspend", "--perm", "2,1", "--lengths", f"1/{HUGE},1/{HUGE}",
+         "--heights", f"1/{HUGE},-1/{HUGE}", "--svg", "SVG"], None),
+    (2, ["suspend", "--perm", "2,1", "--lengths", "1,1", "--heights", "1,-1", "--svg", HUGE], None),
+    (2, ["scan", "--perm", "2,1", "--curve", HUGE, "--from", "1", "--to", "2", "--samples", "3"],
+     None),
 ], ids=["perm", "lengths", "heights", "x0", "iters", "refine", "samples", "jobs", "max-m", "svg",
         "curve-d", "curve-d-count", "curve-coeffs", "perm-value", "x0-domain", "x0-long-total",
-        "x0-unprintable-total", "length-not-positive", "curve-domain"])
+        "x0-unprintable-total", "length-not-positive", "curve-domain", "svg-coordinate",
+        "svg-span", "svg-path", "curve-path"])
 def test_rejected_huge_values_keep_messages_short(capsys, tmp_path, code, argv, curve):
     path = tmp_path / "curve.json"
     path.write_text(curve if isinstance(curve, str) else json.dumps(curve))
-    argv = [str(path) if arg == "CURVE" else arg for arg in argv]
+    paths = {"CURVE": str(path), "SVG": str(tmp_path / "out.svg")}
+    argv = [paths.get(arg, arg) for arg in argv]
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")
     assert err.startswith("error: ") and len(err.encode()) < MESSAGE_BOUND, err[:MESSAGE_BOUND]
+
+
+@pytest.mark.parametrize("argv", [
+    ["omega", "--perm", f"1,{HUGE}x"],
+    [*SCAN_ARGS, "--samples", f"{HUGE}x"],
+    [*SCAN_ARGS, "--samples", "3", "--jobs", f"-{HUGE}x"],
+    ["scan", "--perm", "2,1", "--curve", "c.json", "--from", f"{HUGE}x", "--to", "2",
+     "--samples", "3"],
+    [*SCAN_ARGS[:-1], f"-{HUGE}x", "--samples", "3"],
+    [*ORBIT_ARGS[:-1], f"{HUGE}x"],
+    # More digits than int() reads.
+    [*ORBIT_ARGS[:-1], LONG_SCALAR],
+    [*ORBIT_ARGS, "--refine", f"{HUGE}x"],
+    ["connections", "--perm", "2,1", "--lengths", "1,1", "--max-m", f"{HUGE}x"],
+], ids=["perm", "samples", "jobs", "from", "to", "iters", "iters-past-digit-limit", "refine",
+        "max-m"])
+def test_argparse_rejections_of_huge_values_keep_messages_short(capsys, argv):
+    # argparse's own type errors, which follow a usage line.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < MESSAGE_BOUND, err[:MESSAGE_BOUND]
 
 
 # ---------------------------------------------------------------------------
