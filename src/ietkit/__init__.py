@@ -4,8 +4,9 @@ The package splits along the mathematics: ``perm`` holds the permutation
 combinatorics and the exchange matrix, ``iet`` the exchange map and its
 orbits, ``suspension`` the plane chains and the exact self-intersection test,
 ``criterion`` the monotone-slope certification and curve scans,
-``diagnostics`` the empirical equidistribution statistics, and ``cli`` the
-command-line front end.  The package exports each module's ``__all__``.
+``diagnostics`` the empirical equidistribution statistics, counted by
+``rauzy``, and ``cli`` the command-line front end.  The package exports
+each module's ``__all__``.
 
 The exported names load on first use, so that a command that needs one
 module compiles no other: ``import ietkit`` alone imports no submodule.  The

@@ -5,13 +5,14 @@ The orbit is iterated in exact arithmetic (rescaled to one common integer
 denominator, so cost per step stays flat) and compared against the Lebesgue
 prediction a_j / |I| per interval, plus a uniform refinement into equal cells.
 
-Over that denominator the orbit is purely periodic, and the counting walk of
-``ietkit.iet`` counts it in k-step blocks, one period and the remainder; see
-that module for the walk.  ``visit_frequencies`` with cells^2 <= n walks the
-breaks and the cell starts, whose pieces each lie in one interval and one
-cell; the sqrt(n) gate keeps that partition small against the orbit.  With
-more cells a plain loop counts only the cells it visits, and stops at the
-first return: it counts the periods in n and reruns the remainder.
+Over that denominator the orbit is purely periodic, and the counting loop of
+``ietkit.rauzy`` counts it by Rauzy–Veech induction, climbing only as far as
+n needs and counting whole periods by divmod; see that module for the
+induction.  ``visit_frequencies`` with cells^2 <= n counts the pieces cut by
+the breaks and the cell starts, whose pieces each lie in one interval and
+one cell; the sqrt(n) gate keeps that partition small against the orbit.
+With more cells a plain loop counts only the cells it visits, and stops at
+the first return: it counts the periods in n and reruns the remainder.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidBound, _record
-from .iet import Iet, ScalarLike, _scaled_ints, _visits
+from .errors import InvalidBound, _quoted, _record
+from .iet import Iet, ScalarLike, _scaled_ints
+from .rauzy import _visits
 
 __all__ = ["OrbitStats", "visit_frequencies", "discrepancy_trend"]
 
@@ -148,13 +150,16 @@ def discrepancy_trend(
 
     The schedule must be strictly increasing positive counts; the value at
     each n equals visit_frequencies(t, x0, n).discrepancy (prefix consistency).
-    One walk runs from mark to mark: a stretch longer than the period stops
-    at the first return and adds at most one rerun of the remainder.
+    One induction serves the whole schedule, and the orbit goes on from
+    mark to mark; once it is known to return, whole periods are counted by
+    divmod.  A rejected schedule is quoted in full only when it is short.
     """
     if any(n < 1 for n in schedule) or any(
         a >= b for a, b in zip(schedule, schedule[1:])
     ):
-        raise InvalidBound(f"schedule must be strictly increasing and positive: {schedule}")
+        raise InvalidBound(
+            f"schedule must be strictly increasing and positive: {_quoted(schedule, str)}"
+        )
     x, _, breaks, trans = _scaled_ints(t, x0)
     expected = tuple(length / t.total for length in t.lengths)
     return [

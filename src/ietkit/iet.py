@@ -17,37 +17,27 @@ used everywhere, whatever d.  Long orbits rescale every quantity to a common
 denominator once and then iterate in plain integers, which is the same
 arithmetic without per-step gcd work.
 
-Orbit loops take k steps per lookup.  ``_blocks`` refines a sorted integer
-partition into its k-step partition, cut at every T^(-t)(p) with 0 <= t < k;
-on each of its pieces the next k pieces visited are fixed, so the piece moves
-by one k-step shift.  k is a power of two and the table is built by squaring:
-the 2h-step table is the h-step table with each piece's h-image cut at the
-same table's cuts.  Of each squaring the table keeps one level, two index
-lists that name each piece's two h-step halves, and none of the smaller
-tables' cuts or moves.  The loops read their per-piece data off the levels
-instead of replaying k steps: coding words are built up the levels, each the
-first half's word followed by the second half's (``_words``), and a walk's
-visits per table piece go down the levels to both halves (``_expand``).  A
-break's connection hits need no table data: they are its first k preimages,
-found by stepping back through the image pieces.  ``_block_length`` derives k
-from the loop's work and the partition's size: the table has at most k times
-as many pieces and costs about k visits per piece to build and read, so k is
-the largest power of two with k * pieces at most 1/32 of the work, at most
-32, and with k * pieces at most 2^17, which bounds the table's memory.  Below
-k = 2 the loop is the plain one, one lookup per step.
+Orbit coding and the connection search take k steps per lookup.
+``_blocks`` refines a sorted integer partition into its k-step partition,
+cut at every T^(-t)(p) with 0 <= t < k; on each of its pieces the next k
+pieces visited are fixed, so the piece moves by one k-step shift.  k is a
+power of two and the table is built by squaring: the 2h-step table is the
+h-step table with each piece's h-image cut at the same table's cuts.  Of
+each squaring the table keeps one level, two index lists that name each
+piece's two h-step halves, and none of the smaller tables' cuts or moves.
+Coding words are built up the levels, each the first half's word followed
+by the second half's (``_words``).  A break's connection hits need no table
+data: they are its first k preimages, found by stepping back through the
+image pieces.  ``_block_length`` derives k from the loop's work and the
+partition's size: the table has at most k times as many pieces and costs
+about k visits per piece to build and read, so k is the largest power of two
+with k * pieces at most 1/32 of the work, at most 32, and with k * pieces at
+most 2^17, which bounds the table's memory.  Below k = 2 the loop is the
+plain one, one lookup per step.
 
 Over one denominator the exchange is a bijection of the finite set of
-integers in [0, total), so every orbit is purely periodic.  The one counting
-walk, ``_visits``, counts the visits per piece of a sorted partition whose
-pieces each lie in one exchanged interval.  Every shift is a multiple of the
-gcd g of the exchange's breaks, so an orbit stays on one residue class mod g
-and returns within total // g steps; the table is sized by the smaller of
-that bound and the walk's length.  ``_walk`` counts visits per table piece
-and, once at the end, ``_expand`` pushes them down the levels, so no
-itinerary is stored or replayed.  It tests for the first return at block
-ends, so it sees a return after p steps at L = lcm(p, k), and counts n steps
-as q blocks of L plus one rerun of the first n mod L steps, which cannot
-return early.
+integers in [0, total), so every orbit is purely periodic.  Orbit visits
+are counted by Rauzy–Veech induction, in ``ietkit.rauzy``.
 """
 
 from __future__ import annotations
@@ -58,7 +48,7 @@ from bisect import bisect_left, bisect_right
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -249,19 +239,15 @@ def _scaled_ints(t: Iet, x0: ScalarLike) -> tuple[int, int, list[int], list[int]
 # A k-step table costs about k visits per piece of the partition to build
 # and to read, and may cost at most a 1/_TABLE_SHARE share of the steps of
 # the loop it serves; longer blocks than _MAX_BLOCK gain little and cost
-# memory.  Both constants come from a k sweep on the benchmark's orbits.  At
-# 200,000 steps the 20-piece coding and connection loops and the 83-piece
-# frequency walk were fastest at k = 24 to 48 and slower at 64 and 128, and
-# any share from 1/20 to 1/75 gives all three k = 32.  A walk that returns
-# after p steps sees the return only after lcm(p, k) steps: the golden
-# rotation's 65-piece walk, which returns after 2,584 steps, was faster at
-# k = 8, which divides 2,584, and slower at k = 3, which does not; a share
-# of 1/20 or less keeps it at k = 1.  k is rounded down to a power of two,
-# which ``_blocks`` builds by squaring alone: at 20,000 steps the 20-piece
-# loops took 1.3 to 1.7 ms at k = 16 against 2.0 to 3.0 ms at k = 31.  A
-# table has at most k times the partition's pieces, and k is capped so that
-# this is at most _MAX_TABLE_PIECES, which bounds its memory whatever the
-# refinement asked for.
+# memory.  Both constants come from a k sweep on the benchmark's orbits: at
+# 200,000 steps the 20-piece coding and connection loops were fastest at
+# k = 24 to 48 and slower at 64 and 128, and any share from 1/20 to 1/75
+# gives both k = 32.  k is rounded down to a power of two, which ``_blocks``
+# builds by squaring alone: at 20,000 steps the 20-piece loops took 1.3 to
+# 1.7 ms at k = 16 against 2.0 to 3.0 ms at k = 31.  A table has at most k
+# times the partition's pieces, and k is capped so that this is at most
+# _MAX_TABLE_PIECES, which bounds its memory however many pieces it is
+# asked for.
 _TABLE_SHARE = 32
 _MAX_BLOCK = 32
 _MAX_TABLE_PIECES = 1 << 17
@@ -355,79 +341,6 @@ def _words(table: _Table, pieces: int) -> list[tuple[int, ...]]:
     for first, second in reversed(table.levels):
         words = [words[i] + words[j] for i, j in zip(first, second)]
     return words
-
-
-def _expand(counts: list[int], table: _Table) -> list[int]:
-    """Visits per table piece as visits per piece of the partition itself:
-    each level down, a piece's visits go to both of its halves.  A lower
-    level has first[-1] + 1 pieces, since every one of them starts a piece."""
-    for first, second in table.levels:
-        down = [0] * (first[-1] + 1)
-        for i, j, c in zip(first, second, counts):
-            if c:
-                down[i] += c
-                down[j] += c
-        counts = down
-    return counts
-
-
-def _walk(points: list[int], shift: list[int], x: int, n: int, table: _Table) -> tuple[list[int], int]:
-    """Visits per piece over n steps from x, and the point reached.
-
-    Piece j is the j-th gap of the sorted ``points`` and moves by
-    ``shift[j]``; ``table`` is their k-step table.  The walk looks up one
-    table piece per k steps and tests for a return to x at block ends, so it
-    sees a return after L = lcm(p, k) steps when the orbit returns after p;
-    the counts are then q blocks of L plus one rerun of r steps,
-    q, r = divmod(n, L), and the point reached is the end of that rerun.
-
-    >>> _walk([1], [1, -1], 0, 5, _Table([1], [1, -1], 1, []))
-    ([3, 2], 1)
-    >>> _walk([1], [1, -1], 0, 5, _blocks([1], [1, -1], 2, 2))
-    ([3, 2], 1)
-    """
-    cuts, moves, k, _ = table
-    counts = [0] * len(moves)
-    start = x
-    blocks = n // k
-    for b in range(1, blocks + 1):
-        p = bisect_right(cuts, x)
-        counts[p] += 1
-        x += moves[p]
-        if x == start:
-            q, r = divmod(n, b * k)
-            rest, x = _walk(points, shift, x, r, table)
-            return [c * q + e for c, e in zip(_expand(counts, table), rest)], x
-    counts = _expand(counts, table)
-    for _ in range(n - blocks * k):
-        j = bisect_right(points, x)
-        counts[j] += 1
-        x += shift[j]
-    return counts, x
-
-
-def _visits(
-    points: list[int], shift: list[int], breaks: list[int], x: int, marks: Sequence[int]
-) -> Iterator[list[int]]:
-    """Visits per gap of the sorted ``points`` over the first ``mark`` steps
-    from x, yielded for each of the increasing ``marks`` in turn.
-
-    Gap j moves by ``shift[j]`` and lies in one interval of the exchange
-    whose scaled ``breaks`` end at the total.  One table serves the whole
-    walk, sized by the last mark or the period bound total // gcd(breaks),
-    whichever is smaller; the walk goes on from mark to mark.  Nothing is
-    built before the first count is asked for.
-
-    >>> list(_visits([1], [1, -1], [1, 2], 0, [1, 2, 5]))
-    [[1, 0], [1, 1], [3, 2]]
-    """
-    total = breaks[-1]
-    table = _table(points, shift, total, min(marks[-1], total // math.gcd(*breaks)))
-    counts = [0] * len(shift)
-    for done, mark in zip([0, *marks], marks):
-        steps, x = _walk(points, shift, x, mark - done, table)
-        counts = [c + s for c, s in zip(counts, steps)]
-        yield counts
 
 
 def orbit_coding(t: Iet, x0: ScalarLike, n: int) -> list[int]:

@@ -1,7 +1,8 @@
 """Shared fixtures: seeded generators, the frozen intersection fixture, and
 references kept from the paths they were replaced by: the coding, connection,
 frequency and trend loops that take one lookup per iterate, the k-step table
-built by k one-step passes, the ``Fraction`` Horner and slope classifier of
+built by k one-step passes, the counting walk over that table that the
+Rauzy–Veech induction replaced, the ``Fraction`` Horner and slope classifier of
 the curve scan, and the criterion kernels that read a rational's parts and
 normalise it more than once: the scaling to one denominator, the crossing
 locus through its parameter t, the power curve by fresh powers, and the
@@ -33,6 +34,7 @@ from ietkit import (
     random_irreducible,
     validate_permutation,
 )
+import ietkit.iet as iet
 from ietkit.errors import DomainViolation, _quoted
 
 SEED = int(os.environ.get("SEED", "57721"))
@@ -255,6 +257,68 @@ def reference_discrepancy_trend(t, x0, schedule) -> list[tuple[int, Fraction]]:
         if step == mark:
             out.append((step, max(abs(Fraction(c, step) - e) for c, e in zip(counts, expected))))
             mark = next(marks, None)
+    return out
+
+
+def cell_partition(t, x0, cells: int) -> tuple[list[int], list[int], list[int], int]:
+    """(points, shift, breaks, x): [0, total) cut at the breaks and the cell
+    starts, as ``visit_frequencies`` cuts it for cells^2 <= n, with each
+    gap's shift, over the package's own scaling."""
+    x, total, breaks, trans = iet._scaled_ints(t, x0)
+    cuts = {-(-c * total // cells) for c in range(1, cells)}
+    points = sorted(cuts.union(breaks[:-1]).difference((total,)))
+    return points, [trans[bisect_right(breaks, s)] for s in [0, *points]], breaks, x
+
+
+def reference_walk(points: list[int], shift: list[int], breaks: list[int], x: int, marks) -> list[list[int]]:
+    """Visits per gap of the sorted ``points`` at each of the increasing
+    ``marks``, counted by the k-step walk that the induction replaced.
+
+    One k-step table, sized by the last mark or the period bound, serves
+    the whole walk.  The walk looks up one table piece per k steps, tests for
+    a return at block ends, and counts a stretch past the return after
+    L = lcm(p, k) steps as whole blocks of L plus one rerun of the rest;
+    visits per table piece go down the table's levels to both halves.
+    """
+    total = breaks[-1]
+    work = min(marks[-1], total // math.gcd(*breaks))
+    table = iet._blocks(points, shift, total, iet._block_length(work, len(shift)))
+    cuts, moves, k, levels = table
+
+    def expand(counts):
+        for first, second in levels:
+            down = [0] * (first[-1] + 1)
+            for i, j, c in zip(first, second, counts):
+                if c:
+                    down[i] += c
+                    down[j] += c
+            counts = down
+        return counts
+
+    def walk(x, n):
+        counts = [0] * len(moves)
+        start = x
+        blocks = n // k
+        for b in range(1, blocks + 1):
+            p = bisect_right(cuts, x)
+            counts[p] += 1
+            x += moves[p]
+            if x == start:
+                q, r = divmod(n, b * k)
+                rest, x = walk(x, r)
+                return [c * q + e for c, e in zip(expand(counts), rest)], x
+        counts = expand(counts)
+        for _ in range(n - blocks * k):
+            j = bisect_right(points, x)
+            counts[j] += 1
+            x += shift[j]
+        return counts, x
+
+    out, counts = [], [0] * len(shift)
+    for done, mark in zip([0, *marks], marks):
+        steps, x = walk(x, mark - done)
+        counts = [c + s for c, s in zip(counts, steps)]
+        out.append(counts)
     return out
 
 

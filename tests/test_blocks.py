@@ -4,7 +4,12 @@ passes and the loops that take one lookup per step.
 ``ietkit.iet._block_length`` derives k from the work and the partition size;
 the ``block`` fixture replaces it so that every k meets short and long runs.
 Like the derived k, every forced k is a power of two, which the table is
-built for by squaring alone.
+built for by squaring alone.  ``orbit_coding`` and ``find_connections`` run
+on the table; ``visit_frequencies`` and ``discrepancy_trend`` count by
+Rauzy–Veech induction instead, so the forced k does not reach them, and
+their tests here check them against the references whatever k is, and
+check that the induction builds no table and keeps its memory to
+O(pieces + nodes).
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from fractions import Fraction
 import pytest
 
 import ietkit.iet as iet
+import ietkit.rauzy as rauzy
 from ietkit import (
     build_iet,
     discrepancy_trend,
@@ -31,6 +37,7 @@ from ietkit.iet import _blocks, _scaled_ints
 
 from conftest import (
     SEED,
+    cell_partition,
     period_of,
     random_rational_exchange,
     reference_blocks,
@@ -39,6 +46,7 @@ from conftest import (
     reference_orbit_coding,
     reference_steps,
     reference_visit_frequencies,
+    reference_walk,
 )
 from oracles import oracle_connections
 
@@ -283,15 +291,22 @@ def test_trend_matches_the_plain_loop(k, block):
     assert discrepancy_trend(one_symbol(), F(0), [1, k, k + 3]) == [(1, F(0)), (k, F(0)), (k + 3, F(0))]
 
 
-def test_trend_builds_one_table_per_call(block, monkeypatch):
-    block(4)
+def test_trend_builds_one_table_per_call(monkeypatch):
+    # One induction serves the whole schedule; visit_frequencies builds one
+    # when cells^2 <= n and none when its plain loop runs.
     built = []
-    kernel = iet._blocks
-    monkeypatch.setattr(iet, "_blocks", lambda *args: built.append(args) or kernel(*args))
+    start = rauzy._orders
+    monkeypatch.setattr(rauzy, "_orders", lambda *args: built.append(args) or start(*args))
     t, x0 = random_rational_exchange(random.Random(f"{SEED}/trend-once"), 6, "interior")
     schedule = [3, 10, 17, 100, 101, 350]
     assert discrepancy_trend(t, x0, schedule) == reference_discrepancy_trend(t, x0, schedule)
     assert len(built) == 1
+    assert visit_frequencies(t, x0, 350, 16) == reference_visit_frequencies(t, x0, 350, 16)
+    assert len(built) == 2
+    assert visit_frequencies(t, x0, 350, 19) == reference_visit_frequencies(t, x0, 350, 19)
+    assert len(built) == 2
+    assert discrepancy_trend(t, x0, []) == []
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -313,42 +328,79 @@ def test_derived_k_on_long_orbits_matches_the_plain_loops():
 
 
 def test_short_periodic_walk_keeps_the_plain_loop(monkeypatch):
-    # The golden rotation's orbits return within 2584 integers: no table.
+    # The counting loop builds no k-step table, on orbits that return (the
+    # golden rotation's within 2584 steps) and on orbits that do not.
     def refuse(*args):
         raise AssertionError("no k-step table expected")
 
     monkeypatch.setattr(iet, "_square", refuse)
+    monkeypatch.setattr(iet, "_blocks", refuse)
     t = build_iet(validate_permutation([2, 1]), [F(1), F(1597, 987)])
     x0 = t.total * F(331, 1000)
     assert visit_frequencies(t, x0, 200_000) == reference_visit_frequencies(t, x0, 200_000)
+    schedule = [1000, 2584, 10_000]
+    assert discrepancy_trend(t, x0, schedule) == reference_discrepancy_trend(t, x0, schedule)
+    t = large_exchange(random.Random(f"{SEED}/no-table"))
+    x0 = t.total / 3
+    for n, cells in ((30_011, 64), (30_011, 1), (4096, 64)):
+        assert visit_frequencies(t, x0, n, cells) == reference_visit_frequencies(t, x0, n, cells)
+    assert discrepancy_trend(t, x0, [7, 30_011]) == reference_discrepancy_trend(t, x0, [7, 30_011])
 
 
-def golden_walk_peak() -> int:
-    """Peak traced bytes of a walk over 512 cells of the golden rotation.
-    x0 = 1/7919 scales it to a total of 2584 * 7919, so at the forced k the
-    table has about 512 k pieces."""
-    t = build_iet(validate_permutation([2, 1]), [F(1), F(1597, 987)])
+@pytest.fixture()
+def induction_nodes(monkeypatch):
+    """The nodes each induction makes beyond its pieces: one per loser of a
+    Zorich group and one per tie, summed over the calls in the list's one
+    entry."""
+    made = [0]
+    group, absorb = rauzy._zorich, rauzy._absorb
+
+    def count_group(*args):
+        losses, last = group(*args)
+        made[0] += len(losses)
+        return losses, last
+
+    def count_tie(*args):
+        made[0] += 1
+        return absorb(*args)
+
+    monkeypatch.setattr(rauzy, "_zorich", count_group)
+    monkeypatch.setattr(rauzy, "_absorb", count_tie)
+    return made
+
+
+def traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        visit_frequencies(t, F(1, 7919), 512 * 512, 512)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_walk_table_stores_no_itinerary(block):
-    # k = 16 gives a table of about 8,000 pieces.  Its cuts, shifts and
-    # counts, with the index lists of every level, take well
-    # under 400 bytes per piece; a stored 16-long itinerary per piece would
-    # take more.
-    block(16)
-    assert golden_walk_peak() < 400 * 16 * 512
+def golden_walk_peak(n: int, nodes: list[int]) -> tuple[int, int]:
+    """Peak traced bytes of a count over 512 cells of the golden rotation,
+    and the pieces and nodes of its induction.  x0 = 1/7919 scales it to a
+    total of 2584 * 7919."""
+    t = build_iet(validate_permutation([2, 1]), [F(1), F(1597, 987)])
+    nodes[0] = 0
+    peak = traced_peak(lambda: visit_frequencies(t, F(1, 7919), n, 512))
+    return peak, 513 + nodes[0]
 
 
-def test_walk_table_stores_no_itinerary_at_the_largest_k(block):
-    # The same bound at the largest derived k, about 16,000 pieces.
-    block(iet._MAX_BLOCK)
-    assert golden_walk_peak() < 400 * iet._MAX_BLOCK * 512
+def test_walk_table_stores_no_itinerary(induction_nodes):
+    # The induction keeps a few lists over its pieces and one entry per
+    # node: well under 400 bytes per piece or node in all, with the
+    # partition's own lists.  A stored itinerary per piece would take more.
+    peak, size = golden_walk_peak(512 * 512, induction_nodes)
+    assert peak < 400 * size
+
+
+def test_walk_table_stores_no_itinerary_at_the_largest_k(induction_nodes):
+    # The same bound 10^15 steps on, far past the period: the orbit's
+    # periods are counted by divmod, and nothing grows with n.
+    peak, size = golden_walk_peak(10**15, induction_nodes)
+    assert peak < 400 * size
 
 
 def test_coding_words_stay_linear_in_the_steps():
@@ -382,50 +434,36 @@ def test_sparse_cells_are_counted_without_a_list_per_cell():
     assert peak < 1 << 20
 
 
-class TableBuilt(Exception):
-    pass
+def test_walk_table_is_capped_whatever_the_refinement(induction_nodes):
+    # 30,000 cells over 10^9 steps of an exchange whose orbits all return
+    # after 2 steps: the plain stretch before the first climb finds the
+    # period, so the count makes no node and stays well under 400 bytes per
+    # piece, the partition's own lists included.
+    t = build_iet(validate_permutation([3, 4, 1, 2]),
+                  [F(1, 3), F(2, 3), F(999_999_937, 1_000_000_007), F(70, 1_000_000_007)])
+    x0 = F(1, 5)
+    got = []
+    peak = traced_peak(lambda: got.append(visit_frequencies(t, x0, 10**9, 30_000)))
+    assert peak < 400 * 30_003
+    assert induction_nodes[0] == 0
+    # 10^9 steps are 5 * 10^8 periods, so every statistic is that of 2 steps.
+    want = reference_visit_frequencies(t, x0, 2, 30_000)
+    for field in ("frequencies", "discrepancy", "refinement_discrepancy"):
+        assert getattr(got[0], field) == getattr(want, field)
 
 
-@pytest.fixture()
-def walk_tables(monkeypatch):
-    """Stop every walk once its table is built; the returned list gets
-    (partition pieces, k, table pieces) for each table."""
-    tables = []
-
-    def stop(points, shift, x, n, table):
-        tables.append((len(shift), table[2], len(table[1])))
-        raise TableBuilt
-
-    monkeypatch.setattr(iet, "_walk", stop)
-    return tables
-
-
-def long_orbit_exchange():
-    # No orbit of this exchange returns within 10^9 steps.
-    lengths = [F(1, 999983), F(2, 1000003), F(3, 999979), F(5, 1000033)]
-    return build_iet(validate_permutation([4, 3, 2, 1]), lengths)
-
-
-def test_walk_table_is_capped_whatever_the_refinement(walk_tables):
-    # 30,000 cells over 10^9 steps: k = 16 would build 480,033 pieces.
-    t = long_orbit_exchange()
-    with pytest.raises(TableBuilt):
-        visit_frequencies(t, t.total / 3, 10**9, 30_000)
-    assert walk_tables == [(30_003, 4, 120_009)]
-
-
-def test_capped_table_memory_is_bounded_by_the_cap(walk_tables, monkeypatch):
-    # With the cap at 2^12, 1,000 cells get k = 4 instead of 16. The walk's
-    # partition and its table of about 4,000 pieces then stay well under 400
-    # bytes per piece of the cap; a table of 16,000 pieces would not.
-    monkeypatch.setattr(iet, "_MAX_TABLE_PIECES", 1 << 12)
-    t = long_orbit_exchange()
-    tracemalloc.start()
-    try:
-        with pytest.raises(TableBuilt):
-            visit_frequencies(t, t.total / 3, 10**9, 1000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+def test_capped_table_memory_is_bounded_by_the_cap(induction_nodes, monkeypatch):
+    # With the cap at 2^12, a count over 1,000 cells of an orbit that does
+    # not return stops climbing near 4,096 nodes and steps at the level
+    # reached: its nodes and memory stay within the cap, whatever n, and it
+    # counts what the k-step walk counts.
+    monkeypatch.setattr(rauzy, "_MAX_NODES", 1 << 12)
+    t = large_exchange(random.Random(f"{SEED}/capped-nodes"))
+    x0 = t.total / 3
+    n = 10**6
+    peak = traced_peak(lambda: visit_frequencies(t, x0, n, 1000))
+    assert induction_nodes[0] < (1 << 12)
     assert peak < 400 * (1 << 12)
-    assert walk_tables == [(1003, 4, 4009)]
+    points, shift, breaks, x = cell_partition(t, x0, 1000)
+    want = reference_walk(points, shift, breaks, x, [n])
+    assert list(rauzy._visits(points, shift, breaks, x, [n])) == want

@@ -138,7 +138,7 @@ def test_valid_jobs_import_neither_jsonschema_nor_the_pool(tmp_path):
     (["omega", "--perm", "3,1,2"], set()),
     (["connections", "--perm", "2,1", "--lengths", "1,1", "--max-m", "3"], {"iet"}),
     (["orbit", "--perm", "2,1", "--lengths", "1,1597/987", "--x0", "0", "--iters", "100"],
-     {"iet", "diagnostics"}),
+     {"iet", "diagnostics", "rauzy"}),
     (["suspend", "--perm", "3,2,1", "--lengths", "1,1,1", "--heights", "1,0,-1"],
      {"iet", "suspension"}),
     (["check", "--perm", "3,2,1", "--lengths", "1,1,1", "--heights", "1,0,-1"],

@@ -224,6 +224,21 @@ def test_trend_edge_cases():
         discrepancy_trend(t, F(1, 4), [0, 3])
 
 
+def test_rejected_schedule_is_quoted_within_a_bound():
+    # A short schedule keeps its full text; 4,000 descending marks, once a
+    # 22,944-byte message, are named by their type and length.
+    t = rotation(F(1))
+    with pytest.raises(InvalidBound) as short:
+        discrepancy_trend(t, F(1, 4), [1, 2, 2])
+    assert str(short.value) == "schedule must be strictly increasing and positive: [1, 2, 2]"
+    marks = list(range(4000, 0, -1))
+    with pytest.raises(InvalidBound) as long:
+        discrepancy_trend(t, F(1, 4), marks)
+    assert str(long.value) == (
+        f"schedule must be strictly increasing and positive: (a list of {len(str(marks))} characters)")
+    assert len(str(long.value)) < 100
+
+
 @pytest.mark.parametrize("x0", [5, "abc"])
 def test_empty_trend_still_checks_the_start_point(x0):
     # An empty schedule rejects a start point as orbit_coding(t, x0, 0) does.
