@@ -17,27 +17,19 @@ used everywhere, whatever d.  Long orbits rescale every quantity to a common
 denominator once and then iterate in plain integers, which is the same
 arithmetic without per-step gcd work.
 
-Orbit coding and the connection search take k steps per lookup.
-``_blocks`` refines a sorted integer partition into its k-step partition,
-cut at every T^(-t)(p) with 0 <= t < k; on each of its pieces the next k
-pieces visited are fixed, so the piece moves by one k-step shift.  k is a
-power of two and the table is built by squaring: the 2h-step table is the
-h-step table with each piece's h-image cut at the same table's cuts.  Of
-each squaring the table keeps one level, two index lists that name each
-piece's two h-step halves, and none of the smaller tables' cuts or moves.
-Coding words are built up the levels, each the first half's word followed
-by the second half's (``_words``).  A break's connection hits need no table
-data: they are its first k preimages, found by stepping back through the
-image pieces.  ``_block_length`` derives k from the loop's work and the
-partition's size: the table has at most k times as many pieces and costs
-about k visits per piece to build and read, so k is the largest power of two
-with k * pieces at most 1/32 of the work, at most 32, and with k * pieces at
-most 2^17, which bounds the table's memory.  Below k = 2 the loop is the
-plain one, one lookup per step.
-
-Over one denominator the exchange is a bijection of the finite set of
-integers in [0, total), so every orbit is purely periodic.  Orbit visits
-are counted by Rauzy–Veech induction, in ``ietkit.rauzy``.
+Orbit coding and the connection search read their results off one level
+of a Rauzy–Veech induction, in ``ietkit.rauzy``, climbed as far as the
+loop's work (n, or (d - 1) * max_m) needs against the nodes made.  Over one
+denominator the exchange is a bijection of the finite set of integers in
+[0, total), so every orbit is purely periodic, and the level's towers,
+each a piece of [0, L) or a cylinder cut off, with its excursion, cover
+[0, total).  T^t is a translation on a tower's base for every t below its
+height, so a break is met only where a floor starts, and each tower
+carries those floors as its hits.  A coding adds one node's word per
+induced step, and a break's connections are the rest of its tower's hits,
+then the hits of the towers whose bases the orbit lands on exactly, until
+it is back on its own base after one period.  Orbit visits are counted by
+the same induction.
 """
 
 from __future__ import annotations
@@ -48,7 +40,7 @@ from bisect import bisect_left, bisect_right
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -236,133 +228,36 @@ def _scaled_ints(t: Iet, x0: ScalarLike) -> tuple[int, int, list[int], list[int]
     return x0.numerator * (denom * q // x0.denominator), breaks[-1], breaks, [v * q for v in shifts]
 
 
-# A k-step table costs about k visits per piece of the partition to build
-# and to read, and may cost at most a 1/_TABLE_SHARE share of the steps of
-# the loop it serves; longer blocks than _MAX_BLOCK gain little and cost
-# memory.  Both constants come from a k sweep on the benchmark's orbits: at
-# 200,000 steps the 20-piece coding and connection loops were fastest at
-# k = 24 to 48 and slower at 64 and 128, and any share from 1/20 to 1/75
-# gives both k = 32.  k is rounded down to a power of two, which ``_blocks``
-# builds by squaring alone: at 20,000 steps the 20-piece loops took 1.3 to
-# 1.7 ms at k = 16 against 2.0 to 3.0 ms at k = 31.  A table has at most k
-# times the partition's pieces, and k is capped so that this is at most
-# _MAX_TABLE_PIECES, which bounds its memory however many pieces it is
-# asked for.
-_TABLE_SHARE = 32
-_MAX_BLOCK = 32
-_MAX_TABLE_PIECES = 1 << 17
-
-
-def _block_length(work: int, pieces: int) -> int:
-    """Steps per lookup for a loop of ``work`` steps over ``pieces`` pieces.
-
-    >>> _block_length(200_000, 20), _block_length(200_000, 83), _block_length(2584, 65)
-    (32, 32, 1)
-    >>> _block_length(20_000, 20), _block_length(20_000, 83), _block_length(2_000, 20)
-    (16, 4, 2)
-
-    A walk over 30,000 cells and four intervals keeps a table of at most
-    2^17 pieces, however long it is; without the cap, k would be 32.
-
-    >>> _block_length(10**9, 30_003), _block_length(10**9, 1 << 17)
-    (4, 1)
-    """
-    k = min(_MAX_BLOCK, _MAX_TABLE_PIECES // pieces, work // (_TABLE_SHARE * pieces))
-    return 1 << max(k.bit_length() - 1, 0)
-
-
-class _Table(NamedTuple):
-    """A k-step partition of [0, total): gap i of ``cuts``, with 0 in front,
-    moves by ``moves[i]`` in k steps.
-
-    ``levels`` holds one (first, second) pair per squaring, top level first,
-    and is empty at k = 1: piece i of the 2h-step table is h-step piece
-    ``first[i]`` whose h-image starts in h-step piece ``second[i]``.
-    """
-
-    cuts: list[int]
-    moves: list[int]
-    k: int
-    levels: list[tuple[list[int], list[int]]]
-
-
-def _square(cuts: list[int], shifts: list[int], total: int) -> tuple[list[int], ...]:
-    """The table of T^(2h) from that of T^h, as (cuts, moves, first, second):
-    each piece is cut where its h-image crosses a cut, one visit per piece
-    and per new piece."""
-    starts, moves, first, second = [], [], [], []
-    for i, (s, e, m) in enumerate(zip((0, *cuts), (*cuts, total), shifts)):
-        j = bisect_right(cuts, s + m)
-        starts.append(s)
-        moves.append(m + shifts[j])
-        first.append(i)
-        second.append(j)
-        for c in cuts[j : bisect_left(cuts, e + m, j)]:
-            j += 1
-            starts.append(c - m)
-            moves.append(m + shifts[j])
-            first.append(i)
-            second.append(j)
-    del starts[0]
-    return starts, moves, first, second
-
-
-def _blocks(points: list[int], shift: list[int], total: int, k: int) -> _Table:
-    """The k-step table of [0, total) cut at the sorted integers ``points``,
-    for k a power of two.
-
-    Gap j of ``points`` moves by ``shift[j]`` and lies in one exchanged
-    interval.  The table's cuts are every T^(-t)(p) with p in points and
-    0 <= t < k, sorted, and gap i of them moves by moves[i] in k steps.  It
-    is built by squaring: T^(2h) is T^h taken twice, O(k * pieces) piece
-    visits in all.  Of each smaller table only the two index lists of the
-    squaring are kept; k = 1 gives the partition itself.
-
-    >>> _blocks([1], [1, -1], 2, 2)
-    _Table(cuts=[1], moves=[0, 0], k=2, levels=[([0, 1], [1, 0])])
-    """
-    cuts, moves, levels = points, shift, []
-    for _ in range(k.bit_length() - 1):
-        cuts, moves, first, second = _square(cuts, moves, total)
-        levels.append((first, second))
-    return _Table(cuts, moves, k, levels[::-1])
-
-
-def _table(points: list[int], shift: list[int], total: int, work: int) -> _Table:
-    """The k-step table for a loop of ``work`` steps."""
-    return _blocks(points, shift, total, _block_length(work, len(shift)))
-
-
-def _words(table: _Table, pieces: int) -> list[tuple[int, ...]]:
-    """Each piece's k-long coding word, for the table of the ``pieces``
-    exchanged intervals themselves: interval j codes as j + 1, and each
-    level up, a piece's word is its first half's word, then its second's."""
-    words = [(j,) for j in range(1, pieces + 1)]
-    for first, second in reversed(table.levels):
-        words = [words[i] + words[j] for i, j in zip(first, second)]
-    return words
-
-
 def orbit_coding(t: Iet, x0: ScalarLike, n: int) -> list[int]:
     """Interval indices (1-based) visited by x0 over n steps, computed exactly.
 
     Entry k is the piece containing the k-th iterate, starting with x0 itself;
-    n = 0 gives the empty coding.  Each lookup in the k-step table adds the
-    piece's k-long word; the last word is cut at n.
+    n = 0 gives the empty coding.  The coding is read off one Rauzy–Veech
+    level, climbed as far as n needs (``ietkit.rauzy``), which takes the
+    orbit onto the base of its tower, in [0, L) or in a cylinder, by at most
+    two nodes a step.  Each node, on the way there and then at each induced
+    step, adds its word; the last one is cut at n.
     """
+    from .rauzy import _spell, _towers
+
     if n < 0:
         raise InvalidBound(f"negative step count {n}")
     x, total, breaks, trans = _scaled_ints(t, x0)
-    points = breaks[:-1]
-    table = _table(points, trans, total, n)
-    cuts, moves, k, _ = table
-    words = _words(table, len(trans))
+    L, starts, nodes, _, heights, moves, kids, x, entry = _towers(breaks[:-1], trans, total, n, x)
     codes: list[int] = []
-    for _ in range(-(-n // k)):
-        p = bisect_right(cuts, x)
-        codes += words[p]
-        x += moves[p]
-    del codes[n:]
+    at: dict[int, int] = {}
+    for s, times in entry:
+        if len(codes) < n:
+            _spell(codes, s, min(n - len(codes), times * heights[s]), heights, kids, at)
+    while len(codes) < n:
+        s = nodes[bisect_right(starts, x) - 1]
+        h, p = heights[s], at.get(s)
+        if p is not None and h <= n - len(codes):
+            codes += codes[p : p + h]
+        else:
+            # A cylinder's orbit returns to x after each pass of its node.
+            _spell(codes, s, n - len(codes) if x >= L else min(n - len(codes), h), heights, kids, at)
+        x += moves[s]
     return codes
 
 
@@ -371,30 +266,44 @@ def find_connections(t: Iet, max_m: int) -> list[Connection]:
 
     Only the interior break points x_1..x_{d-1} qualify at either end; the
     endpoints 0 and |I| are excluded.  Every hit up to the bound is returned,
-    sorted by (m, i, j).  A block of the k-step table covers T^m..T^(m+k-1)
-    of x_i, the last one cut at max_m; T^t(y) = x_j with t < k makes y one
-    of the first k preimages of x_j, which are found by stepping back
-    through the image pieces, O((d - 1) * k) steps in all.
+    sorted by (m, i, j).  They are read off one Rauzy–Veech level, climbed as
+    far as (d - 1) * max_m steps need, max_m capped at the longest period
+    (``ietkit.rauzy``): x_i lies where a floor of one tower starts, and
+    meets breaks on the rest of that tower, then only where an induced step
+    lands on a piece's start, until it is back at its tower's base, after
+    one period, from which on the hits repeat.
     """
+    from .rauzy import _towers
+
     if max_m < 1:
         raise InvalidBound(f"max_m must be at least 1, got {max_m}")
-    _, top, bottom, shifts = t._integers
-    points = top[:-1]
-    cuts, moves, k, _ = _table(points, shifts, top[-1], (t.d - 1) * max_m)
-    # hits[y]: the (t, j) with T^t(y) = x_j and t < k.  T^(-1)(y) is y less
-    # the shift of the piece whose image holds y, as in ``apply_inverse``.
-    hits: dict[int, list[tuple[int, int]]] = {}
-    for j, y in enumerate(points, start=1):
-        for step in range(k):
-            hits.setdefault(y, []).append((step, j))
-            y -= shifts[t.sigma.inverse[bisect_right(bottom, y)] - 1]
+    _, top, _, shifts = t._integers
+    total = top[-1]
+    work = (t.d - 1) * min(max_m, total // math.gcd(*top))
+    L, starts, nodes, hits, heights, moves = _towers(top[:-1], shifts, total, work)[:6]
+    pieces = bisect_left(starts, L)
+    floors = {i: (p, f) for p, tower in enumerate(hits) for f, i in tower}
     found = []
-    for i, x in enumerate(points, start=1):
-        x += shifts[i]  # x_i starts piece i + 1
-        for m in range(1, max_m + 1, k):
-            for step, j in hits.get(x, ()):
-                if m + step <= max_m:
-                    found.append(Connection(m + step, i, j))
-            x += moves[bisect_right(cuts, x)]
-    found.sort(key=lambda c: (c.m, c.i, c.j))
-    return found
+    for i in range(1, t.d):
+        p, f = floors[i]
+        base, tower, s = starts[p], hits[p], nodes[p]
+        got = [(g - f, j) for g, j in tower if f < g <= f + max_m]
+        # T^m(x_i) = y, on a base or in x_i's cylinder.
+        m, y, period = heights[s] - f, base + moves[s], 0
+        while m <= max_m:
+            if y == base:
+                # Back below x_i: its period ends on its own floor.
+                got += [(m + g, j) for g, j in tower if g <= f and m + g <= max_m]
+                period = m + f
+                break
+            q = bisect_right(starts, y, 0, pieces) - 1
+            if y == starts[q]:
+                got += [(m + g, j) for g, j in hits[q] if m + g <= max_m]
+            s = nodes[q]
+            y += moves[s]
+            m += heights[s]
+        # Each hit recurs every period; without one, it is found once.
+        for m, j in got:
+            found += [(k, i, j) for k in range(m, max_m + 1, period or max_m + 1)]
+    found.sort()
+    return [Connection(m, i, j) for m, i, j in found]

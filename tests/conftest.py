@@ -1,12 +1,13 @@
 """Shared fixtures: seeded generators, the frozen intersection fixture, and
 references kept from the paths they were replaced by: the coding, connection,
 frequency and trend loops that take one lookup per iterate, the k-step table
-built by k one-step passes, the counting walk over that table that the
-Rauzy–Veech induction replaced, the ``Fraction`` Horner and slope classifier of
-the curve scan, and the criterion kernels that read a rational's parts and
-normalise it more than once: the scaling to one denominator, the crossing
-locus through its parameter t, the power curve by fresh powers, and the
-prefix-invariance definition of irreducibility.
+that the Rauzy–Veech towers replaced, built by squaring and by k one-step
+passes, the counting walk over that table that the induction replaced, the
+``Fraction`` Horner and slope classifier of the curve scan, and the criterion
+kernels that read a rational's parts and normalise it more than once: the
+scaling to one denominator, the crossing locus through its parameter t, the
+power curve by fresh powers, and the prefix-invariance definition of
+irreducibility.
 
 Set the SEED environment variable to rerun every randomized suite on a
 different deterministic stream; the default keeps CI byte-stable.
@@ -19,6 +20,7 @@ import os
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
@@ -270,6 +272,66 @@ def cell_partition(t, x0, cells: int) -> tuple[list[int], list[int], list[int], 
     return points, [trans[bisect_right(breaks, s)] for s in [0, *points]], breaks, x
 
 
+# The k-step table that the orbit loops once walked, kept for the
+# references: k derived from the work and the pieces, and the table built by
+# squaring.  A table costs about k visits per piece to build and read, and
+# may cost at most a 1/TABLE_SHARE share of the loop's steps; k is at most
+# MAX_BLOCK, and the table at most MAX_TABLE_PIECES pieces.
+TABLE_SHARE = 32
+MAX_BLOCK = 32
+MAX_TABLE_PIECES = 1 << 17
+
+
+def reference_block_length(work: int, pieces: int) -> int:
+    """Steps per lookup for a loop of ``work`` steps over ``pieces`` pieces:
+    the largest power of two within the share, MAX_BLOCK and the cap."""
+    k = min(MAX_BLOCK, MAX_TABLE_PIECES // pieces, work // (TABLE_SHARE * pieces))
+    return 1 << max(k.bit_length() - 1, 0)
+
+
+class Table(NamedTuple):
+    """A k-step partition of [0, total): gap i of ``cuts``, with 0 in front,
+    moves by ``moves[i]`` in k steps.  ``levels`` holds one (first, second)
+    pair per squaring, top level first: piece i of the 2h-step table is
+    h-step piece ``first[i]`` whose h-image starts in h-step piece
+    ``second[i]``."""
+
+    cuts: list[int]
+    moves: list[int]
+    k: int
+    levels: list[tuple[list[int], list[int]]]
+
+
+def reference_square(cuts: list[int], shifts: list[int], total: int) -> tuple[list[int], ...]:
+    """The table of T^(2h) from that of T^h, as (cuts, moves, first, second):
+    each piece is cut where its h-image crosses a cut."""
+    starts, moves, first, second = [], [], [], []
+    for i, (s, e, m) in enumerate(zip((0, *cuts), (*cuts, total), shifts)):
+        j = bisect_right(cuts, s + m)
+        starts.append(s)
+        moves.append(m + shifts[j])
+        first.append(i)
+        second.append(j)
+        for c in cuts[j : bisect_left(cuts, e + m, j)]:
+            j += 1
+            starts.append(c - m)
+            moves.append(m + shifts[j])
+            first.append(i)
+            second.append(j)
+    del starts[0]
+    return starts, moves, first, second
+
+
+def reference_table(points: list[int], shift: list[int], total: int, k: int) -> Table:
+    """The k-step table of [0, total) cut at the sorted ``points``, gap j
+    moving by ``shift[j]``, for k a power of two, by log2(k) squarings."""
+    cuts, moves, levels = points, shift, []
+    for _ in range(k.bit_length() - 1):
+        cuts, moves, first, second = reference_square(cuts, moves, total)
+        levels.append((first, second))
+    return Table(cuts, moves, k, levels[::-1])
+
+
 def reference_walk(points: list[int], shift: list[int], breaks: list[int], x: int, marks) -> list[list[int]]:
     """Visits per gap of the sorted ``points`` at each of the increasing
     ``marks``, counted by the k-step walk that the induction replaced.
@@ -282,8 +344,7 @@ def reference_walk(points: list[int], shift: list[int], breaks: list[int], x: in
     """
     total = breaks[-1]
     work = min(marks[-1], total // math.gcd(*breaks))
-    table = iet._blocks(points, shift, total, iet._block_length(work, len(shift)))
-    cuts, moves, k, levels = table
+    cuts, moves, k, levels = reference_table(points, shift, total, reference_block_length(work, len(shift)))
 
     def expand(counts):
         for first, second in levels:

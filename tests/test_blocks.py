@@ -1,15 +1,14 @@
-"""The k-step table of the orbit loops against the table built by one-step
-passes and the loops that take one lookup per step.
+"""The k-step table that the references keep, squared against one-step
+passes, and the orbit loops against the loops that take one lookup per step.
 
-``ietkit.iet._block_length`` derives k from the work and the partition size;
-the ``block`` fixture replaces it so that every k meets short and long runs.
-Like the derived k, every forced k is a power of two, which the table is
-built for by squaring alone.  ``orbit_coding`` and ``find_connections`` run
-on the table; ``visit_frequencies`` and ``discrepancy_trend`` count by
-Rauzy–Veech induction instead, so the forced k does not reach them, and
-their tests here check them against the references whatever k is, and
-check that the induction builds no table and keeps its memory to
-O(pieces + nodes).
+The package walks no k-step table: ``orbit_coding`` and ``find_connections``
+read Rauzy–Veech towers, and ``visit_frequencies`` and ``discrepancy_trend``
+count by the induction.  ``reference_table`` in conftest keeps the table for
+``reference_walk``; its tests here check that squaring gives the table of k
+one-step passes, and that ``reference_block_length`` derives k as the orbit
+loops once did.  The orbit tests keep a k, a power of two, as the scale of
+their step counts, so that each meets short and long runs, and check that
+the induction keeps its memory to O(pieces + nodes).
 """
 
 from __future__ import annotations
@@ -33,18 +32,23 @@ from ietkit import (
     validate_permutation,
     visit_frequencies,
 )
-from ietkit.iet import _blocks, _scaled_ints
+from ietkit.iet import _scaled_ints
 
 from conftest import (
+    MAX_BLOCK,
+    MAX_TABLE_PIECES,
     SEED,
+    TABLE_SHARE,
     cell_partition,
     period_of,
     random_rational_exchange,
+    reference_block_length,
     reference_blocks,
     reference_discrepancy_trend,
     reference_find_connections,
     reference_orbit_coding,
     reference_steps,
+    reference_table,
     reference_visit_frequencies,
     reference_walk,
 )
@@ -52,14 +56,6 @@ from oracles import oracle_connections
 
 F = Fraction
 KS = [2, 4, 8, 16, 32, 64]
-
-
-@pytest.fixture()
-def block(monkeypatch):
-    def force(k: int) -> None:
-        monkeypatch.setattr(iet, "_block_length", lambda work, pieces: k)
-
-    return force
 
 
 def small_exchange(rng: random.Random, d: int | None = None):
@@ -79,7 +75,7 @@ def one_symbol():
 
 
 # ---------------------------------------------------------------------------
-# the kernel
+# the references' k-step table
 
 
 @pytest.mark.parametrize("k", [1, *KS])
@@ -92,7 +88,7 @@ def test_blocks_are_the_coarsest_partition_with_one_k_step_itinerary(k):
         t = small_exchange(rng)
         _, total, breaks, trans = _scaled_ints(t, F(0))
         points = breaks[:-1]
-        cuts, moves = _blocks(points, trans, total, k)[:2]
+        cuts, moves = reference_table(points, trans, total, k)[:2]
         assert cuts == sorted(set(cuts)) and all(0 < c < total for c in cuts)
         assert len(moves) == len(cuts) + 1
         starts = [0, *cuts]
@@ -107,8 +103,9 @@ def test_blocks_are_the_coarsest_partition_with_one_k_step_itinerary(k):
 
 def test_blocks_of_one_step_are_the_partition_itself():
     _, total, breaks, trans = _scaled_ints(build_iet(validate_permutation([3, 1, 2]), [1, 2, 3]), F(0))
-    assert _blocks(breaks[:-1], trans, total, 1)[:2] == (breaks[:-1], trans)
-    assert _blocks([], [0], 7, 4)[:2] == ([], [0])
+    assert reference_table(breaks[:-1], trans, total, 1)[:2] == (breaks[:-1], trans)
+    assert reference_table([], [0], 7, 4)[:2] == ([], [0])
+    assert reference_table([1], [1, -1], 2, 2) == ([1], [0, 0], 2, [([0, 1], [1, 0])])
 
 
 def large_exchange(rng: random.Random, d: int = 20):
@@ -128,12 +125,12 @@ def test_composed_tables_equal_the_one_step_passes():
         _, total, breaks, trans = _scaled_ints(t, F(0))
         points = breaks[:-1]
         for k in (1, 2, 4, 8, 16, 32, 64):
-            table = _blocks(points, trans, total, k)
+            table = reference_table(points, trans, total, k)
             assert table[:2] == reference_blocks(points, trans, total, k)
             assert table.k == k
             assert len(table.levels) == k.bit_length() - 1
             if k > 1:
-                half = _blocks(points, trans, total, k // 2)
+                half = reference_table(points, trans, total, k // 2)
                 first, second = table.levels[0]
                 assert first[-1] + 1 == len(half.moves)
                 assert [half.moves[i] + half.moves[j] for i, j in zip(first, second)] == table.moves
@@ -141,31 +138,33 @@ def test_composed_tables_equal_the_one_step_passes():
 
 
 def test_block_length_is_derived_from_work_and_pieces():
-    assert iet._block_length(0, 1) == 1
-    assert iet._block_length(10**12, 1) == iet._MAX_BLOCK
+    assert reference_block_length(0, 1) == 1
+    assert reference_block_length(10**12, 1) == MAX_BLOCK
     for pieces in (1, 20, 83, 30_000):
-        ks = [iet._block_length(work, pieces) for work in range(0, 10**6, 997)]
+        ks = [reference_block_length(work, pieces) for work in range(0, 10**6, 997)]
         assert ks == sorted(ks)
         for work, k in zip(range(0, 10**6, 997), ks):
             # The table costs about k visits per piece: at most a
-            # 1/_TABLE_SHARE share of the work, and k is the largest power
-            # of two within that share, the cap and _MAX_BLOCK.
+            # 1/TABLE_SHARE share of the work, and k is the largest power
+            # of two within that share, the cap and MAX_BLOCK.
             assert k & (k - 1) == 0
-            assert k == 1 or k * pieces * iet._TABLE_SHARE <= work
-            assert k == iet._MAX_BLOCK or 2 * k * pieces > min(
-                work // iet._TABLE_SHARE, iet._MAX_TABLE_PIECES)
-    # The benchmark's orbits: 20 and 83 pieces over 200,000 steps take the
-    # longest blocks, and the golden rotation's walk, bounded by its 2,584
-    # integers, keeps the plain loop.
-    assert [iet._block_length(200_000, p) for p in (20, 83)] == [iet._MAX_BLOCK] * 2
-    assert iet._block_length(2584, 65) == 1
-    # However long the loop, a table keeps at most _MAX_TABLE_PIECES pieces.
-    cap = iet._MAX_TABLE_PIECES
+            assert k == 1 or k * pieces * TABLE_SHARE <= work
+            assert k == MAX_BLOCK or 2 * k * pieces > min(work // TABLE_SHARE, MAX_TABLE_PIECES)
+    # 20 and 83 pieces over 200,000 steps take the longest blocks, 20,000
+    # steps shorter ones, and the golden rotation's walk, bounded by its
+    # 2,584 integers, keeps the plain loop.
+    assert [reference_block_length(200_000, p) for p in (20, 83)] == [MAX_BLOCK] * 2
+    assert [reference_block_length(20_000, p) for p in (20, 83)] == [16, 4]
+    assert reference_block_length(2_000, 20) == 2
+    assert reference_block_length(2584, 65) == 1
+    # However long the loop, a table keeps at most MAX_TABLE_PIECES pieces.
+    cap = MAX_TABLE_PIECES
+    assert [reference_block_length(10**9, p) for p in (30_003, cap)] == [4, 1]
     for pieces in (8_192, 8_193, 30_003, cap // 2, cap // 2 + 1, cap, 10 * cap):
-        k = iet._block_length(10**15, pieces)
+        k = reference_block_length(10**15, pieces)
         assert k & (k - 1) == 0
         assert k == 1 or k * pieces <= cap
-        assert k == iet._MAX_BLOCK or 2 * k * pieces > cap
+        assert k == MAX_BLOCK or 2 * k * pieces > cap
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +172,7 @@ def test_block_length_is_derived_from_work_and_pieces():
 
 
 @pytest.mark.parametrize("k", KS)
-def test_coding_matches_the_plain_loop(k, block):
-    block(k)
+def test_coding_matches_the_plain_loop(k):
     rng = random.Random(f"{SEED}/coding-blocks/{k}")
     for case in range(40):
         t = small_exchange(rng) if case % 2 else random_rational_exchange(rng, case % 7, "interior")[0]
@@ -190,8 +188,7 @@ def test_coding_matches_the_plain_loop(k, block):
 
 
 @pytest.mark.parametrize("k", KS)
-def test_connections_match_the_plain_loop_and_the_oracle(k, block):
-    block(k)
+def test_connections_match_the_plain_loop_and_the_oracle(k):
     rng = random.Random(f"{SEED}/connections-blocks/{k}")
     offsets = set()
     for case in range(40):
@@ -204,15 +201,15 @@ def test_connections_match_the_plain_loop_and_the_oracle(k, block):
             images = t.sigma.images
             got = [(c.m, c.i, c.j) for c in find_connections(t, 5 * k)]
             assert got == oracle_connections(images, t.lengths, 5 * k)
-    # A block covers T^m..T^(m+k-1): hits occur at every offset in it.
+    # The hits fall at every residue of m - 1 mod k, so no offset into a
+    # run of k steps goes unchecked.
     assert offsets == set(range(k))
     assert find_connections(one_symbol(), 3 * k) == []
 
 
-def test_connections_check_the_first_point_of_each_block(block):
-    # A version that looked at offsets 1..k of a block instead of 0..k-1
-    # missed hits on this exchange.
-    block(2)
+def test_connections_check_the_first_point_of_each_block():
+    # A k-step walk that looked at offsets 1..k of a block instead of
+    # 0..k-1 missed hits on this exchange at k = 2.
     sigma = validate_permutation([3, 1, 4, 2])
     a = [F(2, 5), F(2, 3), F(1, 5), F(4)]
     got = find_connections(build_iet(sigma, a), 223)
@@ -235,8 +232,7 @@ def walk_counts(t, x0, p: int | None, k: int, rng: random.Random) -> set[int]:
 
 
 @pytest.mark.parametrize("k", KS)
-def test_frequencies_match_the_plain_loop(k, block):
-    block(k)
+def test_frequencies_match_the_plain_loop(k):
     rng = random.Random(f"{SEED}/frequencies-blocks/{k}")
     for case in range(30):
         if case % 3:
@@ -257,10 +253,9 @@ def test_frequencies_match_the_plain_loop(k, block):
 
 
 @pytest.mark.parametrize("k", KS)
-def test_frequencies_keep_the_first_return(k, block):
+def test_frequencies_keep_the_first_return(k):
     # 10^15 steps finish only if the walk stops at its first return: the
     # counts are q whole periods plus the first r steps.
-    block(k)
     rng = random.Random(f"{SEED}/frequencies-return/{k}")
     n = 10**15 + rng.randint(0, 10**6)
     for _ in range(10):
@@ -275,8 +270,7 @@ def test_frequencies_keep_the_first_return(k, block):
 
 
 @pytest.mark.parametrize("k", KS)
-def test_trend_matches_the_plain_loop(k, block):
-    block(k)
+def test_trend_matches_the_plain_loop(k):
     rng = random.Random(f"{SEED}/trend-blocks/{k}")
     for case in range(30):
         if case % 2:
@@ -310,16 +304,17 @@ def test_trend_builds_one_table_per_call(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# derived k and memory
+# long orbits and memory
 
 
 def test_derived_k_on_long_orbits_matches_the_plain_loops():
+    # Orbits that the k-step walk once took 32 steps a lookup.
     rng = random.Random(f"{SEED}/derived-k")
     sigma = random_irreducible(20, rng.getrandbits(32))
     t = build_iet(sigma, [F(rng.randint(10**6, 2 * 10**6), 999_983) for _ in range(20)])
     x0 = t.total * F(rng.randint(0, 999), 1000)
     n = 30_011
-    assert iet._block_length(n, 20) > 1
+    assert reference_block_length(n, 20) == 32
     assert orbit_coding(t, x0, n) == reference_orbit_coding(t, x0, n)
     assert visit_frequencies(t, x0, n, 16) == reference_visit_frequencies(t, x0, n, 16)
     assert find_connections(t, 1601) == reference_find_connections(t, 1601)
@@ -327,14 +322,13 @@ def test_derived_k_on_long_orbits_matches_the_plain_loops():
     assert discrepancy_trend(t, x0, schedule) == reference_discrepancy_trend(t, x0, schedule)
 
 
-def test_short_periodic_walk_keeps_the_plain_loop(monkeypatch):
-    # The counting loop builds no k-step table, on orbits that return (the
-    # golden rotation's within 2584 steps) and on orbits that do not.
-    def refuse(*args):
-        raise AssertionError("no k-step table expected")
-
-    monkeypatch.setattr(iet, "_square", refuse)
-    monkeypatch.setattr(iet, "_blocks", refuse)
+def test_short_periodic_walk_keeps_the_plain_loop():
+    # The package keeps no k-step table; the counting loop matches the
+    # references on orbits that return (the golden rotation's within 2584
+    # steps) and on orbits that do not.
+    for name in ("_TABLE_SHARE", "_MAX_BLOCK", "_MAX_TABLE_PIECES", "_block_length",
+                 "_Table", "_square", "_blocks", "_table", "_words"):
+        assert not hasattr(iet, name) and not hasattr(rauzy, name)
     t = build_iet(validate_permutation([2, 1]), [F(1), F(1597, 987)])
     x0 = t.total * F(331, 1000)
     assert visit_frequencies(t, x0, 200_000) == reference_visit_frequencies(t, x0, 200_000)
@@ -404,13 +398,11 @@ def test_walk_table_stores_no_itinerary_at_the_largest_k(induction_nodes):
 
 
 def test_coding_words_stay_linear_in_the_steps():
-    # Each table piece keeps its k-long word, k times the table's pieces in
-    # all, and so does the level below while a level's words are built;
-    # the derived k keeps the table at most n / 32 pieces, so the words stay
-    # within a constant number of bytes per step.
+    # A node's word is written once into the coding and copied from there,
+    # and no longer than the steps left is built, so the coding stays within
+    # a constant number of bytes per step, as the k-step words did.
     t = large_exchange(random.Random(f"{SEED}/coding-memory"))
     for n in (1280, 2000, 20_000, 20_480, 100_000):
-        assert iet._block_length(n, t.d) > 1
         tracemalloc.start()
         try:
             orbit_coding(t, t.total / 3, n)

@@ -136,7 +136,7 @@ def test_valid_jobs_import_neither_jsonschema_nor_the_pool(tmp_path):
 
 @pytest.mark.parametrize("argv, loaded", [
     (["omega", "--perm", "3,1,2"], set()),
-    (["connections", "--perm", "2,1", "--lengths", "1,1", "--max-m", "3"], {"iet"}),
+    (["connections", "--perm", "2,1", "--lengths", "1,1", "--max-m", "3"], {"iet", "rauzy"}),
     (["orbit", "--perm", "2,1", "--lengths", "1,1597/987", "--x0", "0", "--iters", "100"],
      {"iet", "diagnostics", "rauzy"}),
     (["suspend", "--perm", "3,2,1", "--lengths", "1,1,1", "--heights", "1,0,-1"],
