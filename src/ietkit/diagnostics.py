@@ -6,9 +6,10 @@ denominator, so cost per step stays flat) and compared against the Lebesgue
 prediction a_j / |I| per interval, plus a uniform refinement into equal cells.
 
 Over that denominator the orbit is purely periodic, and the counting loop of
-``ietkit.rauzy`` counts it by Rauzy–Veech induction, climbing only as far as
-n needs and counting whole periods by divmod; see that module for the
-induction.  ``visit_frequencies`` with cells^2 <= n counts the pieces cut by
+``ietkit.rauzy`` counts it: at most 8 plain steps, then one Rauzy–Veech
+induction climbed for the last count, through whose towers it steps,
+counting whole periods by divmod once the orbit returns; see that module
+for the induction.  ``visit_frequencies`` with cells^2 <= n counts the pieces cut by
 the breaks and the cell starts, whose pieces each lie in one interval and
 one cell; the sqrt(n) gate keeps that partition small against the orbit.
 With more cells a plain loop counts only the cells it visits, and stops at
@@ -150,9 +151,10 @@ def discrepancy_trend(
 
     The schedule must be strictly increasing positive counts; the value at
     each n equals visit_frequencies(t, x0, n).discrepancy (prefix consistency).
-    One induction serves the whole schedule, and the orbit goes on from
-    mark to mark; once it is known to return, whole periods are counted by
-    divmod.  A rejected schedule is quoted in full only when it is short.
+    After at most 8 plain steps, one induction, climbed for the last mark,
+    serves the whole schedule, and the orbit goes on from mark to mark
+    through its towers; once it is back where it began stepping there,
+    whole periods are counted by divmod.  A rejected schedule is quoted in full only when it is short.
     """
     if any(n < 1 for n in schedule) or any(
         a >= b for a, b in zip(schedule, schedule[1:])

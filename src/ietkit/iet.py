@@ -280,7 +280,8 @@ def find_connections(t: Iet, max_m: int) -> list[Connection]:
     _, top, _, shifts = t._integers
     total = top[-1]
     work = (t.d - 1) * min(max_m, total // math.gcd(*top))
-    L, starts, nodes, hits, heights, moves = _towers(top[:-1], shifts, total, work)[:6]
+    L, starts, nodes, hits, heights, moves = _towers(
+        top[:-1], shifts, total, work, 0, [[]] + [[(0, j)] for j in range(1, t.d)])[:6]
     pieces = bisect_left(starts, L)
     floors = {i: (p, f) for p, tower in enumerate(hits) for f, i in tower}
     found = []

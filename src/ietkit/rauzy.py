@@ -1,7 +1,7 @@
 """Rauzy–Veech induction, which counts the visits of long exact orbits and
 builds the towers that orbit codings and connections are read off.
 
-The one climb, ``_climb``, runs the induction (G. Rauzy, Acta Arith. 34,
+The one climb, ``_towers``, runs the induction (G. Rauzy, Acta Arith. 34,
 1979) on a sorted integer partition of [0, total) whose pieces each lie in
 one interval of an exchange, over the integers of one common denominator,
 where every orbit is purely periodic; the pieces are its symbols.  Each
@@ -14,24 +14,25 @@ is the period of every point in it.  Steps with one winner form one Zorich
 group (A. Zorich, Ann. Inst. Fourier 46, 1996), whose whole cycles are
 taken by one division.  The climb follows one orbit: a point cut off by a
 group takes at most two nodes, counted by multiplicity, to return to the
-shorter interval.  It stops once a loop at the level reached would take
-fewer induced steps than the nodes made, or at ``_MAX_NODES`` nodes.
+shorter interval.  It stops once a loop of the given work at the level
+reached would take fewer induced steps than the nodes made, or at
+``_MAX_NODES`` nodes.  The level's towers, each on a piece of [0, L) or on
+a cylinder, can carry the floors that start on a break, their hits, which
+the climb moves from node to node.
 
-The counting loop, ``_visits``, counts visits per piece, cell starts among
-the pieces as fake breaks, climbing only as far as the orbit needs.  Once
-stepping at the level reached costs less than climbing, it steps there; an
-orbit that returns, in a cylinder or to its start at that level, counts its
-periods by divmod, and 8 plain steps before the first climb catch a short
-period.  The remainder goes down one chain of nodes, and the counts go down
-the nodes once per mark.  Climbing costs O(levels) whatever n is, and
-memory is O(pieces + nodes).
-
-``_towers`` climbs once for a loop of given work on the exchange's own
-pieces, and keeps for each tower, a piece of the level or a cylinder, the
-floors that start on a break, its hits, which the climb carries from node
-to node.  ``_spell`` writes out a node's word, the pieces its excursion
-visits, copying each node's word from where it was first written and
-building only the prefix that is asked for.
+Three loops step through one level each.  The counting loop, ``_visits``,
+counts visits per piece, cell starts among the pieces as fake breaks: at
+most 8 plain steps first, which catch a period of a few steps without any
+induction, then one climb for the steps left to the last mark, and steps
+through its towers from mark to mark.  An orbit back where it began
+stepping at the level, in a cylinder after one pass, counts its periods
+by divmod.  The remainder goes down one chain of nodes, and the counts go
+down the nodes once per mark.  Climbing costs O(levels) whatever n is, and
+memory is O(pieces + nodes).  ``ietkit.iet``'s ``orbit_coding`` and
+``find_connections`` read the towers of the exchange's own pieces;
+``_spell`` writes out a node's word, the pieces its excursion visits,
+copying each node's word from where it was first written and building
+only the prefix that is asked for.
 
 ``_rauzy_step`` only compares and subtracts lengths, so it runs on any
 ordered field.
@@ -151,30 +152,73 @@ def _absorb(
     return tlast, blast
 
 
-def _climb(
-    points: list[int], shift: list[int], total: int, heights: list[int], moves: list[int], kids: list,
-    hits: list[list[tuple[int, int]]] | None = None,
-) -> Iterator[tuple]:
-    """The Rauzy–Veech induction of the partition of [0, total) cut at the
-    sorted ``points``, whose gap j moves by ``shift[j]``: the package's one
-    climb, which goes up as far as a loop at the level needs.
+def _descend(s: int, n: int, kids: list, heights: list[int], counts: list[int]) -> None:
+    """Add to ``counts`` the nodes that make up the first n steps of node s's
+    excursion, 0 < n < heights[s], going down one chain of nodes."""
+    while n:
+        a, ra, b, _ = kids[s]
+        ha = heights[a]
+        if n < ra * ha:
+            q, n = divmod(n, ha)
+        else:
+            counts[a] += ra
+            q, n = divmod(n - ra * ha, heights[b])
+            a = b
+        counts[a] += q
+        s = a
 
-    The first ``next`` yields the lists that the climb changes in place: the
-    symbols' lengths, the top order's ``tprev``, each symbol's node, and the
-    (base, symbol) of each cylinder cut off.  Sending (y, work), the point
-    the orbit has reached, in [0, L) or in a cylinder, and the steps left,
-    takes at least one step and goes on while a loop of ``work`` steps at
-    the level would take more induced steps, about work * L / total, than
-    the nodes made so far, up to ``_MAX_NODES`` nodes, and while y stays
-    where it was.  Each step appends the nodes it makes to ``heights``,
-    ``moves`` and ``kids``.  The send yields (L, tlast, live, a, y, entry):
-    [0, L), the last symbol of its top order and the symbols left, the last
-    symbol a of the top order before the last step, and the point again,
-    with the nodes, (node, times) with the next one last, that took it back
-    into [0, L) if the last step cut it off.  A point cut off by a group
-    takes at most two nodes, counted by multiplicity, to return.  A point
-    left in a cylinder, a's, stays there.  The climb ends once no symbol is
-    left.
+
+def _level(lengths: list[int], tprev: list[int], tlast: int, end: int) -> tuple[list[int], list[int]]:
+    """The sorted piece starts of the induction's level on [0, end), from its
+    top order, and each piece's symbol."""
+    starts, symbols = [], []
+    j = tlast
+    while j >= 0:
+        end -= lengths[j]
+        starts.append(end)
+        symbols.append(j)
+        j = tprev[j]
+    return starts[::-1], symbols[::-1]
+
+
+class _Towers(NamedTuple):
+    """One level of the induction as the towers over [0, total).
+
+    The level's pieces tile [0, L), and the cylinders cut off so far lie
+    beyond; tower p has its base at ``starts[p]``, all in increasing order.
+    Node ``nodes[p]`` is the tower's excursion, and ``hits[p]``, when the
+    climb carried hits, the (t, j), by increasing t, with T^t of the base's
+    start at the partition's j-th point.  ``heights``, ``moves`` and
+    ``kids`` are the nodes' lists, and the orbit of the point the climb
+    followed is at y, in a tower's piece, once it has taken the nodes of
+    ``entry``, (node, times) in turn.
+    """
+
+    L: int
+    starts: list[int]
+    nodes: list[int]
+    hits: list[list[tuple[int, int]]] | None
+    heights: list[int]
+    moves: list[int]
+    kids: list
+    y: int
+    entry: list[tuple[int, int]]
+
+
+def _towers(
+    points: list[int], shift: list[int], total: int, work: int, y: int = 0,
+    hits: list[list[tuple[int, int]]] | None = None,
+) -> _Towers:
+    """The Rauzy–Veech induction of the partition of [0, total) cut at the
+    sorted ``points``, whose gap j moves by ``shift[j]``, climbed for a loop
+    of ``work`` steps: the package's one climb.
+
+    It climbs while a loop of ``work`` steps at the level would take more
+    induced steps, about work * L / total, than the nodes made so far, up to
+    ``_MAX_NODES`` nodes, and while a symbol is left.  It follows the orbit
+    of y: a point cut off by a group takes at most two nodes, counted by
+    multiplicity, to return to the shorter interval, and they go on
+    ``entry`` in the order taken; a point left in a cylinder stays there.
 
     ``hits``, if given, holds each symbol's (t, j) with T^t of its piece's
     start at points[j - 1], by increasing t; the climb keeps it for the
@@ -187,22 +231,23 @@ def _climb(
     excursion ends on a's start, so a's hits follow b's, moved up by b's
     height.
 
-    >>> heights, moves, kids = [1, 1], [1, -1], [None, None]
-    >>> climb = _climb([1], [1, -1], 2, heights, moves, kids)
-    >>> next(climb)
-    ([1, 1], [-1, 0], [0, 1], [])
-    >>> climb.send((1, 10)), kids, heights
-    ((1, 0, 1, 1, 0, [(1, 1)]), [None, None, (0, 1, 1, 1)], [1, 1, 2])
+    >>> _towers([1], [1, -1], 2, 4, 1)
+    _Towers(L=1, starts=[0], nodes=[2], hits=None, heights=[1, 1, 2], moves=[1, -1, 0], kids=[None, None, (0, 1, 1, 1)], y=0, entry=[(1, 1)])
+    >>> _towers([1], [1, -1], 2, 10, 1, [[], [(0, 1)]])
+    _Towers(L=0, starts=[0], nodes=[2], hits=[[(1, 1)]], heights=[1, 1, 2], moves=[1, -1, 0], kids=[None, None, (0, 1, 1, 1)], y=0, entry=[(1, 1)])
     """
     d = len(shift)
+    # Node i is an excursion: heights[i] steps that move a point by moves[i]
+    # and visit kids[i] = (a, ra, b, rb), node a ra times and then node b rb
+    # times; the gaps themselves are the nodes 0..d-1, one step each.  A
+    # symbol's node is the excursion from its piece of [0, L) back to [0, L).
+    heights, moves, kids = [1] * d, list(shift), [None] * d
     lengths, tprev, tnext, bprev, bnext, blast = _orders(points, shift, total)
-    tlast, node, cylinders = d - 1, list(range(d)), []
-    y, work = yield lengths, tprev, node, cylinders
+    tlast, node, cylinders, entry = d - 1, list(range(d)), [], []
     L, live = total, d
-    while live:
+    while live and work * L // total > len(kids) < _MAX_NODES:
         end = L
         a, b = tlast, blast
-        entry = ()
         if a == b:
             # Last in both orders: a cylinder, every point of which returns
             # after its height.
@@ -212,8 +257,6 @@ def _climb(
                 tnext[tlast] = bnext[blast] = -1
             L -= lengths[a]
             cylinders.append((L, a))
-            if L <= y < end or work * L // total <= len(kids) or len(kids) >= _MAX_NODES:
-                y, work = yield L, tlast, live, a, y, entry
             continue
         top = lengths[a] >= lengths[b]
         sw = node[a if top else b]
@@ -245,7 +288,7 @@ def _climb(
                 # In the winner's piece, which moves left by -tw: it leaves
                 # the cut after j passes.
                 j = (y - L) // -tw + 1
-                entry = [(sw, j)]
+                entry.append((sw, j))
                 y += j * tw
             else:
                 # In the winner's image, which moves right by tw: j passes
@@ -256,7 +299,9 @@ def _climb(
                     if o < 0:
                         break
                 sg = node[g]
-                entry = [(sg, 1), (sw, j)] if j else [(sg, 1)]
+                if j:
+                    entry.append((sw, j))
+                entry.append((sg, 1))
                 y += j * tw + moves[sg]
         for g, r in losses:
             sg = node[g]
@@ -264,39 +309,14 @@ def _climb(
             kids.append((sg, 1, sw, r) if top else (sw, r, sg, 1))
             heights.append(heights[sg] + r * hw)
             moves.append(moves[sg] + r * tw)
-        if entry or work * L // total <= len(kids) or len(kids) >= _MAX_NODES:
-            y, work = yield L, tlast, live, a, y, entry
-
-
-def _descend(s: int, n: int, kids: list, heights: list[int], counts: list[int]) -> None:
-    """Add to ``counts`` the nodes that make up the first n steps of node s's
-    excursion, 0 < n < heights[s], going down one chain of nodes."""
-    while n:
-        a, ra, b, _ = kids[s]
-        ha = heights[a]
-        if n < ra * ha:
-            q, n = divmod(n, ha)
-        else:
-            counts[a] += ra
-            q, n = divmod(n - ra * ha, heights[b])
-            a = b
-        counts[a] += q
-        s = a
-
-
-def _level(
-    lengths: list[int], tprev: list[int], tlast: int, end: int, label: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """The sorted piece starts of the induction's level on [0, end), from its
-    top order, and the label of each piece's symbol."""
-    starts, labels = [], []
-    j = tlast
-    while j >= 0:
-        end -= lengths[j]
-        starts.append(end)
-        labels.append(label[j])
-        j = tprev[j]
-    return starts[::-1], labels[::-1]
+    starts, symbols = _level(lengths, tprev, tlast, L)
+    for base, a in reversed(cylinders):
+        starts.append(base)
+        symbols.append(a)
+    return _Towers(
+        L, starts, [node[a] for a in symbols], None if hits is None else [hits[a] for a in symbols],
+        heights, moves, kids, y, entry,
+    )
 
 
 def _visits(
@@ -306,10 +326,12 @@ def _visits(
     from x, yielded for each of the increasing ``marks`` in turn.
 
     Gap j moves by ``shift[j]`` and lies in one interval of the exchange
-    whose scaled ``breaks`` end at the total.  The gaps are the symbols of a
-    Rauzy–Veech induction on [0, L), L shrinking from the total, built only
-    as far as the orbit climbs; the orbit goes on from mark to mark, and
-    nothing is built before the first count is asked for.
+    whose scaled ``breaks`` end at the total.  The orbit takes at most 8
+    plain steps through the gaps; if it has not returned by then, the gaps
+    are the symbols of one Rauzy–Veech induction, climbed by ``_towers`` for
+    the steps left to the last mark, and the orbit steps through the
+    towers of the level reached.  It goes on from mark to mark, and nothing
+    is built before the first count is asked for.
 
     >>> list(_visits([1], [1, -1], [1, 2], 0, [1, 2, 5]))
     [[1, 0], [1, 1], [3, 2]]
@@ -317,24 +339,20 @@ def _visits(
     total = breaks[-1]
     bound = total // math.gcd(*breaks)
     d = len(shift)
-    # Node i is an excursion: heights[i] steps that move a point by moves[i]
-    # and visit kids[i] = (a, ra, b, rb), node a ra times and then node b rb
-    # times; the gaps themselves are the nodes 0..d-1, one step each.  A
-    # symbol's node is the excursion from its piece of [0, L) back to [0, L).
-    # The orders and the symbols' nodes are made at the first climb, so an
-    # orbit that only steps through the partition itself makes neither.
-    heights, moves, kids = [1] * d, list(shift), [None] * d
-    tprev = None
+    # The orbit steps first through the partition itself, whose gaps are the
+    # nodes 0..d-1 of one step each; ``kids`` is None until the climb.
+    heights, moves, kids = [1] * d, shift, None
+    starts, nodes = [0, *points], range(d)
     mult = [0] * d  # whole excursions taken, per node
-    L, live = total, d
     # The orbit has taken the steps in ``mult``; ``path`` holds the nodes,
-    # (node, times) with the next one last, that take it on to y in [0, L),
-    # or into its cylinder, and ``cycle`` the (node, times) of one period
-    # and the period, once the orbit is known to return.
+    # (node, times) with the next one last, that take it on to y.  Stepping
+    # at the level began at ``start``, after ``origin`` steps, with ``base``
+    # taken; ``cycle`` holds the (node, times) of one period and the period,
+    # once the orbit is back there.
     path: list[tuple[int, int]] = []
     cycle = None
+    start, origin, base = x, 0, mult[:]
     y, done = x, 0
-    level, climb = ([0, *points], range(d)), False
     for mark in marks:
         rem, tail = mark - done, None
         while rem:
@@ -354,63 +372,44 @@ def _visits(
                 break
             if cycle is not None:
                 # Whole periods at once; the visits of one period are the
-                # same from every point of the orbit.
+                # same from every point of the orbit at the level.
                 items, period = cycle
                 q, rem = divmod(rem, period)
                 if q:
                     for s, c in items:
                         mult[s] += q * c
-                if y >= L:
-                    # In a cylinder, whose node is the one item: the rest
-                    # is the start of its excursion.
-                    path = items[:]
-                    continue
                 if not rem:
                     break
-            # About min(n, period) * L / total induced steps remain at this
-            # level.  Once that is no more than the nodes made so far, or the
-            # nodes reach their cap, stepping here is the cheaper way on; a
-            # stretch over budget goes back to climbing, one event.  Before
-            # the first climb, a stretch of 8 plain steps lets an orbit with
-            # a period of a few steps return without any induction.
-            steps = min(rem, bound) * L // total
-            full = len(kids) >= _MAX_NODES
-            cheap = steps <= len(kids)
-            if full or (cheap or tprev is None) and not climb:
-                if level is None:
-                    level = _level(lengths, tprev, tlast, L, node)
-                starts, nodes = level
-                # A return to the stretch's start is a period, whose visits
-                # are what the stretch added to ``mult``.
-                start, watch = y, None if cycle else (rem, mult[:])
-                for _ in range(rem if full else 2 * steps + live + 8 if cheap else 8):
-                    s = nodes[bisect_right(starts, y) - 1]
-                    y += moves[s]
-                    h = heights[s]
-                    if h > rem:
-                        path.append((s, 1))
-                        break
-                    mult[s] += 1
-                    rem -= h
-                    if y == start and watch:
-                        taken, base = watch
-                        items = [(i, m - b) for i, (m, b) in enumerate(zip(mult, base)) if m != b]
-                        cycle = items, taken - rem
-                        break
-                    if not rem:
-                        break
-                else:
-                    climb = True
+            elif start is None:
+                start, origin, base = y, mark - rem, mult[:]
+            elif y == start and mark - rem > origin:
+                # Back at the start: one period, whose visits are what was
+                # taken since.  A cylinder's node does not move, so there
+                # the first step is a period.
+                items = [(i, m - b) for i, (m, b) in enumerate(zip(mult, base)) if m != b]
+                cycle = items, mark - rem - origin
                 continue
-            level, climb = None, False
-            if tprev is None:
-                induction = _climb(points, shift, total, heights, moves, kids)
-                lengths, tprev, node, _ = next(induction)
-            L, tlast, live, a, y, entry = induction.send((y, min(rem, bound)))
-            path += entry
-            mult += [0] * (len(kids) - len(mult))
-            if y >= L:
-                cycle = [(node[a], 1)], heights[node[a]]
+            elif kids is None and mark - rem >= 8:
+                # No period within 8 plain steps: one climb for the steps
+                # left to the last mark.
+                work = min(marks[-1] - mark + rem, bound)
+                _, starts, nodes, _, heights, moves, kids, y, entry = _towers(points, shift, total, work, y)
+                mult += [0] * (len(kids) - d)
+                path, start = entry[::-1], None
+                continue
+            # Step until the mark, a node that ends past it, or a return;
+            # before the climb, one plain step at a time.
+            for _ in range(rem if kids else 1):
+                s = nodes[bisect_right(starts, y) - 1]
+                y += moves[s]
+                h = heights[s]
+                if h > rem:
+                    path.append((s, 1))
+                    break
+                mult[s] += 1
+                rem -= h
+                if y == start or not rem:
+                    break
         done = mark - rem
         counts = mult[:]
         if tail is not None:
@@ -424,53 +423,6 @@ def _visits(
                 counts[a] += m * ra
                 counts[b] += m * rb
         yield counts[:d]
-
-
-class _Towers(NamedTuple):
-    """One level of the induction as the towers over [0, total).
-
-    The level's pieces tile [0, L), and the cylinders cut off so far lie
-    beyond; tower p has its base at ``starts[p]``, all in increasing order.
-    Node ``nodes[p]`` is the tower's excursion, and ``hits[p]`` the (t, j),
-    by increasing t, with T^t of the base's start at the partition's j-th
-    point.  ``heights``, ``moves`` and ``kids`` are the nodes' lists, and
-    the orbit of the point the climb followed is at y, on a base, once it
-    has taken the nodes of ``entry``, (node, times) in turn.
-    """
-
-    L: int
-    starts: list[int]
-    nodes: list[int]
-    hits: list[list[tuple[int, int]]]
-    heights: list[int]
-    moves: list[int]
-    kids: list
-    y: int
-    entry: list[tuple[int, int]]
-
-
-def _towers(points: list[int], shift: list[int], total: int, work: int, y: int = 0) -> _Towers:
-    """The level of the partition of [0, total) cut at the sorted ``points``,
-    whose gap j moves by ``shift[j]``, for a loop of ``work`` steps, with
-    each tower's hits, and the way onto it of the orbit of y.
-
-    >>> _towers([1], [1, -1], 2, 10, 1)
-    _Towers(L=0, starts=[0], nodes=[2], hits=[[(1, 1)]], heights=[1, 1, 2], moves=[1, -1, 0], kids=[None, None, (0, 1, 1, 1)], y=0, entry=[(1, 1)])
-    """
-    d = len(shift)
-    heights, moves, kids = [1] * d, list(shift), [None] * d
-    hits = [[]] + [[(0, j)] for j in range(1, d)]
-    induction = _climb(points, shift, total, heights, moves, kids, hits)
-    lengths, tprev, node, cylinders = next(induction)
-    L, tlast, entry = total, d - 1, []
-    while L and work * L // total > len(kids) < _MAX_NODES:
-        L, tlast, _, _, y, path = induction.send((y, work))
-        entry += path[::-1]
-    starts, symbols = _level(lengths, tprev, tlast, L, range(d))
-    for base, a in reversed(cylinders):
-        starts.append(base)
-        symbols.append(a)
-    return _Towers(L, starts, [node[a] for a in symbols], [hits[a] for a in symbols], heights, moves, kids, y, entry)
 
 
 def _spell(codes: list[int], s: int, n: int, heights: list[int], kids: list, at: dict[int, int]) -> None:

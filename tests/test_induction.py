@@ -191,6 +191,65 @@ def test_golden_rotation_counts_whole_periods(x0):
     assert list(_visits(points, shift, breaks, x, marks)) == reference_walk(points, shift, breaks, x, marks)
 
 
+@pytest.fixture()
+def climbs(monkeypatch):
+    """The nodes of each level that ``_towers`` climbs, in the order made."""
+    made = []
+    towers = rauzy._towers
+
+    def record(*args):
+        level = towers(*args)
+        made.append(len(level.kids))
+        return level
+
+    monkeypatch.setattr(rauzy, "_towers", record)
+    return made
+
+
+def d20_exchange():
+    # The benchmark's kind of exchange: lengths over two primes near 10^6,
+    # whose orbits do not return within these counts.
+    rng = random.Random(f"{SEED}/one-level")
+    sigma = random_irreducible(20, rng.getrandbits(32))
+    t = build_iet(sigma, [F(rng.randint(10**6, 2 * 10**6), rng.choice((999_983, 1_000_003))) for _ in range(20)])
+    return t, t.total / 3
+
+
+@pytest.mark.parametrize("case", ["d20", "golden", "reducible", "cylinder"])
+def test_one_level_serves_the_whole_schedule(case, climbs):
+    # Counted alone, a mark climbs a level for its own steps; inside a
+    # schedule that ends at 10^12 it is counted at the level climbed for
+    # the last mark.  Both give the counts of plain steps.  The cylinder
+    # start lies inside the cylinder of period 14 that holds 15/2.
+    if case == "d20":
+        t, x0 = d20_exchange()
+    elif case == "golden":
+        t, x0 = golden(), F(331, 1000)
+    elif case == "reducible":
+        t, x0 = build_iet(validate_permutation([2, 1, 4, 3]), [1, 1, F(1597, 987), F(999983, 1000003)]), F(5, 2)
+    else:
+        t, x0 = build_iet(validate_permutation([5, 4, 3, 2, 1]), [F(15, 2), 1, 20, F(1, 2), F(13, 2)]), F(31, 4)
+    marks = [9, 100, 2_583, 2_584, 30_011, 10**5]
+    for cells in (1, 16):
+        points, shift, breaks, x = cell_partition(t, x0, cells)
+        climbs.clear()
+        alone = [next(_visits(points, shift, breaks, x, [mark])) for mark in marks]
+        shallow = climbs[:]
+        assert len(shallow) == len(marks)
+        climbs.clear()
+        counting = _visits(points, shift, breaks, x, marks + [10**9, 10**12])
+        schedule = [next(counting)]
+        # The one climb is made before the first count, for the last mark.
+        assert len(climbs) == 1 and shallow[0] < climbs[0] and max(shallow) <= climbs[0]
+        schedule += counting
+        assert len(climbs) == 1
+        want = plain_counts(points, shift, x, marks)
+        assert schedule[: len(marks)] == alone == want
+        assert want == reference_walk(points, shift, breaks, x, marks)
+        assert schedule[-1] == next(_visits(points, shift, breaks, x, [10**12]))
+        assert sum(schedule[-1]) == 10**12
+
+
 # ---------------------------------------------------------------------------
 # step counts around the levels
 

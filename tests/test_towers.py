@@ -33,15 +33,20 @@ def level(monkeypatch):
     towers = rauzy._towers
 
     def force(work: int) -> None:
-        monkeypatch.setattr(rauzy, "_towers", lambda points, shift, total, _, y=0: towers(
-            points, shift, total, work, y))
+        monkeypatch.setattr(rauzy, "_towers", lambda points, shift, total, _, *rest: towers(
+            points, shift, total, work, *rest))
 
     return force
 
 
+def starting_hits(d: int) -> list[list[tuple[int, int]]]:
+    """Each gap's hits before the climb: gap j > 0 starts on the j-th break."""
+    return [[]] + [[(0, j)] for j in range(1, d)]
+
+
 def towers_of(t, x0=F(0), work: int = 10**6) -> rauzy._Towers:
     x, total, breaks, trans = _scaled_ints(t, x0)
-    return rauzy._towers(breaks[:-1], trans, total, work, x)
+    return rauzy._towers(breaks[:-1], trans, total, work, x, starting_hits(t.d))
 
 
 def exchange(rng: random.Random, d: int, digits: int, any_sigma: bool = False):
@@ -96,6 +101,20 @@ def test_hits_are_the_floors_that_start_on_a_break():
                     assert hits[: len(want)] == want
                 seen += [j for _, j in hits]
             assert sorted(seen) == list(range(1, t.d))
+
+
+def test_hits_are_data_only():
+    # Carrying the hits changes no other field of the level: the climb, the
+    # towers and the followed orbit are the same without them.
+    rng = random.Random(f"{SEED}/tower-hits")
+    for case in range(60):
+        t = exchange(rng, rng.randint(1, 7), rng.choice([1, 2, 3]), any_sigma=case % 5 == 0)
+        x, total, breaks, trans = _scaled_ints(t, t.total * F(rng.randint(0, 999), 1000))
+        for work in (0, 50, 2_000, 10**6):
+            bare = rauzy._towers(breaks[:-1], trans, total, work, x)
+            carried = rauzy._towers(breaks[:-1], trans, total, work, x, starting_hits(t.d))
+            assert bare.hits is None and len(carried.hits) == len(carried.starts)
+            assert bare._replace(hits=carried.hits) == carried
 
 
 @pytest.mark.parametrize("work", [10, 300, 10**4, 10**9])
