@@ -8,10 +8,12 @@ prediction a_j / |I| per interval, plus a uniform refinement into equal cells.
 Over that denominator the orbit is purely periodic, and the counting loop of
 ``ietkit.rauzy`` counts it: at most 8 plain steps, then one Rauzy–Veech
 induction climbed for the last count, through whose towers it steps,
-counting whole periods by divmod once the orbit returns; see that module
-for the induction.  ``visit_frequencies`` with cells^2 <= n counts the pieces cut by
-the breaks and the cell starts, whose pieces each lie in one interval and
-one cell; the sqrt(n) gate keeps that partition small against the orbit.
+climbing again only when the orbit keeps to a small part of the interval,
+and counting whole periods by divmod once the orbit returns; see that
+module for the induction.  ``visit_frequencies`` with cells^2 <= n counts
+the pieces cut by the breaks and the cell starts, whose pieces each lie in
+one interval and one cell; the sqrt(n) gate keeps that partition small
+against the orbit.
 With more cells a plain loop counts only the cells it visits, and stops at
 the first return: it counts the periods in n and reruns the remainder.
 """
@@ -153,8 +155,10 @@ def discrepancy_trend(
     each n equals visit_frequencies(t, x0, n).discrepancy (prefix consistency).
     After at most 8 plain steps, one induction, climbed for the last mark,
     serves the whole schedule, and the orbit goes on from mark to mark
-    through its towers; once it is back where it began stepping there,
-    whole periods are counted by divmod.  A rejected schedule is quoted in full only when it is short.
+    through its towers, climbing again only if it keeps to a small part of
+    the interval; once it is back where it began stepping at a level, whole
+    periods are counted by divmod.  A rejected schedule is quoted in full
+    only when it is short.
     """
     if any(n < 1 for n in schedule) or any(
         a >= b for a, b in zip(schedule, schedule[1:])

@@ -24,11 +24,14 @@ Three loops step through one level each.  The counting loop, ``_visits``,
 counts visits per piece, cell starts among the pieces as fake breaks: at
 most 8 plain steps first, which catch a period of a few steps without any
 induction, then one climb for the steps left to the last mark, and steps
-through its towers from mark to mark.  An orbit back where it began
-stepping at the level, in a cylinder after one pass, counts its periods
-by divmod.  The remainder goes down one chain of nodes, and the counts go
-down the nodes once per mark.  Climbing costs O(levels) whatever n is, and
-memory is O(pieces + nodes).  ``ietkit.iet``'s ``orbit_coding`` and
+through its towers from mark to mark.  An orbit that keeps to a small part
+of [0, total) takes more induced steps than the climb judged; after
+2 * nodes + d + 8 of them at a level without a return, it climbs again,
+deeper, for the rate it was measured to take.  An orbit back where it
+began stepping at the level, in a cylinder after one pass, counts its
+periods by divmod.  The remainder goes down one chain of nodes, and the
+counts go down the nodes once per mark.  Climbing costs O(levels) whatever
+n is, and memory is O(pieces + nodes).  ``ietkit.iet``'s ``orbit_coding`` and
 ``find_connections`` read the towers of the exchange's own pieces;
 ``_spell`` writes out a node's word, the pieces its excursion visits,
 copying each node's word from where it was first written and building
@@ -328,10 +331,16 @@ def _visits(
     Gap j moves by ``shift[j]`` and lies in one interval of the exchange
     whose scaled ``breaks`` end at the total.  The orbit takes at most 8
     plain steps through the gaps; if it has not returned by then, the gaps
-    are the symbols of one Rauzy–Veech induction, climbed by ``_towers`` for
+    are the symbols of a Rauzy–Veech induction, climbed by ``_towers`` for
     the steps left to the last mark, and the orbit steps through the
-    towers of the level reached.  It goes on from mark to mark, and nothing
-    is built before the first count is asked for.
+    towers of the level reached.  The climb judges its depth as if the
+    orbit spread over all of [0, total); one that keeps to a small part of
+    it, say one component of a reducible exchange, may take far more
+    induced steps than that.  So a level takes at most 2 * nodes + d + 8
+    induced steps without a return, and then the orbit climbs again from
+    where it is onto a deeper level of the same induction, with at least
+    twice the work.  It goes on from mark to mark, and nothing is built
+    before the first count is asked for.
 
     >>> list(_visits([1], [1, -1], [1, 2], 0, [1, 2, 5]))
     [[1, 0], [1, 1], [3, 2]]
@@ -348,11 +357,14 @@ def _visits(
     # (node, times) with the next one last, that take it on to y.  Stepping
     # at the level began at ``start``, after ``origin`` steps, with ``base``
     # taken; ``cycle`` holds the (node, times) of one period and the period,
-    # once the orbit is back there.
+    # once the orbit is back there.  The level, on [0, L), gives the orbit a
+    # stretch of ``stretch`` induced steps, ``left`` of them still to take,
+    # before it climbs again.
     path: list[tuple[int, int]] = []
     cycle = None
     start, origin, base = x, 0, mult[:]
     y, done = x, 0
+    L, stretch, left, work = total, 8, 8, 0
     for mark in marks:
         rem, tail = mark - done, None
         while rem:
@@ -389,19 +401,29 @@ def _visits(
                 items = [(i, m - b) for i, (m, b) in enumerate(zip(mult, base)) if m != b]
                 cycle = items, mark - rem - origin
                 continue
-            elif kids is None and mark - rem >= 8:
-                # No period within 8 plain steps: one climb for the steps
-                # left to the last mark.
-                work = min(marks[-1] - mark + rem, bound)
-                _, starts, nodes, _, heights, moves, kids, y, entry = _towers(points, shift, total, work, y)
-                mult += [0] * (len(kids) - d)
+            elif not left:
+                # No period within the stretch.  The climb takes total / L
+                # steps per induced step at a level; the stretch measured the
+                # orbit's own rate, so the work is the steps left to the last
+                # mark scaled by the two rates' ratio, which is 1 on the
+                # partition.  Every climb makes the same nodes in the same
+                # order, so one at least twice the last climb's work is at
+                # least as deep and keeps the counts taken so far.
+                taken = mark - rem
+                work = max(2 * work, min(marks[-1] - taken, bound) * stretch * total // ((taken - origin) * L))
+                L, starts, nodes, _, heights, moves, kids, y, entry = _towers(points, shift, total, work, y)
+                mult += [0] * (len(kids) - len(mult))
                 path, start = entry[::-1], None
+                # A level that cannot go deeper needs no limit: within the
+                # period bound, the orbit is back where it began there.
+                stretch = left = 2 * len(kids) + d + 8 if L and len(kids) < _MAX_NODES else bound
                 continue
-            # Step until the mark, a node that ends past it, or a return;
-            # before the climb, one plain step at a time.
-            for _ in range(rem if kids else 1):
+            # Step until the mark, a node that ends past it, a return or the
+            # end of the stretch; what is left of a period has no limit.
+            for _ in range(rem if cycle else min(rem, left)):
                 s = nodes[bisect_right(starts, y) - 1]
                 y += moves[s]
+                left -= 1
                 h = heights[s]
                 if h > rem:
                     path.append((s, 1))

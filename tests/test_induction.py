@@ -219,8 +219,10 @@ def d20_exchange():
 def test_one_level_serves_the_whole_schedule(case, climbs):
     # Counted alone, a mark climbs a level for its own steps; inside a
     # schedule that ends at 10^12 it is counted at the level climbed for
-    # the last mark.  Both give the counts of plain steps.  The cylinder
-    # start lies inside the cylinder of period 14 that holds 15/2.
+    # the last mark.  Both give the counts of plain steps.  These orbits
+    # spread over most of [0, total), as the climb's depth assumes, so one
+    # level is enough.  The cylinder start lies inside the cylinder of
+    # period 14 that holds 15/2.
     if case == "d20":
         t, x0 = d20_exchange()
     elif case == "golden":
@@ -248,6 +250,47 @@ def test_one_level_serves_the_whole_schedule(case, climbs):
         assert want == reference_walk(points, shift, breaks, x, marks)
         assert schedule[-1] == next(_visits(points, shift, breaks, x, [10**12]))
         assert sum(schedule[-1]) == 10**12
+
+
+@pytest.fixture()
+def step_budget(monkeypatch):
+    """Fails a count once it has taken more than ``budget[0]`` steps through
+    a partition or a level, each one lookup, instead of letting it run."""
+    budget = [0]
+    look = rauzy.bisect_right
+
+    def counted(starts, y):
+        budget[0] -= 1
+        assert budget[0] >= 0, "over the step budget"
+        return look(starts, y)
+
+    monkeypatch.setattr(rauzy, "bisect_right", counted)
+    return budget
+
+
+@pytest.mark.parametrize("n", [10**7, 10**9, 10**12])
+def test_orbit_in_a_small_component_takes_few_steps(n, step_budget, climbs):
+    # sigma = [2,1,4,3] splits into a rotation by 1 on [0, 1.618...), whose
+    # period is about 1.1 * 10^9, and a rotation on the rest, about 2 * 10^6
+    # long, which the induction climbs first.  Judged from the whole
+    # interval, a level where the orbit of 1/2 still takes millions of
+    # induced steps looks deep enough.  A level stepped past its budget climbs
+    # again, for the orbit's own rate, so the count takes a few hundred
+    # steps, and a few thousand with 64 cells.
+    t = build_iet(validate_permutation([2, 1, 4, 3]),
+                  [F(701_408_733, 1_134_903_170), 1, 10**6, 10**6 + F(1, 999_983)])
+    x0 = F(1, 2)
+    points, shift, breaks, x = cell_partition(t, x0, 1)
+    step_budget[0] = 1_000
+    got = next(_visits(points, shift, breaks, x, [n]))
+    # The orbit wraps round [0, a_1 + 1) once for each visit to the second
+    # interval.
+    wraps = (x0 + n) // (t.lengths[0] + 1)
+    assert got == [n - wraps, wraps, 0, 0]
+    assert len(climbs) > 1 and climbs == sorted(climbs) and climbs[0] < climbs[-1]
+    # 64 cells cut only the rotation the orbit does not visit.
+    step_budget[0] = 10_000
+    assert visit_frequencies(t, x0, n).frequencies == tuple(F(c, n) for c in got)
 
 
 # ---------------------------------------------------------------------------
