@@ -31,7 +31,6 @@ import math
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -42,6 +41,7 @@ from .errors import (
     LemmaViolation,
     NonPositiveParameter,
     ReduciblePermutation,
+    _lazy,
     _quoted,
     _record,
 )
@@ -186,7 +186,8 @@ def convexity_criterion(
     monotonicity = _classify_slopes(*diagram._integers[1])
     verdict = _VERDICTS[monotonicity]
     report = self_intersects(diagram)
-    if verdict in _POSITIVE_VERDICTS and not report.simple:
+    positive = verdict in _POSITIVE_VERDICTS
+    if positive and not report.simple:
         direction = "decreasing" if verdict is Verdict.POSITIVE_PAIR_BY_LEMMA else "increasing"
         raise LemmaViolation(
             f"{direction} slopes but self-intersecting curve: {sigma}, "
@@ -199,7 +200,7 @@ def convexity_criterion(
         verdict=verdict,
         witness=report.witness,
         chains_exchanged=monotonicity is MonotonicityClass.STRICTLY_INCREASING,
-        connection_check_advised=verdict in _POSITIVE_VERDICTS,
+        connection_check_advised=positive,
         diagram=diagram,
     )
 
@@ -236,7 +237,7 @@ class CurveSpec:
     d: int
     coeffs: tuple[tuple[Fraction, ...], ...]
 
-    @cached_property
+    @_lazy
     def _integer_rows(self) -> tuple[int, int, tuple[list[int], ...]]:
         """``(longest, L, rows)``: ``longest`` is the length of the longest
         row, L the lcm of every coefficient denominator of the components and

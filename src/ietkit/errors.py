@@ -6,10 +6,11 @@ module.  :class:`LemmaViolation` is different in kind: it signals that an
 internal consistency check failed (a certified-simple curve turned out to
 self-intersect), which indicates a bug and should never be caught and ignored.
 
-:func:`_record` makes the package's immutable value types.  It lives here
-because every library module already imports this one, and the one module
-it imports, ``operator``, is one that ``collections`` and ``functools`` have
-already loaded, so a command loads no more modules for it.  Likewise
+:func:`_record` makes the package's immutable value types, and :class:`_lazy`
+their attributes derived on first read.  They live here because every
+library module already imports this one, and the one module it imports,
+``operator``, is one that ``collections`` and ``functools`` have already
+loaded, so a command loads no more modules for them.  Likewise
 :func:`_quoted`, which bounds the value that an error message quotes.
 """
 
@@ -59,6 +60,40 @@ def _delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
+class _lazy:
+    """An attribute computed by the decorated method on first read, then kept.
+
+    The value is stored in the instance ``__dict__`` under the method's
+    name, where later reads find it before this descriptor, which has no
+    ``__set__``.  Read on the class, the attribute is the descriptor, with
+    the method's docstring.  This is ``functools.cached_property`` without
+    its lock: before Python 3.12 that takes one class-wide ``RLock`` on
+    every first read, and 3.12 removed it for speed.  Two threads that race
+    on a first read here both compute the value, which is the same.  A
+    criterion call makes three first reads.
+
+    >>> class Box:
+    ...     @_lazy
+    ...     def square(self):
+    ...         "The side, squared."
+    ...         print("computing")
+    ...         return 9
+    >>> box = Box()
+    >>> box.square, box.square, box.__dict__, Box.square.__doc__
+    computing
+    (9, 9, {'square': 9}, 'The side, squared.')
+    """
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 def _record(cls):
     """Make ``cls`` a frozen record of its own annotated fields, in order.
 
@@ -69,7 +104,7 @@ def _record(cls):
     equal when they are of one class with equal field tuples, and hash as
     that tuple; ``repr`` reads ``Name(field=value, ...)``; ``__match_args__``
     names the fields.  Assigning or deleting an attribute raises
-    ``AttributeError``, while ``cached_property`` and pickling, which write
+    ``AttributeError``, while ``_lazy`` attributes and pickling, which write
     the instance ``__dict__`` directly, still work.  Only ``__init__`` is
     compiled per class, as ``collections.namedtuple`` compiles ``__new__``;
     it stores each field with ``object.__setattr__``, which keeps attribute

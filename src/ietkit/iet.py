@@ -39,7 +39,6 @@ import sys
 from bisect import bisect_left, bisect_right
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import (
@@ -47,6 +46,7 @@ from .errors import (
     InvalidBound,
     NonPositiveLength,
     OutOfDomain,
+    _lazy,
     _quoted,
     _record,
 )
@@ -119,7 +119,7 @@ class Iet:
     def d(self) -> int:
         return self.sigma.d
 
-    @cached_property
+    @_lazy
     def _integers(self) -> tuple[int, list[int], list[int], list[int]]:
         """``(D, top, bottom, shifts)``: disc_top, disc_bottom and the
         translations as integers over D, the lcm of the length denominators."""
@@ -129,19 +129,19 @@ class Iet:
         shifts = [-v for v in _omega_times(self.sigma, sums)]
         return denom, sums[0][1:], sums[1][1:], shifts
 
-    @cached_property
+    @_lazy
     def disc_top(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self._integers[0]) for v in self._integers[1])
 
-    @cached_property
+    @_lazy
     def disc_bottom(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self._integers[0]) for v in self._integers[2])
 
-    @cached_property
+    @_lazy
     def translations(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self._integers[0]) for v in self._integers[3])
 
-    @cached_property
+    @_lazy
     def total(self) -> Fraction:
         return Fraction(self._integers[1][-1], self._integers[0])
 
@@ -159,7 +159,7 @@ def _positive_lengths(a: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
     """The exact lengths, each checked positive: the package's one length check."""
     if not a:
         raise NonPositiveLength("empty length vector")
-    lengths = tuple(as_scalar(v) for v in a)
+    lengths = tuple(map(as_scalar, a))
     for i, v in enumerate(lengths, start=1):
         if v.numerator <= 0:
             raise NonPositiveLength(f"a_{i} = {_quoted(v, str)} is not positive")

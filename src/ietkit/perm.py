@@ -36,11 +36,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import EmptyResult, InvalidSize, NotABijection, _quoted, _record
+from .errors import EmptyResult, InvalidSize, NotABijection, _lazy, _quoted, _record
 
 __all__ = [
     "Permutation",
@@ -71,7 +70,7 @@ class Permutation:
     def __call__(self, symbol: int) -> int:
         return self.images[symbol - 1]
 
-    @cached_property
+    @_lazy
     def inverse(self) -> tuple[int, ...]:
         """Image tuple of the inverse: ``inverse[j-1]`` is the symbol sent to j."""
         inv = [0] * len(self.images)
@@ -146,14 +145,20 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm D of the denominators and every value as an integer over it.
 
     Each value's ratio is read once, and D is divided once per distinct
-    denominator.
+    denominator.  D grows by an lcm only for a denominator that does not
+    already divide it: one remainder costs less than the gcd inside an lcm,
+    and nested denominators, such as the powers of 11 along a power curve at
+    s = 13/11, divide any D that a larger one has reached.
 
     >>> _scaled([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 2), Fraction(0)])
     (6, [3, -4, 15, 0])
     """
     ratios = [v.as_integer_ratio() for v in values]
     denoms = {q for _, q in ratios}
-    denom = math.lcm(*denoms)
+    denom = 1
+    for q in denoms:
+        if denom % q:
+            denom = math.lcm(denom, q)
     scale = {q: denom // q for q in denoms}
     return denom, [p * scale[q] for p, q in ratios]
 
@@ -167,7 +172,7 @@ def _sums(sigma: Permutation, ints: Sequence[int]) -> tuple[list[int], list[int]
     >>> _sums(validate_permutation([3, 1, 2]), [1, 2, 4])
     ([0, 1, 3, 7], [0, 2, 6, 7])
     """
-    return [0, *accumulate(ints)], [0, *accumulate(ints[s - 1] for s in sigma.inverse)]
+    return [0, *accumulate(ints)], [0, *accumulate([ints[s - 1] for s in sigma.inverse])]
 
 
 def _omega_times(sigma: Permutation, sums: tuple[list[int], list[int]]) -> list[int]:

@@ -34,11 +34,10 @@ No epsilon appears anywhere.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import DegenerateSegment, DimensionMismatch, _record
+from .errors import DegenerateSegment, DimensionMismatch, _lazy, _record
 from .iet import ScalarLike, _checked_lengths, as_scalar
 from .perm import Permutation, _omega_times, _scaled, _sums
 
@@ -149,7 +148,7 @@ class SuspensionDiagram:
     def d(self) -> int:
         return self.sigma.d
 
-    @cached_property
+    @_lazy
     def _integers(self) -> tuple[int, _IntPair, _IntChain, _IntChain, _IntPair]:
         """``(D, (X, Y), top, bottom, y sums)``: each (a_i, b_i) is the step
         (X_i, Y_i) over D, the lcm of every length and height denominator, so
@@ -162,27 +161,27 @@ class SuspensionDiagram:
         assert top[-1] == bottom[-1]
         return denom, steps, top, bottom, y_sums
 
-    @cached_property
+    @_lazy
     def _profile(self) -> list[int]:
         """Omega b, each entry over D."""
         return _omega_times(self.sigma, self._integers[4])
 
-    @cached_property
+    @_lazy
     def top_chain(self) -> tuple[Point, ...]:
         denom, _, top, _, _ = self._integers
         return tuple(_unscaled(pt, denom) for pt in top)
 
-    @cached_property
+    @_lazy
     def bottom_chain(self) -> tuple[Point, ...]:
         denom, _, _, bottom, _ = self._integers
         return tuple(_unscaled(pt, denom) for pt in bottom)
 
-    @cached_property
+    @_lazy
     def return_profile(self) -> tuple[Fraction, ...]:
         denom = self._integers[0]
         return tuple(Fraction(v, denom) for v in self._profile)
 
-    @cached_property
+    @_lazy
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(h / a for a, h in zip(self.lengths, self.heights))
 
@@ -191,11 +190,11 @@ class SuspensionDiagram:
         xs, ys = self._integers[1]
         return _sign(ys[0] * xs[j - 1] - ys[j - 1] * xs[0])
 
-    @cached_property
+    @_lazy
     def first_slope_vs_bottom_first(self) -> int:
         return self._first_slope_vs(self.sigma.inverse[0])
 
-    @cached_property
+    @_lazy
     def first_slope_vs_bottom_last(self) -> int:
         return self._first_slope_vs(self.sigma.inverse[-1])
 
@@ -213,7 +212,7 @@ def _chains(
 def _checked_heights(sigma: Permutation, b: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
     if len(b) != sigma.d:
         raise DimensionMismatch(f"{len(b)} heights for {sigma.d} symbols")
-    return tuple(as_scalar(v) for v in b)
+    return tuple(map(as_scalar, b))
 
 
 def return_time_profile(sigma: Permutation, b: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
@@ -402,13 +401,12 @@ def pointwise_positive(diagram: SuspensionDiagram) -> PositivityClass:
     """Sign classification of the return profile; a zero anywhere wins.
 
     The signs are read off the integer profile, whose common denominator is
-    positive, so no ``Fraction`` is built.
+    positive, so no ``Fraction`` is built; its minimum and maximum decide
+    the two sign-definite classes.
     """
     profile = diagram._profile
-    if 0 in profile:
-        return PositivityClass.HAS_ZERO
-    if all(v > 0 for v in profile):
+    if min(profile) > 0:
         return PositivityClass.ALL_POSITIVE
-    if all(v < 0 for v in profile):
+    if max(profile) < 0:
         return PositivityClass.ALL_NEGATIVE
-    return PositivityClass.MIXED
+    return PositivityClass.HAS_ZERO if 0 in profile else PositivityClass.MIXED

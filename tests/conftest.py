@@ -37,11 +37,14 @@ from ietkit import (
     validate_permutation,
 )
 import ietkit.iet as iet
+import ietkit.rauzy as rauzy
 from ietkit.errors import DomainViolation, _quoted
 
 SEED = int(os.environ.get("SEED", "57721"))
 
-settings.register_profile("ci", derandomize=True, max_examples=60)
+# No deadline: a loaded host can take longer than Hypothesis's default 200 ms
+# over one example without any fault in the code.
+settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("ci")
 
 # Non-monotone slopes whose chains properly cross; found by seeded search and
@@ -116,6 +119,27 @@ def increasing_suite():
 @pytest.fixture()
 def rng():
     return random.Random(SEED)
+
+
+@pytest.fixture()
+def step_budget(monkeypatch):
+    """Fails a count once it has taken more than ``budget[0]`` steps through
+    a partition or a level, each one lookup, instead of letting it run.
+
+    An orbit test that counts to 10^7 steps or more sets its budget to ten
+    times the lookups it took when the budget was set, so that a count that
+    loses its way fails in seconds, naming the test, instead of running for
+    hours."""
+    budget = [0]
+    look = rauzy.bisect_right
+
+    def counted(starts, y):
+        budget[0] -= 1
+        assert budget[0] >= 0, "over the step budget"
+        return look(starts, y)
+
+    monkeypatch.setattr(rauzy, "bisect_right", counted)
+    return budget
 
 
 # ---------------------------------------------------------------------------

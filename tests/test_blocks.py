@@ -253,9 +253,10 @@ def test_frequencies_match_the_plain_loop(k):
 
 
 @pytest.mark.parametrize("k", KS)
-def test_frequencies_keep_the_first_return(k):
+def test_frequencies_keep_the_first_return(k, step_budget):
     # 10^15 steps finish only if the walk stops at its first return: the
     # counts are q whole periods plus the first r steps.
+    step_budget[0] = 10 * 250
     rng = random.Random(f"{SEED}/frequencies-return/{k}")
     n = 10**15 + rng.randint(0, 10**6)
     for _ in range(10):
@@ -390,9 +391,10 @@ def test_walk_table_stores_no_itinerary(induction_nodes):
     assert peak < 400 * size
 
 
-def test_walk_table_stores_no_itinerary_at_the_largest_k(induction_nodes):
+def test_walk_table_stores_no_itinerary_at_the_largest_k(induction_nodes, step_budget):
     # The same bound 10^15 steps on, far past the period: the orbit's
     # periods are counted by divmod, and nothing grows with n.
+    step_budget[0] = 10 * 2_059
     peak, size = golden_walk_peak(10**15, induction_nodes)
     assert peak < 400 * size
 
@@ -426,11 +428,12 @@ def test_sparse_cells_are_counted_without_a_list_per_cell():
     assert peak < 1 << 20
 
 
-def test_walk_table_is_capped_whatever_the_refinement(induction_nodes):
+def test_walk_table_is_capped_whatever_the_refinement(induction_nodes, step_budget):
     # 30,000 cells over 10^9 steps of an exchange whose orbits all return
     # after 2 steps: the plain stretch before the first climb finds the
     # period, so the count makes no node and stays well under 400 bytes per
     # piece, the partition's own lists included.
+    step_budget[0] = 10 * 2
     t = build_iet(validate_permutation([3, 4, 1, 2]),
                   [F(1, 3), F(2, 3), F(999_999_937, 1_000_000_007), F(70, 1_000_000_007)])
     x0 = F(1, 5)

@@ -5,16 +5,21 @@ from __future__ import annotations
 
 import ast
 import copy
+import functools
+import inspect
 import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ietkit
 from ietkit import criterion, diagnostics, iet, perm, suspension
+from ietkit.errors import _lazy
 from conftest import frozen_crossing_diagram
 
 TESTS = Path(__file__).parent
@@ -103,6 +108,79 @@ def test_records_are_frozen_values_of_their_fields(cls):
     loaded = pickle.loads(pickle.dumps(record))
     assert loaded == record and repr(loaded) == repr(record)
     assert loaded.__dict__ == record.__dict__
+
+
+# The attributes each record derives on first read, by the one descriptor.
+LAZY_ATTRIBUTES = {
+    "Permutation": ["inverse"],
+    "Iet": ["_integers", "disc_top", "disc_bottom", "translations", "total"],
+    "SuspensionDiagram": ["_integers", "_profile", "top_chain", "bottom_chain",
+                          "return_profile", "slopes", "first_slope_vs_bottom_first",
+                          "first_slope_vs_bottom_last"],
+    "CurveSpec": ["_integer_rows"],
+}
+FRESH_RECORDS = {
+    "Permutation": lambda: perm.Permutation((3, 2, 1)),
+    "Iet": lambda: iet.Iet(_sigma(), (1, Fraction(1, 2), 2)),
+    "SuspensionDiagram": lambda: suspension.SuspensionDiagram(
+        _sigma(), (1, Fraction(1, 2), 2), (1, 0, -1)),
+    "CurveSpec": lambda: criterion.CurveSpec(2, ((Fraction(0), Fraction(1, 3)), (Fraction(2),))),
+}
+
+
+def test_no_module_uses_cached_property():
+    # functools.cached_property takes a class-wide lock on each first read
+    # before Python 3.12; the package's records use ``errors._lazy``.
+    for module in MODULES:
+        assert not hasattr(module, "cached_property"), module.__name__
+        for cls in filter(inspect.isclass, vars(module).values()):
+            for attr in vars(cls).values():
+                assert not isinstance(attr, functools.cached_property), cls.__name__
+    lazy = {cls.__name__: [name for name, attr in vars(cls).items() if isinstance(attr, _lazy)]
+            for cls in RECORDS}
+    assert {name: names for name, names in lazy.items() if names} == LAZY_ATTRIBUTES
+
+
+@pytest.mark.parametrize("name", LAZY_ATTRIBUTES)
+def test_lazy_attributes_are_computed_once_per_instance(name, monkeypatch):
+    cls = next(cls for cls in RECORDS if cls.__name__ == name)
+    calls = Counter()
+    for attr in LAZY_ATTRIBUTES[name]:
+        descriptor = vars(cls)[attr]
+        # Read on the class, the attribute is the descriptor, documented as
+        # its method is.
+        assert getattr(cls, attr) is descriptor
+        assert descriptor.__doc__ == descriptor.func.__doc__
+        compute = descriptor.func
+
+        def counted(record, attr=attr, compute=compute):
+            calls[attr] += 1
+            return compute(record)
+
+        monkeypatch.setattr(descriptor, "func", counted)
+    first, second = FRESH_RECORDS[name](), FRESH_RECORDS[name]()
+    assert not set(LAZY_ATTRIBUTES[name]) & set(vars(first))
+    for attr in LAZY_ATTRIBUTES[name]:
+        value = getattr(first, attr)
+        # The value lands in the instance __dict__, where later reads find it.
+        assert vars(first)[attr] is value and getattr(first, attr) is value
+        assert getattr(second, attr) == value
+    # Each instance computes each attribute once, whatever reads it first
+    # (``disc_top`` reads ``_integers``, which is already there).
+    assert calls == Counter({attr: 2 for attr in LAZY_ATTRIBUTES[name]})
+    assert first == second
+    # Still frozen: a derived attribute is not assigned or deleted either.
+    for attr in LAZY_ATTRIBUTES[name]:
+        with pytest.raises(AttributeError):
+            setattr(first, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(first, attr)
+    # A round trip keeps equality and every cached value, computing none.
+    loaded = pickle.loads(pickle.dumps(first))
+    assert loaded == first and vars(loaded) == vars(first)
+    assert [getattr(loaded, attr) for attr in LAZY_ATTRIBUTES[name]] == [
+        getattr(first, attr) for attr in LAZY_ATTRIBUTES[name]]
+    assert calls == Counter({attr: 2 for attr in LAZY_ATTRIBUTES[name]})
 
 
 FRESH_IMPORT_SCRIPT = """

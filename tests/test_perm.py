@@ -151,6 +151,27 @@ def test_scaled_examples(values, expected):
     assert _perm._scaled(values) == expected == reference_scaled(values)
 
 
+ELEVENS = [Fraction(k + 1, 11**k) for k in range(40)]
+
+
+@pytest.mark.parametrize("values", [
+    ELEVENS,
+    ELEVENS[::-1],
+    ELEVENS[::2] + ELEVENS[1::2],
+    [Fraction(-7, 11**3), Fraction(2, 11**3), Fraction(0), Fraction(5, 11**3), Fraction(-7, 11**3)],
+    [3, -2, 0, 10**30, 3],
+    [5, Fraction(1, 11**5), -4, Fraction(3, 11**2), 0, Fraction(2, 11**9)],
+    [Fraction(3, 2**k * 3**(k % 3)) for k in (6, 0, 3, 2, 9, 9, 1)],
+], ids=["powers-ascending", "powers-descending", "powers-interleaved", "repeated",
+        "ints", "ints-and-powers", "nested-mixed"])
+def test_scaled_over_nested_and_repeated_denominators(values):
+    # D grows only by denominators that do not divide it already, in any
+    # order that the distinct denominators come in.
+    denom, ints = _perm._scaled(values)
+    assert (denom, ints) == reference_scaled(values)
+    assert [Fraction(v, denom) for v in ints] == values
+
+
 @pytest.mark.parametrize("d", range(1, 8))
 def test_is_irreducible_matches_the_prefix_definition_on_every_permutation(d):
     for images in itertools.permutations(range(1, d + 1)):

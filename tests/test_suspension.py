@@ -639,6 +639,49 @@ def test_pointwise_positive_zero_wins():
     assert pointwise_positive(d) is PositivityClass.HAS_ZERO
 
 
+def reference_sign_class(profile) -> PositivityClass:
+    if 0 in profile:
+        return PositivityClass.HAS_ZERO
+    if all(v > 0 for v in profile):
+        return PositivityClass.ALL_POSITIVE
+    if all(v < 0 for v in profile):
+        return PositivityClass.ALL_NEGATIVE
+    return PositivityClass.MIXED
+
+
+def diagram_with_profile(profile):
+    # The diagram's profile is a lazy attribute, so one placed in its
+    # __dict__ first is the one read.
+    d = len(profile)
+    diagram = build_suspension(validate_permutation(range(d, 0, -1)), [1] * d, [0] * d)
+    diagram.__dict__["_profile"] = list(profile)
+    return diagram
+
+
+@pytest.mark.parametrize("profile, expected", [
+    ([0], PositivityClass.HAS_ZERO),
+    ([7], PositivityClass.ALL_POSITIVE),
+    ([-7], PositivityClass.ALL_NEGATIVE),
+    ([1, 0, 2], PositivityClass.HAS_ZERO),
+    ([-1, 0, 2], PositivityClass.HAS_ZERO),
+    ([0, -3, -1], PositivityClass.HAS_ZERO),
+    ([0, 0], PositivityClass.HAS_ZERO),
+    ([2, 1, 10**40], PositivityClass.ALL_POSITIVE),
+    ([-2, -(10**40)], PositivityClass.ALL_NEGATIVE),
+    ([1, -1], PositivityClass.MIXED),
+    ([-5, 3, -1, 2], PositivityClass.MIXED),
+], ids=["zero", "one-positive", "one-negative", "zero-among-positives", "zero-among-mixed",
+        "zero-among-negatives", "zeros", "positive", "negative", "mixed-pair", "mixed"])
+def test_pointwise_positive_classifies_every_sign_pattern(profile, expected):
+    assert reference_sign_class(profile) is expected
+    assert pointwise_positive(diagram_with_profile(profile)) is expected
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=9))
+def test_pointwise_positive_matches_the_sign_definition(profile):
+    assert pointwise_positive(diagram_with_profile(profile)) is reference_sign_class(profile)
+
+
 def test_pointwise_positive_reversal_with_positive_heights_is_mixed():
     """For the reversal, the profile is L_i = sum(b[:i-1]) - sum(b[i:]).
 
