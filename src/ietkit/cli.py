@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 input validation, 3 simplicity required but violated,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -98,7 +99,10 @@ def _emit(payload: Any) -> None:
 # schema
 
 
+@functools.cache
 def _load_schema() -> dict:
+    """The shipped job schema, read and parsed once per process; callers
+    share the one dict and must not change it."""
     text = resources.files("ietkit").joinpath("schemas/jobspec.json").read_text()
     return json.loads(text)
 

@@ -12,9 +12,9 @@ provides:
   O(d).  Its ``assert`` checks every result against
   ``_omega_times_by_inversions``, which sums the sign definition of Omega
   with a Fenwick tree in O(d log d).  The check is not cheap, and its share
-  grows as the rest of a call gets faster: on a power curve at d = 128 it
-  took 311 us against the kernel's 15 us, 20% of a whole
-  ``convexity_criterion`` call, 25% at d = 32 and 16% at d = 8 (medians of
+  grows as the rest of a call gets faster: on a power curve at s = 13/11
+  and d = 128 it took 227 us against the kernel's 10 us, 25% of a whole
+  ``convexity_criterion`` call, 28% at d = 32 and 19% at d = 8 (medians of
   three passes, one process each pinned to one CPU, 2-vCPU VM, CPython
   3.11.7).  ``python -O`` drops it;
 * the irreducibility test (no proper prefix {1..k} is invariant);
@@ -204,22 +204,34 @@ def _omega_times_by_inversions(sigma: Permutation, values: Sequence[int]) -> lis
     """
     images = sigma.images
     d = len(images)
-    out = [0] * d
-    for forward in (True, False):
-        tree = [0] * (d + 1)
-        seen = 0
-        for i in range(d) if forward else range(d - 1, -1, -1):
-            # below: the sum of the values seen so far whose image is < sigma(i).
-            k, below = images[i] - 1, 0
-            while k:
-                below += tree[k]
-                k &= k - 1
-            out[i] += seen - below if forward else -below
-            k = images[i]
-            while k <= d:
-                tree[k] += values[i]
-                k += k & -k
-            seen += values[i]
+    out = []
+    # Left to right: below is the sum of the values seen so far whose image
+    # is < sigma(i), and seen - below that of those whose image is above.
+    tree = [0] * (d + 1)
+    seen = 0
+    for image, value in zip(images, values):
+        k, below = image - 1, 0
+        while k:
+            below += tree[k]
+            k &= k - 1
+        out.append(seen - below)
+        k = image
+        while k <= d:
+            tree[k] += value
+            k += k & -k
+        seen += value
+    # Right to left: below is the sum of the values after i whose image is < sigma(i).
+    tree = [0] * (d + 1)
+    for i in range(d - 1, -1, -1):
+        k, below = images[i] - 1, 0
+        while k:
+            below += tree[k]
+            k &= k - 1
+        out[i] -= below
+        k = images[i]
+        while k <= d:
+            tree[k] += values[i]
+            k += k & -k
     return out
 
 

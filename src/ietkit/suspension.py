@@ -26,9 +26,9 @@ one left-to-right sweep that stops at the first zero or change of sign.
 With d = 1 there is no interior vertex and the two chains coincide.  Where
 the sweep stops, the leftmost contact lies in one top and one bottom
 segment, and that pair is the first offender.  One exact relation of the
-two integer segments is the witness, with each coordinate of its locus, an
-integer or one fraction n / m, divided by D once, into n / (m D).
-No epsilon appears anywhere.
+two integer segments is the witness, classified on the integers and with
+each coordinate of its locus built once over D: an integer n as n / D, a
+crossing coordinate n / m as n / (m D).  No epsilon appears anywhere.
 """
 
 from __future__ import annotations
@@ -255,12 +255,35 @@ def segment_relation(
     Coordinates may be rationals or integers; the verdict is tolerance-free
     either way.  Crossing points come back as exact rationals: at the
     parameter t = num / den along p, each coordinate is the one fraction
-    (p0 den + num dp) / den, normalised once.
+    (p0 den + num dp) / den, normalised once.  Touch and overlap points are
+    returned as given.
 
     >>> segment_relation((0, 0), (1, 1), (0, 1), (1, 0)).classification
     <SegmentClass.PROPER_CROSSING: 'ProperCrossing'>
     >>> segment_relation((0, 0), (2, 0), (1, 0), (3, 0)).locus
     ((1, 0), (2, 0))
+    """
+    return _segment_relation(p0, p1, q0, q1, None)
+
+
+def _over(pt: _RawPoint, scale: int | None) -> _RawPoint:
+    """pt as given, or with each coordinate divided by scale as one ``Fraction``."""
+    if scale is None:
+        return pt
+    return Fraction(pt[0], scale), Fraction(pt[1], scale)
+
+
+def _segment_relation(
+    p0: _RawPoint, p1: _RawPoint, q0: _RawPoint, q1: _RawPoint, scale: int | None
+) -> SegmentRelation:
+    """``segment_relation``, with every locus coordinate divided by a positive
+    ``scale`` unless it is None.
+
+    The one classification of the package: the public function takes scale
+    None, and a witness takes the common denominator D of its integer chains.
+    A crossing coordinate (p0 den + num dp) / den is then built as the one
+    ``Fraction`` of that numerator over den D, and a touch or overlap
+    coordinate n as n / D, so no ``Fraction`` is divided again.
     """
     if p0 == p1 or q0 == q1:
         raise DegenerateSegment("segment endpoints coincide")
@@ -277,10 +300,10 @@ def segment_relation(
         if lo > hi:
             return SegmentRelation(SegmentClass.DISJOINT, None)
         corners = (p0, p1, q0, q1)
-        at_lo = next(pt for pt in corners if pt[axis] == lo)
+        at_lo = _over(next(pt for pt in corners if pt[axis] == lo), scale)
         if lo == hi:
             return SegmentRelation(SegmentClass.ENDPOINT_TOUCH, at_lo)
-        at_hi = next(pt for pt in corners if pt[axis] == hi)
+        at_hi = _over(next(pt for pt in corners if pt[axis] == hi), scale)
         return SegmentRelation(SegmentClass.COLLINEAR_OVERLAP, (at_lo, at_hi))
 
     if o1 and o2 and o3 and o4 and (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0):
@@ -288,12 +311,13 @@ def segment_relation(
         dqx, dqy = q1[0] - q0[0], q1[1] - q0[1]
         num = (q0[0] - p0[0]) * dqy - (q0[1] - p0[1]) * dqx
         den = dpx * dqy - dpy * dqx
-        locus = (Fraction(p0[0] * den + num * dpx, den), Fraction(p0[1] * den + num * dpy, den))
+        over = den if scale is None else den * scale
+        locus = (Fraction(p0[0] * den + num * dpx, over), Fraction(p0[1] * den + num * dpy, over))
         return SegmentRelation(SegmentClass.PROPER_CROSSING, locus)
 
     for oz, pt, s0, s1 in ((o1, q0, p0, p1), (o2, q1, p0, p1), (o3, p0, q0, q1), (o4, p1, q0, q1)):
         if oz == 0 and _in_box(s0, s1, pt):
-            return SegmentRelation(SegmentClass.ENDPOINT_TOUCH, pt)
+            return SegmentRelation(SegmentClass.ENDPOINT_TOUCH, _over(pt, scale))
     return SegmentRelation(SegmentClass.DISJOINT, None)
 
 
@@ -325,24 +349,44 @@ def _first_contact(top: _IntChain, bottom: _IntChain) -> tuple[int, int] | None:
     d = len(top) - 1
     i = j = 1
     above = None
+    # The ends of top segment i, (tx0, ty0)-(tx1, ty1), and of bottom segment j.
+    (tx0, ty0), (tx1, ty1) = top[0], top[1]
+    (bx0, by0), (bx1, by1) = bottom[0], bottom[1]
     while i < d or j < d:
-        on_top = j == d or (i < d and top[i][0] <= bottom[j][0])
-        # The vertex (x, y) against the other chain's segment (x0, y0)-(x1, y1),
+        # A vertex against the other chain's segment, by one cross product
         # signed so that gap > 0 where the top chain is above.
+        on_top = j == d or (i < d and tx1 <= bx1)
         if on_top:
-            (x0, y0), (x1, y1), (x, y) = bottom[j - 1], bottom[j], top[i]
-            gap = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
+            gap = (bx1 - bx0) * (ty1 - by0) - (by1 - by0) * (tx1 - bx0)
         else:
-            (x0, y0), (x1, y1), (x, y) = top[i - 1], top[i], bottom[j]
-            gap = (y1 - y0) * (x - x0) - (x1 - x0) * (y - y0)
+            gap = (ty1 - ty0) * (bx1 - tx0) - (tx1 - tx0) * (by1 - ty0)
         if gap == 0 or (above is not None and (gap > 0) != above):
             return i, j
         above = gap > 0
         if on_top:
             i += 1
+            tx0, ty0 = tx1, ty1
+            tx1, ty1 = top[i]
         else:
             j += 1
+            bx0, by0 = bx1, by1
+            bx1, by1 = bottom[j]
     return None if above is not None else (1, 1)
+
+
+def _witness(denom: int, top: _IntChain, bottom: _IntChain) -> Witness | None:
+    """The first offender of the integer chains over D, with its exact locus,
+    or None when their union is a simple curve; ``self_intersects`` explains
+    why the one pair that ``_first_contact`` names is the first offender.  A
+    named pair that shows no contact raises ``AssertionError``."""
+    pair = _first_contact(top, bottom)
+    if pair is None:
+        return None
+    i, j = pair
+    rel = _segment_relation(top[i - 1], top[i], bottom[j - 1], bottom[j], denom)
+    if rel.classification is SegmentClass.DISJOINT:
+        raise AssertionError("the vertex signs found a contact that no segment pair shows")
+    return Witness("top", i, "bottom", j, rel)
 
 
 def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
@@ -366,7 +410,7 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
     Otherwise the sweep names top segment i and bottom segment j, which
     hold the leftmost contact.  No earlier top segment meets the bottom
     chain, and top segment i meets no earlier bottom segment, so (i, j) is
-    the first offender, and one ``segment_relation`` call gives its class
+    the first offender, and one classification of the pair gives its class
     and locus.  It is never the pair (d, d) of the permitted end contact,
     and it is (1, 1) only for an overlap.  A named pair that shows no
     contact raises ``AssertionError``.
@@ -377,24 +421,15 @@ def self_intersects(diagram: SuspensionDiagram) -> IntersectionReport:
     the dominant axis along which ``segment_relation`` orders an overlap's
     ends.  So the classification and the first offender are those of the
     rational chains, and the witness is the integer relation with every
-    coordinate divided by D.  A crossing's coordinate comes back as one
-    normalised fraction n / m, so it becomes n / (m D) in one ``Fraction``
-    construction, with no ``Fraction`` of a ``Fraction``.
+    coordinate divided by D.  The classification does that division
+    itself: each locus coordinate is built once, as one ``Fraction``
+    n / (m D) for a crossing coordinate n / m and n / D for an integer
+    one.  ``convexity_criterion`` takes the same witness from the same
+    integers, without this report.
     """
     denom, _, top, bottom, _ = diagram._integers
-    pair = _first_contact(top, bottom)
-    if pair is None:
-        return IntersectionReport(True, None)
-    i, j = pair
-    rel = segment_relation(top[i - 1], top[i], bottom[j - 1], bottom[j])
-    if rel.classification is SegmentClass.DISJOINT:
-        raise AssertionError("the vertex signs found a contact that no segment pair shows")
-    if rel.classification is SegmentClass.COLLINEAR_OVERLAP:
-        locus = tuple(_unscaled(pt, denom) for pt in rel.locus)
-    else:
-        locus = _unscaled(rel.locus, denom)
-    exact = SegmentRelation(rel.classification, locus)
-    return IntersectionReport(False, Witness("top", i, "bottom", j, exact))
+    witness = _witness(denom, top, bottom)
+    return IntersectionReport(witness is None, witness)
 
 
 def pointwise_positive(diagram: SuspensionDiagram) -> PositivityClass:

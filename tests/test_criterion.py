@@ -168,17 +168,20 @@ def test_lemma_violation_is_raised_for_a_monotone_curve_that_is_not_simple(
 ):
     sigma, a, b = monotone_instance(random.Random(f"{SEED}/lemma-violation"), decreasing=decreasing)
     assert convexity_criterion(sigma, a, b).verdict is verdict
+    # The criterion's witness path sweeps and classifies in ``suspension``;
+    # both are forced to report a crossing of top 1 and bottom 2.
     crossing = SegmentRelation(SegmentClass.PROPER_CROSSING, (F(1), F(0)))
-    monkeypatch.setattr(
-        "ietkit.criterion.self_intersects",
-        lambda diagram: IntersectionReport(False, Witness("top", 1, "bottom", 2, crossing)),
-    )
+    monkeypatch.setattr("ietkit.suspension._first_contact", lambda top, bottom: (1, 2))
+    monkeypatch.setattr("ietkit.suspension._segment_relation", lambda *args: crossing)
     # A scan sample runs the vertex sweep on its own integers and hands a
     # contact to the criterion's decision, so the contact is forced there too.
     monkeypatch.setattr("ietkit.criterion._first_contact", lambda top, bottom: (1, 2))
     direction = "decreasing" if decreasing else "increasing"
     with pytest.raises(LemmaViolation, match=f"^{direction} slopes but self-intersecting curve"):
         convexity_criterion(sigma, a, b)
+    assert self_intersects(build_suspension(sigma, a, b)) == IntersectionReport(
+        False, Witness("top", 1, "bottom", 2, crossing)
+    )
     # The curve a_i + b_i s passes through (a, b) at s = 0, with derivative b.
     spec = curve_spec([[x, y] for x, y in zip(a, b)])
     assert _outcome(lambda: scan_curve(spec, sigma, [0]).verdicts) == _outcome(
@@ -611,12 +614,12 @@ def test_scan_decides_verdicts_without_the_return_profile(monkeypatch):
 def test_scan_tests_intersections_for_monotone_samples_only(monkeypatch):
     # (1 + s, 2s + s^2/2, 3/2 + s^3): monotone on part of the range only.
     # A sample runs the vertex sweep on its integers, and builds a diagram
-    # for ``self_intersects`` only where the sweep finds a contact.
+    # for the criterion's witness only where the sweep finds a contact.
     tested, irreducible = [], []
-    real_test, real_irreducible = _criterion.self_intersects, _criterion.is_irreducible
+    real_test, real_irreducible = _criterion._witness, _criterion.is_irreducible
     real_sweep = _criterion._first_contact
-    monkeypatch.setattr(_criterion, "self_intersects",
-                        lambda diagram: tested.append(diagram) or real_test(diagram))
+    monkeypatch.setattr(_criterion, "_witness",
+                        lambda d, top, bottom: tested.append(top) or real_test(d, top, bottom))
     monkeypatch.setattr(_criterion, "_first_contact",
                         lambda top, bottom: tested.append(top) or real_sweep(top, bottom))
     monkeypatch.setattr(_criterion, "is_irreducible",

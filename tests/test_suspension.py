@@ -17,6 +17,7 @@ from ietkit import (
     build_iet,
     build_suspension,
     convexity_criterion,
+    is_irreducible,
     mahler_curve,
     omega,
     pointwise_positive,
@@ -419,15 +420,27 @@ def all_pairs_report(diagram) -> IntersectionReport:
 
 def assert_matches_references(images, a, b) -> IntersectionReport:
     """The whole report (pair, class, locus) equals the all-pairs one, and the
-    verdict and witness pair agree with the independent parametric oracle."""
-    diagram = build_suspension(validate_permutation(images), a, b)
+    verdict and witness pair agree with the independent parametric oracle.
+    The criterion, where it runs, finds the same witness, and that witness is
+    the public ``segment_relation`` of its pair on the ``Fraction`` chains,
+    value and type alike."""
+    sigma = validate_permutation(images)
+    diagram = build_suspension(sigma, a, b)
     report = self_intersects(diagram)
     assert report == all_pairs_report(diagram)
+    if sigma.d > 1 and is_irreducible(sigma):
+        witness = convexity_criterion(sigma, a, b).witness
+        assert witness == report.witness
+        assert repr(witness) == repr(report.witness)
     simple, offenders = oracle_simple(images, a, b)
     assert report.simple == simple
     if not simple:
         w = report.witness
         assert (w.chain_a, w.index_a, w.chain_b, w.index_b) == offenders[0][:4]
+        top, bottom, i, j = diagram.top_chain, diagram.bottom_chain, w.index_a, w.index_b
+        rel = segment_relation(top[i - 1], top[i], bottom[j - 1], bottom[j])
+        public = Witness("top", i, "bottom", j, rel)
+        assert w == public and repr(w) == repr(public)
         # An int equals a Fraction but prints as 1, not "1/1", in canonical JSON.
         locus = w.relation.locus
         points = locus if w.relation.classification is SegmentClass.COLLINEAR_OVERLAP else (locus,)
@@ -460,6 +473,7 @@ def test_sweep_matches_all_pairs_on_touches_and_overlaps():
     for a_den, b_den in ((1, 1), (3, 10)):
         rng = random.Random(f"{SEED}/window-degenerate")
         seen = {c: 0 for c in SegmentClass}
+        by_criterion = {c: 0 for c in SegmentClass}
         simple = 0
         for _ in range(500):
             d = rng.randint(2, 12)
@@ -472,9 +486,13 @@ def test_sweep_matches_all_pairs_on_touches_and_overlaps():
                 simple += 1
             else:
                 seen[report.witness.relation.classification] += 1
-        # Simple curves and every kind of offender were actually exercised.
+                if is_irreducible(validate_permutation(images)):
+                    by_criterion[report.witness.relation.classification] += 1
+        # Simple curves and every kind of offender were actually exercised,
+        # the offenders in the criterion's witness too.
         assert simple > 50
         assert min(seen[c] for c in SegmentClass if c is not SegmentClass.DISJOINT) > 50
+        assert min(by_criterion[c] for c in SegmentClass if c is not SegmentClass.DISJOINT) > 20
 
 
 def test_steep_decreasing_overlap_keeps_the_rational_locus_order():
@@ -525,7 +543,7 @@ def test_simple_curves_run_no_segment_test(monkeypatch):
     # A simple curve is decided from the signs at the chains' vertices alone;
     # a segment relation is computed only for the witness of a failing curve.
     def refuse(*args):
-        raise AssertionError("segment_relation ran on a simple curve")
+        raise AssertionError("_segment_relation ran on a simple curve")
 
     rng = random.Random(f"{SEED}/sweep-only")
     draws = []
@@ -538,7 +556,7 @@ def test_simple_curves_run_no_segment_test(monkeypatch):
             draws.append((sigma, a, b))
     for d in (8, 32):
         draws.append((random_irreducible(d, rng.getrandbits(32)), *mahler_curve(d, F(13, 11))))
-    monkeypatch.setattr(suspension, "segment_relation", refuse)
+    monkeypatch.setattr(suspension, "_segment_relation", refuse)
     for sigma, a, b in draws:
         assert self_intersects(build_suspension(sigma, a, b)) == IntersectionReport(True, None)
         assert convexity_criterion(sigma, a, b).simple
@@ -595,32 +613,43 @@ def test_sweep_named_cases(images, a, b, witness):
 
 def test_failing_curves_run_one_segment_test(monkeypatch):
     # The sweep names the first offender, so a failing curve classifies that
-    # one pair and a simple curve none.
+    # one pair and a simple curve none, in ``self_intersects`` and in the
+    # criterion alike.
     calls = []
-    relation = suspension.segment_relation
+    relation = suspension._segment_relation
 
     def counted(*args):
         calls.append(args)
         return relation(*args)
 
-    monkeypatch.setattr(suspension, "segment_relation", counted)
+    monkeypatch.setattr(suspension, "_segment_relation", counted)
     one_symbol = [([1], [F(p, 3)], [F(q, 7)]) for p in (1, 5) for q in (-4, 0, 2)]
-    failing = 0
+    failing = criteria = 0
     for images, a, b in [*criterion_9_stream(), *one_symbol]:
+        sigma = validate_permutation(images)
         calls.clear()
-        report = self_intersects(build_suspension(validate_permutation(images), a, b))
+        report = self_intersects(build_suspension(sigma, a, b))
         assert len(calls) == (0 if report.simple else 1)
         failing += not report.simple
+        if sigma.d > 1 and is_irreducible(sigma):
+            calls.clear()
+            assert convexity_criterion(sigma, a, b).simple == report.simple
+            assert len(calls) == (0 if report.simple else 1)
+            criteria += not report.simple
     assert failing > 500
+    assert criteria > 300
 
 
 def test_a_contact_that_no_segment_pair_shows_is_loud(monkeypatch):
     # The sweep saw a contact, so a named pair that shows none is a bug; the
     # check is a raise, not an assert, so it holds under python -O too.
     disjoint = suspension.SegmentRelation(SegmentClass.DISJOINT, None)
-    monkeypatch.setattr(suspension, "segment_relation", lambda *args: disjoint)
+    monkeypatch.setattr(suspension, "_segment_relation", lambda *args: disjoint)
     with pytest.raises(AssertionError, match="no segment pair"):
         self_intersects(frozen_crossing_diagram())
+    sigma = validate_permutation(list(FROZEN_CROSSING["perm"]))
+    with pytest.raises(AssertionError, match="no segment pair"):
+        convexity_criterion(sigma, FROZEN_CROSSING["lengths"], FROZEN_CROSSING["heights"])
 
 
 # ---------------------------------------------------------------------------
