@@ -37,8 +37,8 @@ n is, and memory is O(pieces + nodes).  ``ietkit.iet``'s ``orbit_coding`` and
 copying each node's word from where it was first written and building
 only the prefix that is asked for.
 
-``_rauzy_step`` only compares and subtracts lengths, so it runs on any
-ordered field.
+``_move`` only relinks an order and reads no length, so lengths in any
+ordered field can share it.
 """
 
 from __future__ import annotations
@@ -55,104 +55,91 @@ from typing import Iterator, NamedTuple, Sequence
 _MAX_NODES = 1 << 16
 
 
+def _linked(order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The ``order`` of the symbols 0..d-1 as a circular doubly linked list
+    (prev, nxt) through an end slot d, whose prev is the last symbol and
+    whose nxt is the first.
+
+    >>> _linked([2, 0, 1])
+    ([2, 0, 3, 1], [1, 3, 0, 2])
+    """
+    d = len(order)
+    prev, nxt = [d] * (d + 1), [d] * (d + 1)
+    for i, j in zip([d, *order], [*order, d]):
+        nxt[i] = j
+        prev[j] = i
+    return prev, nxt
+
+
 def _orders(points: list[int], shift: list[int], total: int) -> tuple[list[int], ...]:
     """The Rauzy–Veech start of the partition of [0, total) cut at the sorted
     ``points``, whose gap j moves by ``shift[j]``: (lengths, tprev, tnext,
-    bprev, bnext, bottom), the gaps' lengths, their top order (left to right)
-    and bottom order (by image start) as doubly linked lists, -1 at both
-    ends, and the last gap of the bottom order.
+    bprev, bnext), the gaps' lengths and their top order (left to right) and
+    bottom order (by image start), each ``_linked``.
 
     >>> _orders([1], [1, -1], 2)
-    ([1, 1], [-1, 0], [1, -1], [1, -1], [-1, 0], 0)
+    ([1, 1], [2, 0, 1], [1, 2, 0], [1, 2, 0], [2, 0, 1])
     """
-    d = len(shift)
     starts = [0, *points]
     images = [s + m for s, m in zip(starts, shift)]
-    order = sorted(range(d), key=images.__getitem__)
-    bprev, bnext = [-1] * d, [-1] * d
-    for i, j in zip(order, order[1:]):
-        bnext[i] = j
-        bprev[j] = i
     lengths = [e - s for s, e in zip(starts, [*points, total])]
-    return lengths, [*range(-1, d - 1)], [*range(1, d), -1], bprev, bnext, order[-1]
+    d = len(shift)
+    return lengths, *_linked(range(d)), *_linked(sorted(range(d), key=images.__getitem__))
 
 
-def _rauzy_step(lengths: list, prev: list[int], nxt: list[int], winner: int, loser: int) -> int | None:
-    """One Rauzy–Veech step, if the winner is the longer of the two last
-    symbols: the winner gives up the loser's length, and the loser, last in
-    the order (prev, nxt), moves right after the winner there.  Returns that
-    order's new last symbol, or None, changing nothing, if the winner is not
-    the longer.  Lengths are compared and subtracted only, so any ordered
-    field serves."""
-    if not lengths[winner] > lengths[loser]:
-        return None
-    lengths[winner] -= lengths[loser]
-    last = prev[loser]
-    if last == winner:
-        return loser
+def _unlink(prev: list[int], nxt: list[int], a: int) -> None:
+    """Take the symbol a out of the order (prev, nxt)."""
+    p, n = prev[a], nxt[a]
+    nxt[p], prev[n] = n, p
+
+
+def _move(prev: list[int], nxt: list[int], loser: int, winner: int) -> None:
+    """The order move of a Rauzy–Veech step: ``loser`` goes right after
+    ``winner`` in the order (prev, nxt)."""
+    # _unlink(prev, nxt, loser), written out: the call costs the climb ~4%.
+    p, n = prev[loser], nxt[loser]
+    nxt[p], prev[n] = n, p
     after = nxt[winner]
-    nxt[last] = -1
     nxt[winner], prev[loser], nxt[loser], prev[after] = loser, winner, after, loser
-    return last
 
 
-def _zorich(
-    lengths: list[int], prev: list[int], nxt: list[int], winner: int, loser: int
-) -> tuple[list[tuple[int, int]], int]:
-    """One Zorich group: Rauzy steps with one winner, from ``loser`` last in
-    the order (prev, nxt), for as long as the winner is the longer.
+def _zorich(lengths: list[int], prev: list[int], nxt: list[int], winner: int) -> list[tuple[int, int]]:
+    """One Zorich group: Rauzy steps with one winner, from the last symbol
+    of the order (prev, nxt), for as long as the winner is the longer.
 
-    The losers are the symbols after the winner in that order, taken from
-    the end; once they have all lost, the order is as it was, and the
-    further whole cycles are taken at once by one division.  Returns the
-    losers in the order they first lost, each with its number of losses, and
-    the order's new last symbol.
+    Each step, the winner gives up the last symbol's length, and that loser
+    moves right after the winner.  The losers are the symbols after the
+    winner in that order, taken from the end; once they have all lost, the
+    order is as it was, and the further whole cycles are taken at once by
+    one division.  Returns the losers in the order they first lost, each
+    with its number of losses.
 
-    >>> lengths, prev, nxt = [3, 10], [1, -1], [-1, 0]
-    >>> _zorich(lengths, prev, nxt, 1, 0), lengths
-    (([(0, 3)], 0), [3, 1])
+    >>> lengths, (prev, nxt) = [3, 2, 10], _linked([2, 0, 1])
+    >>> _zorich(lengths, prev, nxt, 2), lengths
+    ([(1, 2), (0, 1)], [3, 2, 3])
+    >>> prev, nxt
+    ([1, 2, 3, 0], [3, 0, 1, 2])
     """
+    end = len(lengths)
     before = lengths[winner]
     losers = []
-    first, c, q = loser, 0, 0
-    while (last := _rauzy_step(lengths, prev, nxt, winner, loser)) is not None:
+    first = loser = prev[end]
+    c = q = 0
+    while lengths[winner] > lengths[loser]:
+        lengths[winner] -= lengths[loser]
         losers.append(loser)
-        loser = last
+        if prev[loser] != winner:  # else the move would leave it there
+            _move(prev, nxt, loser, winner)
+        loser = prev[end]
         if loser == first and not c:
             c = len(losers)
             cycle = before - lengths[winner]
             q = (lengths[winner] - 1) // cycle
             lengths[winner] -= q * cycle
     if not c:
-        return [(g, 1) for g in losers], loser
+        return [(g, 1) for g in losers]
     extra = len(losers) - c
-    return [(g, 1 + q + (i < extra)) for i, g in enumerate(losers[:c])], loser
-
-
-def _absorb(
-    tprev: list[int], tnext: list[int], bprev: list[int], bnext: list[int], a: int, b: int
-) -> tuple[int, int]:
-    """A tie of the last symbols, a in the top order and b in the bottom one:
-    b's image is a's piece, so b absorbs a.  a leaves both orders, b takes
-    a's place in the bottom order, and the new last symbols of the two
-    orders are returned.
-
-    >>> tprev, tnext, bprev, bnext = [-1, 0, 1], [1, 2, -1], [1, 2, -1], [-1, 0, 1]
-    >>> _absorb(tprev, tnext, bprev, bnext, 2, 0), bprev, bnext
-    ((1, 1), [-1, 0, -1], [1, -1, 1])
-    """
-    tlast = tprev[a]
-    tnext[tlast] = -1
-    blast = bprev[b]
-    bnext[blast] = -1
-    p, n = bprev[a], bnext[a]
-    bprev[b], bnext[b] = p, n
-    if p >= 0:
-        bnext[p] = b
-    if n < 0:
-        return tlast, b
-    bprev[n] = b
-    return tlast, blast
+    return [(g, 1 + q + (i < extra)) for i, g in enumerate(losers[:c])]
 
 
 def _descend(s: int, n: int, kids: list, heights: list[int], counts: list[int]) -> None:
@@ -171,17 +158,18 @@ def _descend(s: int, n: int, kids: list, heights: list[int], counts: list[int]) 
         s = a
 
 
-def _level(lengths: list[int], tprev: list[int], tlast: int, end: int) -> tuple[list[int], list[int]]:
-    """The sorted piece starts of the induction's level on [0, end), from its
-    top order, and each piece's symbol."""
+def _level(lengths: list[int], tnext: list[int]) -> tuple[list[int], list[int]]:
+    """The sorted piece starts of the induction's level, from its top order,
+    and each piece's symbol."""
     starts, symbols = [], []
-    j = tlast
-    while j >= 0:
-        end -= lengths[j]
-        starts.append(end)
+    end = len(lengths)
+    x, j = 0, tnext[end]
+    while j != end:
+        starts.append(x)
         symbols.append(j)
-        j = tprev[j]
-    return starts[::-1], symbols[::-1]
+        x += lengths[j]
+        j = tnext[j]
+    return starts, symbols
 
 
 class _Towers(NamedTuple):
@@ -245,19 +233,17 @@ def _towers(
     # times; the gaps themselves are the nodes 0..d-1, one step each.  A
     # symbol's node is the excursion from its piece of [0, L) back to [0, L).
     heights, moves, kids = [1] * d, list(shift), [None] * d
-    lengths, tprev, tnext, bprev, bnext, blast = _orders(points, shift, total)
-    tlast, node, cylinders, entry = d - 1, list(range(d)), [], []
-    L, live = total, d
-    while live and work * L // total > len(kids) < _MAX_NODES:
+    lengths, tprev, tnext, bprev, bnext = _orders(points, shift, total)
+    node, cylinders, entry = list(range(d)), [], []
+    L = total
+    while tnext[d] != d and work * L // total > len(kids) < _MAX_NODES:
         end = L
-        a, b = tlast, blast
+        a, b = tprev[d], bprev[d]
         if a == b:
             # Last in both orders: a cylinder, every point of which returns
             # after its height.
-            tlast, blast = tprev[a], bprev[a]
-            live -= 1
-            if live:
-                tnext[tlast] = bnext[blast] = -1
+            _unlink(tprev, tnext, a)
+            _unlink(bprev, bnext, a)
             L -= lengths[a]
             cylinders.append((L, a))
             continue
@@ -268,18 +254,19 @@ def _towers(
             # A tie: b's image is a's piece, so b absorbs a, as if it had
             # lost to a once, and a leaves [0, L).
             cut, losses = lengths[a], [(b, 1)]
-            tlast, blast = _absorb(tprev, tnext, bprev, bnext, a, b)
-            live -= 1
+            _unlink(tprev, tnext, a)
+            _move(bprev, bnext, b, a)
+            _unlink(bprev, bnext, a)
             if hits is not None:
                 lift = heights[node[b]]
                 hits[b] = hits[b] + [(t + lift, j) for t, j in hits[a]]
         elif top:
             cut = lengths[a]
-            losses, blast = _zorich(lengths, bprev, bnext, a, b)
+            losses = _zorich(lengths, bprev, bnext, a)
             cut -= lengths[a]
         else:
             cut = lengths[b]
-            losses, tlast = _zorich(lengths, tprev, tnext, b, a)
+            losses = _zorich(lengths, tprev, tnext, b)
             cut -= lengths[b]
             if hits is not None:
                 for g, r in losses:
@@ -312,7 +299,7 @@ def _towers(
             kids.append((sg, 1, sw, r) if top else (sw, r, sg, 1))
             heights.append(heights[sg] + r * hw)
             moves.append(moves[sg] + r * tw)
-    starts, symbols = _level(lengths, tprev, tlast, L)
+    starts, symbols = _level(lengths, tnext)
     for base, a in reversed(cylinders):
         starts.append(base)
         symbols.append(a)

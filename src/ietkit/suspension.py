@@ -108,15 +108,6 @@ def _sign(value: _Coord) -> int:
     return (value > 0) - (value < 0)
 
 
-def _unscaled(pt: _RawPoint, denom: int) -> Point:
-    """pt / denom, each coordinate an int or a ``Fraction`` divided once."""
-    x, y = pt
-    return (
-        Fraction(x.numerator, x.denominator * denom),
-        Fraction(y.numerator, y.denominator * denom),
-    )
-
-
 class PositivityClass(Enum):
     ALL_POSITIVE = "AllPositive"
     ALL_NEGATIVE = "AllNegative"
@@ -169,12 +160,12 @@ class SuspensionDiagram:
     @_lazy
     def top_chain(self) -> tuple[Point, ...]:
         denom, _, top, _, _ = self._integers
-        return tuple(_unscaled(pt, denom) for pt in top)
+        return tuple(_over(pt, denom) for pt in top)
 
     @_lazy
     def bottom_chain(self) -> tuple[Point, ...]:
         denom, _, _, bottom, _ = self._integers
-        return tuple(_unscaled(pt, denom) for pt in bottom)
+        return tuple(_over(pt, denom) for pt in bottom)
 
     @_lazy
     def return_profile(self) -> tuple[Fraction, ...]:

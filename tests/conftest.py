@@ -1,8 +1,10 @@
 """Shared fixtures: seeded generators, the frozen intersection fixture, and
 references kept from the paths they were replaced by: the coding, connection,
-frequency and trend loops that take one lookup per iterate, the k-step table
-that the Rauzy–Veech towers replaced, built by squaring and by k one-step
-passes, the counting walk over that table that the induction replaced, the
+frequency and trend loops that take one lookup per iterate, the Rauzy–Veech
+step and tie on orders with -1 at both ends whose last symbols the caller
+keeps, which the orders with an end slot replaced, the k-step table that the
+Rauzy–Veech towers replaced, built by squaring and by k one-step passes, the
+counting walk over that table that the induction replaced, the
 ``Fraction`` Horner and slope classifier of the curve scan, and the criterion
 kernels that read a rational's parts and normalise it more than once: the
 scaling to one denominator, the crossing locus through its parameter t, the
@@ -294,6 +296,49 @@ def cell_partition(t, x0, cells: int) -> tuple[list[int], list[int], list[int], 
     cuts = {-(-c * total // cells) for c in range(1, cells)}
     points = sorted(cuts.union(breaks[:-1]).difference((total,)))
     return points, [trans[bisect_right(breaks, s)] for s in [0, *points]], breaks, x
+
+
+# The Rauzy–Veech order kernel before the orders had an end slot: each order
+# a doubly linked list with -1 at both ends, its last symbol kept by the
+# caller.
+
+
+def reference_rauzy_step(lengths: list, prev: list[int], nxt: list[int], winner: int, loser: int) -> int | None:
+    """One Rauzy–Veech step, if the winner is the longer of the two last
+    symbols: the winner gives up the loser's length, and the loser, last in
+    the order (prev, nxt), moves right after the winner there.  Returns that
+    order's new last symbol, or None, changing nothing, if the winner is not
+    the longer."""
+    if not lengths[winner] > lengths[loser]:
+        return None
+    lengths[winner] -= lengths[loser]
+    last = prev[loser]
+    if last == winner:
+        return loser
+    after = nxt[winner]
+    nxt[last] = -1
+    nxt[winner], prev[loser], nxt[loser], prev[after] = loser, winner, after, loser
+    return last
+
+
+def reference_absorb(
+    tprev: list[int], tnext: list[int], bprev: list[int], bnext: list[int], a: int, b: int
+) -> tuple[int, int]:
+    """A tie of the last symbols, a in the top order and b in the bottom one:
+    a leaves both orders, b takes a's place in the bottom order, and the new
+    last symbols of the two orders are returned."""
+    tlast = tprev[a]
+    tnext[tlast] = -1
+    blast = bprev[b]
+    bnext[blast] = -1
+    p, n = bprev[a], bnext[a]
+    bprev[b], bnext[b] = p, n
+    if p >= 0:
+        bnext[p] = b
+    if n < 0:
+        return tlast, b
+    bprev[n] = b
+    return tlast, blast
 
 
 # The k-step table that the orbit loops once walked, kept for the

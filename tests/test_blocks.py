@@ -348,19 +348,14 @@ def induction_nodes(monkeypatch):
     Zorich group and one per tie, summed over the calls in the list's one
     entry."""
     made = [0]
-    group, absorb = rauzy._zorich, rauzy._absorb
+    climb = rauzy._towers
 
-    def count_group(*args):
-        losses, last = group(*args)
-        made[0] += len(losses)
-        return losses, last
+    def count(points, shift, *args):
+        level = climb(points, shift, *args)
+        made[0] += len(level.kids) - len(shift)
+        return level
 
-    def count_tie(*args):
-        made[0] += 1
-        return absorb(*args)
-
-    monkeypatch.setattr(rauzy, "_zorich", count_group)
-    monkeypatch.setattr(rauzy, "_absorb", count_tie)
+    monkeypatch.setattr(rauzy, "_towers", count)
     return made
 
 

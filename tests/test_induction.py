@@ -62,10 +62,12 @@ def level_lengths(monkeypatch):
     found = []
     group = rauzy._zorich
 
-    def record(lengths, prev, nxt, winner, loser):
-        result = group(lengths, prev, nxt, winner, loser)
-        last, live = result[1], 0
-        while last >= 0:
+    def record(lengths, prev, nxt, winner):
+        result = group(lengths, prev, nxt, winner)
+        # The end slot, after the last symbol, is numbered len(lengths).
+        end = len(lengths)
+        last, live = prev[end], 0
+        while last != end:
             live += lengths[last]
             last = prev[last]
         found.append(live)

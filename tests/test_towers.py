@@ -5,7 +5,9 @@ against the loops that take one lookup per step and the Fraction oracle.
 ``level`` fixture fixes that work instead, so that the step counts n and
 the bounds max_m can fall below, at and above the heights of one known
 level's towers.  The towers' hits are checked against plain steps from
-each tower's base, and the coding's memory against its length.
+each tower's base, and the coding's memory against its length.  The
+orders' kernel, with an end slot, is checked against the step and tie on
+orders with -1 ends that it replaced, and against plain Python lists.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +24,14 @@ import ietkit.rauzy as rauzy
 from ietkit import build_iet, find_connections, orbit_coding, random_irreducible, validate_permutation
 from ietkit.iet import _scaled_ints
 
-from conftest import SEED, reference_find_connections, reference_orbit_coding, scaled_ints
+from conftest import (
+    SEED,
+    reference_absorb,
+    reference_find_connections,
+    reference_orbit_coding,
+    reference_rauzy_step,
+    scaled_ints,
+)
 from oracles import oracle_connections
 
 F = Fraction
@@ -71,6 +81,109 @@ def check_both(t, x0, ns, ms) -> None:
 
 # ---------------------------------------------------------------------------
 # the towers
+
+
+def walk(links: list[int], start: int, stop: int) -> list[int]:
+    """The symbols from ``start`` along ``links`` up to ``stop``; a walk
+    longer than the symbols is cut off, so a broken order reads wrong."""
+    out = []
+    while start != stop and len(out) < len(links):
+        out.append(start)
+        start = links[start]
+    return out
+
+
+def test_order_kernel_matches_the_references_and_a_list_model():
+    # Runs of the induction's operations on random orders, d <= 12: bare
+    # moves of a last symbol after any other, Zorich groups, ties and
+    # cylinders.  After each, both orders read the same forward from the end
+    # slot's nxt and backward from its prev, and the same as the model's
+    # lists and the references' -1-ended lists.
+    rng = random.Random(f"{SEED}/order-kernel")
+    done = Counter()
+    for _ in range(400):
+        d = rng.randint(1, 12)
+        model = [list(range(d)), rng.sample(range(d), d)]
+        lengths = [rng.randint(1, rng.choice([2, 5, 1000])) for _ in range(d)]
+        links = [rauzy._linked(order) for order in model]
+        old = [[[-1 if j == d else j for j in half[:d]] for half in pair] for pair in links]
+        lasts = [order[-1] for order in model]
+        for _ in range(40):
+            if not model[0]:
+                break
+            a, b = lasts
+            if rng.random() < 0.25 and len(model[0]) > 1:
+                side = rng.randrange(2)
+                order = model[side]
+                loser, winner = order[-1], rng.choice(order[:-1])
+                rauzy._move(*links[side], loser, winner)
+                unit = [1] * d
+                unit[winner] = 2
+                lasts[side] = reference_rauzy_step(unit, *old[side], winner, loser)
+                order.remove(loser)
+                order.insert(order.index(winner) + 1, loser)
+                done["move"] += 1
+            elif a == b:
+                for side in range(2):
+                    rauzy._unlink(*links[side], a)
+                    lasts[side] = old[side][0][a]
+                    if lasts[side] >= 0:
+                        old[side][1][lasts[side]] = -1
+                    model[side].pop()
+                done["cylinder"] += 1
+            elif lengths[a] == lengths[b]:
+                rauzy._unlink(*links[0], a)
+                rauzy._move(*links[1], b, a)
+                rauzy._unlink(*links[1], a)
+                lasts = list(reference_absorb(*old[0], *old[1], a, b))
+                model[0].pop()
+                model[1].pop()
+                model[1][model[1].index(a)] = b
+                done["tie"] += 1
+            else:
+                side = int(lengths[a] > lengths[b])
+                winner, loser = (b, a) if side == 0 else (a, b)
+                before = lengths[:]
+                losses = rauzy._zorich(lengths, *links[side], winner)
+                # The same group one reference step at a time.
+                losers = []
+                order = model[side]
+                while (last := reference_rauzy_step(before, *old[side], winner, loser)) is not None:
+                    losers.append(loser)
+                    order.remove(loser)
+                    order.insert(order.index(winner) + 1, loser)
+                    loser = last
+                lasts[side] = loser
+                assert lengths == before
+                assert [g for g, _ in losses] == list(dict.fromkeys(losers))
+                assert dict(losses) == Counter(losers)
+                done["group"] += 1
+                # Three losses or more take whole cycles by the division.
+                done["division"] += max(r for _, r in losses) > 2
+            for side in range(2):
+                prev, nxt = links[side]
+                order = model[side]
+                assert walk(nxt, nxt[d], d) == order == walk(prev, prev[d], d)[::-1]
+                assert walk(old[side][0], lasts[side], -1)[::-1] == order
+    assert min(done.values()) > 100, done
+
+
+def test_every_group_of_the_climb_takes_a_loss(monkeypatch):
+    # Each pass of the climb drops a symbol or cuts [0, L), so the climb
+    # ends.  A group that took no loss would leave the level as it was, and
+    # the climb would run on without end instead of failing.
+    group = rauzy._zorich
+
+    def checked(*args):
+        losses = group(*args)
+        assert losses, "a Zorich group without a loss"
+        return losses
+
+    monkeypatch.setattr(rauzy, "_zorich", checked)
+    rng = random.Random(f"{SEED}/group-losses")
+    for case in range(60):
+        t = exchange(rng, rng.randint(1, 7), rng.choice([1, 2, 3]), any_sigma=case % 5 == 0)
+        towers_of(t, t.total * F(rng.randint(0, 999), 1000))
 
 
 def test_hits_are_the_floors_that_start_on_a_break():

@@ -17,9 +17,11 @@ Pair k runs ``perfbench/run.py --workload W --seed S`` in the parent checkout
 first when k is even and in the change first when k is odd.  Progress goes
 to stderr.  The one JSON object printed on stdout holds, for every metric of
 the runs' last JSON line, each side's values, median and quartiles
-(``statistics.quantiles``, exclusive method), the change's median against
-the parent's, and the number of pairs in which the change read higher, ties
-counting for neither side; under ``meta``, each run's attempted and failed
+(``statistics.quantiles``, exclusive method), ``median_gap`` (the change's
+median minus the parent's), ``parent_iqr`` (the parent's upper quartile
+minus its lower one), the change's median against the parent's, and the
+number of pairs in which the change read higher, ties counting for neither
+side; under ``meta``, each run's attempted and failed
 operations and whether its outputs were correct.  A run that exits with an
 error stops the comparison.  Standard library only.
 """
@@ -83,13 +85,16 @@ def summary(parent: list[float], change: list[float]) -> dict:
         return statistics.quantiles(values, n=4)[::2] if len(values) > 1 else None
 
     parent_median, change_median = statistics.median(parent), statistics.median(change)
+    parent_quartiles = quartiles(parent)
     return {
         "parent": parent,
         "change": change,
         "parent_median": parent_median,
         "change_median": change_median,
-        "parent_quartiles": quartiles(parent),
+        "parent_quartiles": parent_quartiles,
         "change_quartiles": quartiles(change),
+        "median_gap": change_median - parent_median,
+        "parent_iqr": parent_quartiles[1] - parent_quartiles[0] if parent_quartiles else None,
         "change_vs_parent": f"{change_median / parent_median - 1:+.1%}" if parent_median else None,
         "pairs_change_higher": f"{sum(c > p for p, c in zip(parent, change))}/{len(parent)}",
     }
