@@ -1,12 +1,14 @@
 """Command-line surface: parse, validate against the shipped schema, dispatch.
 
 Subcommands mirror the library: ``omega``, ``suspend``, ``check``, ``scan``,
-``orbit``, ``connections``.  Each subparser declares its options and names
-its handler; the parsed options, less those left unset, are the job
-dictionary, which is validated against ``schemas/jobspec.json`` before
-anything runs.  Output is canonical JSON on stdout: keys sorted, rationals
-as "p/q" strings, floats with 17 significant digits, so identical inputs give
-byte-identical output.
+``orbit``, ``connections``.  The parser is read off ``schemas/jobspec.json``:
+each branch of its ``oneOf`` is a subcommand and each field an option, whose
+help is its ``description`` and whose default is its ``default``.  The parsed
+options, less those left unset, are the job dictionary, which is validated
+against the same schema before anything runs; then its permutation is
+checked, once, and handed to the subcommand's handler.  Output is canonical
+JSON on stdout: keys sorted, rationals as "p/q" strings, floats with 17
+significant digits, so identical inputs give byte-identical output.
 
 Vectors such as the heights b are often negative, so each subparser is a
 ``_SignedValues``, whose ``_parse_optional`` hook reads a token that starts
@@ -44,6 +46,7 @@ from .perm import omega, validate_permutation
 
 if TYPE_CHECKING:
     from .criterion import CurveSpec, Verdict
+    from .perm import Permutation
     from .suspension import SuspensionDiagram, Witness
 
 EXIT_OK = 0
@@ -162,14 +165,15 @@ def _below(children: Any, root: dict) -> tuple | None:
     return None
 
 
-def _ref(x: Any, ref: str, schema: dict, root: dict) -> tuple | None:
+def _pointer(ref: str, root: dict) -> Any:
+    """The sub-schema of ``root`` that ``ref``, such as ``#/$defs/perm``, names."""
     # Only local JSON pointers without escapes.
     if not ref.startswith("#/") or any(c in ref for c in "~%"):
         _unsupported("$ref", ref)
     target: Any = root
     for part in ref[2:].split("/"):
         target = target[part]
-    return _first_failure(x, target, root)
+    return target
 
 
 def _required(x: Any, keys: list, schema: dict, root: dict) -> tuple | None:
@@ -201,7 +205,7 @@ def _one_of(x: Any, subs: list, schema: dict, root: dict) -> tuple | None:
 # keyword -> check(instance, keyword value, enclosing schema, root schema):
 # None, or the first failure within the instance.
 _APPLICATORS = {
-    "$ref": _ref,
+    "$ref": lambda x, ref, s, r: _first_failure(x, _pointer(ref, r), r),
     "items": lambda x, sub, s, r: _below(((i, v, sub) for i, v in enumerate(x)), r)
     if isinstance(x, list) else None,
     "properties": lambda x, props, s, r: _below(
@@ -213,7 +217,7 @@ _APPLICATORS = {
         _first_failure(x, sub, r) is None for sub in subs) else ((), "anyOf", None),
     "oneOf": _one_of,
 }
-_ANNOTATIONS = {"title", "$defs"}
+_ANNOTATIONS = {"title", "$defs", "description", "default"}
 _DIALECT = "https://json-schema.org/draft/2020-12/schema"
 
 
@@ -385,16 +389,14 @@ def _svg_chains(diagram: SuspensionDiagram, witness: Witness | None) -> str:
 # commands
 
 
-def cmd_omega(job: dict) -> int:
-    sigma = validate_permutation(job["perm"])
+def cmd_omega(job: dict, sigma: Permutation) -> int:
     _emit(omega(sigma).entries)
     return EXIT_OK
 
 
-def cmd_suspend(job: dict) -> int:
+def cmd_suspend(job: dict, sigma: Permutation) -> int:
     from .suspension import build_suspension, self_intersects
 
-    sigma = validate_permutation(job["perm"])
     diagram = build_suspension(sigma, job["lengths"], job["heights"])
     report = self_intersects(diagram)
     # Serialized, drawn and written before anything is printed, so an output
@@ -412,10 +414,9 @@ def cmd_suspend(job: dict) -> int:
     return EXIT_OK
 
 
-def cmd_check(job: dict) -> int:
+def cmd_check(job: dict, sigma: Permutation) -> int:
     from . import criterion
 
-    sigma = validate_permutation(job["perm"])
     report = criterion.convexity_criterion(sigma, job["lengths"], job["heights"])
     _emit({
         "perm": sigma.images,
@@ -488,10 +489,9 @@ def _scan_chunk(args: tuple) -> tuple[Verdict, ...]:
 _SAMPLES_PER_WORKER = 2048
 
 
-def cmd_scan(job: dict) -> int:
+def cmd_scan(job: dict, sigma: Permutation) -> int:
     from . import criterion
 
-    sigma = validate_permutation(job["perm"])
     spec = _load_curve(job["curve"])
     grid = _grid(job["from"], job["to"], job["samples"])
     # One worker per chunk, never more workers than the CPUs this process may
@@ -525,12 +525,12 @@ def cmd_scan(job: dict) -> int:
     return EXIT_OK
 
 
-def cmd_orbit(job: dict) -> int:
+def cmd_orbit(job: dict, sigma: Permutation) -> int:
     from .diagnostics import DEFAULT_REFINEMENT, visit_frequencies
     from .iet import build_iet
 
-    sigma = validate_permutation(job["perm"])
     t = build_iet(sigma, job["lengths"])
+    # The schema gives refine no default: this one is diagnostics', which only orbit loads.
     stats = visit_frequencies(t, job["x0"], job["iters"], job.get("refine", DEFAULT_REFINEMENT))
     _emit({
         "iterations": stats.n_iterations,
@@ -546,10 +546,9 @@ def cmd_orbit(job: dict) -> int:
     return EXIT_OK
 
 
-def cmd_connections(job: dict) -> int:
+def cmd_connections(job: dict, sigma: Permutation) -> int:
     from .iet import build_iet, find_connections
 
-    sigma = validate_permutation(job["perm"])
     t = build_iet(sigma, job["lengths"])
     hits = find_connections(t, job["max_m"])
     _emit({
@@ -597,65 +596,62 @@ class _SignedValues(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line, read off the job schema.  Each ``oneOf`` branch is a
+    subcommand, named by its ``command`` constant, helped by its
+    ``description`` and run by ``cmd_<name>``.  Each other field is an option
+    ``--<field>``, with "_" read as "-", whose dest is the field; it is
+    required when the branch requires the field, its help is the first
+    ``description`` on the field and the schemas its ``$ref`` leads to, and
+    its default is the field's ``default``.  Its reader is that of the first
+    ``$ref`` or ``type`` on that chain that has one:
+
+    ``#/$defs/perm``                 comma-separated ints
+    ``#/$defs/scalar_vector``        comma-separated strings, each stripped
+    ``integer``, ``number``          int, float
+    ``string``, ``#/$defs/scalar``   the text itself
+    ``boolean``                      a flag that stores True
+    """
+    schema = _load_schema()
+    readers = {
+        "#/$defs/perm": {"type": _typed(_split_ints, "not a comma-separated integer list")},
+        "#/$defs/scalar_vector": {"type": _split_strs},
+        "integer": {"type": _typed(int, "invalid int value")},
+        "number": {"type": _typed(float, "invalid float value")},
+        "string": {},
+        "#/$defs/scalar": {},
+        "boolean": {"action": "store_true"},
+    }
     parser = argparse.ArgumentParser(
         prog="ietkit",
         description="Interval exchanges, suspension polygons, and the convexity criterion.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SignedValues)
-    ints = _typed(_split_ints, "not a comma-separated integer list")
-    integer = _typed(int, "invalid int value")
-    real = _typed(float, "invalid float value")
-
-    def command(name: str, run: Callable[[dict], int], help: str, lengths: bool = False,
-                heights: bool = False) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
-        p.add_argument("--perm", type=ints, required=True,
-                       help="one-line permutation images, e.g. 3,1,2")
-        if lengths:
-            p.add_argument("--lengths", type=_split_strs, required=True,
-                           help="comma-separated positive rationals, e.g. 1,3/2,0.25")
-        if heights:
-            p.add_argument("--heights", type=_split_strs, required=True)
-        return p
-
-    command("omega", cmd_omega, "print the exchange matrix")
-
-    p = command("suspend", cmd_suspend, "build the suspension and test simplicity",
-                lengths=True, heights=True)
-    p.add_argument("--svg", help="write the two chains to this SVG file")
-    p.add_argument("--require-simple", action="store_true", dest="require_simple")
-
-    command("check", cmd_check, "run the convexity criterion", lengths=True, heights=True)
-
-    p = command("scan", cmd_scan, "sweep a polynomial curve family")
-    p.add_argument("--curve", required=True, help="JSON file with d and coeffs")
-    p.add_argument("--samples", type=integer, required=True)
-    p.add_argument("--jobs", type=integer, default=1)
-    p.add_argument("--from", type=real, required=True)
-    p.add_argument("--to", type=real, required=True)
-
-    p = command("orbit", cmd_orbit, "visit frequencies and discrepancy", lengths=True)
-    p.add_argument("--x0", required=True)
-    p.add_argument("--iters", type=integer, required=True)
-    # No default here: cmd_orbit takes diagnostics' own, which only orbit loads.
-    p.add_argument("--refine", type=integer)
-
-    p = command("connections", cmd_connections, "search for finite break-point orbits",
-                lengths=True)
-    p.add_argument("--max-m", dest="max_m", type=integer, required=True)
-
+    for branch in schema["oneOf"]:
+        fields = dict(branch["properties"])
+        name = fields.pop("command")["const"]
+        p = sub.add_parser(name, help=branch["description"])
+        p.set_defaults(run=globals()[f"cmd_{name}"])
+        for field, spec in fields.items():
+            chain = [spec]
+            while "$ref" in chain[-1]:
+                chain.append(_pointer(chain[-1]["$ref"], schema))
+            reader = next(readers[k] for k in (n.get("$ref", n.get("type")) for n in chain)
+                          if k in readers)
+            p.add_argument("--" + field.replace("_", "-"), dest=field,
+                           required=field in branch["required"], default=spec.get("default"),
+                           help=next((n["description"] for n in chain if "description" in n), None),
+                           **reader)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     # The parsed options, less those left unset.
-    job = {k: v for k, v in vars(args).items() if v is not None}
+    job = {k: v for k, v in vars(_build_parser().parse_args(argv)).items() if v is not None}
     run = job.pop("run")
     try:
         _validate(job, _load_schema())
-        return run(job)
+        # Every branch requires a permutation, checked once the schema holds.
+        return run(job, validate_permutation(job["perm"]))
     except ReduciblePermutation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REDUCIBLE

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence, Union
@@ -280,9 +280,8 @@ def find_connections(t: Iet, max_m: int) -> list[Connection]:
     _, top, _, shifts = t._integers
     total = top[-1]
     work = (t.d - 1) * min(max_m, total // math.gcd(*top))
-    L, starts, nodes, hits, heights, moves = _towers(
+    _, starts, nodes, hits, heights, moves = _towers(
         top[:-1], shifts, total, work, 0, [[]] + [[(0, j)] for j in range(1, t.d)])[:6]
-    pieces = bisect_left(starts, L)
     floors = {i: (p, f) for p, tower in enumerate(hits) for f, i in tower}
     found = []
     for i in range(1, t.d):
@@ -297,7 +296,7 @@ def find_connections(t: Iet, max_m: int) -> list[Connection]:
                 got += [(m + g, j) for g, j in tower if g <= f and m + g <= max_m]
                 period = m + f
                 break
-            q = bisect_right(starts, y, 0, pieces) - 1
+            q = bisect_right(starts, y) - 1
             if y == starts[q]:
                 got += [(m + g, j) for g, j in hits[q] if m + g <= max_m]
             s = nodes[q]

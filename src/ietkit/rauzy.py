@@ -447,14 +447,12 @@ def _spell(codes: list[int], s: int, n: int, heights: list[int], kids: list, at:
     >>> codes
     [1, 2, 1, 2, 1]
     """
-    # Each task is (node, count), or (~node, start) once the node's whole
-    # excursion is written from start on.
+    # Each task is (node, count).  A node's parts are older nodes, so its
+    # word never holds it, and every task pushed before it runs once its
+    # whole word is written: a word is noted in ``at`` as it begins.
     todo = [(s, n)]
     while todo:
         s, n = todo.pop()
-        if s < 0:
-            at[~s] = n
-            continue
         kid = kids[s]
         if kid is None:
             codes += [s + 1] * n
@@ -468,9 +466,9 @@ def _spell(codes: list[int], s: int, n: int, heights: list[int], kids: list, at:
                 if n:
                     todo.append((s, n))
                 continue
+            at[s] = len(codes)
             if n > h:
                 todo.append((s, n - h))
-            todo.append((~s, len(codes)))
             n = h
         a, ra, b, _ = kid
         head = min(n, ra * heights[a])

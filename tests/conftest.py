@@ -125,13 +125,14 @@ def rng():
 
 @pytest.fixture()
 def step_budget(monkeypatch):
-    """Fails a count once it has taken more than ``budget[0]`` steps through
-    a partition or a level, each one lookup, instead of letting it run.
+    """Fails a count or a walk once it has taken more than ``budget[0]``
+    steps through a partition, a level or the towers that ``iet``'s coding
+    and connections read, each one lookup, instead of letting it run.
 
-    An orbit test that counts to 10^7 steps or more sets its budget to ten
-    times the lookups it took when the budget was set, so that a count that
-    loses its way fails in seconds, naming the test, instead of running for
-    hours."""
+    An orbit test that counts to 10^7 steps or more, and a long coding or
+    connection test, sets its budget to ten times the lookups it took when
+    the budget was set, so that a count or a walk that loses its way fails
+    in seconds, naming the test, instead of running for hours."""
     budget = [0]
     look = rauzy.bisect_right
 
@@ -140,7 +141,8 @@ def step_budget(monkeypatch):
         assert budget[0] >= 0, "over the step budget"
         return look(starts, y)
 
-    monkeypatch.setattr(rauzy, "bisect_right", counted)
+    for module in (rauzy, iet):
+        monkeypatch.setattr(module, "bisect_right", counted)
     return budget
 
 

@@ -231,6 +231,25 @@ def test_rejected_jobs_keep_their_messages(capsys, tmp_path, code, argv, curve, 
     assert run_cli(capsys, *argv) == (code, "", err)
 
 
+SCAN_USAGE = ("usage: ietkit scan [-h] --perm PERM --curve CURVE --samples SAMPLES\n"
+              "                   [--jobs JOBS] --from FROM --to TO\n")
+
+
+def test_scan_usage_lists_samples_and_jobs_before_the_bounds(capsys, monkeypatch):
+    # The order of scan's fields in the schema is the order of its options.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, "scan", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(SCAN_USAGE + "\n")
+
+
+def test_scan_lists_missing_options_in_usage_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, "scan", "--perm", "2,1") == (2, "", SCAN_USAGE + (
+        "ietkit scan: error: the following arguments are required: "
+        "--curve, --samples, --from, --to\n"))
+
+
 def test_scan_samples_are_bounded_by_the_schema():
     # The scan builds its whole grid before the first sample, so the grid's
     # size is capped; the largest allowed job is validated but not run.

@@ -81,6 +81,13 @@ def test_omega_upper_entries_flag_inversions(images):
             assert (m[i - 1][j - 1] == -1) == (p(i) > p(j))
 
 
+@given(perms)
+def test_omega_rows_are_indexed_like_its_entries(images):
+    m = omega(validate_permutation(images))
+    for i in range(m.d):
+        assert m[i] == m.entries[i]
+
+
 # ---------------------------------------------------------------------------
 # the Omega v^T kernel and the Fenwick evaluator that checks it
 

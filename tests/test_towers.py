@@ -261,7 +261,8 @@ def test_connections_of_a_break_on_a_high_floor(level):
 # named cases
 
 
-def test_one_symbol():
+def test_one_symbol(step_budget):
+    step_budget[0] = 10 * 9
     t = build_iet(validate_permutation([1]), [F(5, 3)])
     for x0 in (F(0), F(1, 2), F(3, 2)):
         for n in (0, 1, 2, 10**5):
@@ -270,18 +271,20 @@ def test_one_symbol():
 
 
 @pytest.mark.parametrize("x0", [F(0), F(1), F(2), F(5, 2), F(1, 3)])
-def test_reducible_exchange(x0):
+def test_reducible_exchange(x0, step_budget):
     # sigma = [2,1,4,3] is a period-2 swap on [0, 2), two cylinders, and a
     # rotation on [2, total) whose orbits do not return within these counts.
+    step_budget[0] = 10 * 18
     t = build_iet(validate_permutation([2, 1, 4, 3]), [1, 1, F(1597, 987), F(999983, 1000003)])
     check_both(t, x0, (0, 1, 2, 3, 1000, 20_001), (1, 2, 3, 100, 4_001))
     assert [(c.m, c.i, c.j) for c in find_connections(t, 300)] == oracle_connections(
         [2, 1, 4, 3], t.lengths, 300)
 
 
-def test_tie_of_the_unit_swap():
+def test_tie_of_the_unit_swap(step_budget):
     # a = (1, 1): the first step is a tie, and the level is one cylinder of
     # height 2 whose hits are x_1 at t = 1.
+    step_budget[0] = 10 * 23
     t = build_iet(validate_permutation([2, 1]), [1, 1])
     tw = towers_of(t)
     assert (tw.L, tw.starts, tw.hits, [tw.heights[s] for s in tw.nodes]) == (0, [0], [[(1, 1)]], [2])
@@ -329,9 +332,10 @@ def periodic_reference(t, max_m: int) -> list[tuple[int, int, int]]:
     return sorted(found)
 
 
-def test_connections_to_a_billion_repeat_one_period():
+def test_connections_to_a_billion_repeat_one_period(step_budget):
     # Scaled totals of at most 10^5, and periods of at least 10^4, so the
     # output stays near 10^5 connections.
+    step_budget[0] = 10 * 23
     rng = random.Random(f"{SEED}/tower-billion")
     cases = 0
     while cases < 4:
@@ -348,10 +352,11 @@ def test_connections_to_a_billion_repeat_one_period():
         assert [(c.m, c.i, c.j) for c in find_connections(t, 10**9)] == want
 
 
-def test_huge_bounds_keep_the_first_hits():
+def test_huge_bounds_keep_the_first_hits(step_budget):
     # max_m = 10^12 on the benchmark's kind of exchange, d = 20 with lengths
     # over two primes near 10^6, whose orbits do not return: the hits up to
     # 5,000 are those of the plain loop.
+    step_budget[0] = 10 * 790
     rng = random.Random(f"{SEED}/tower-huge")
     sigma = random_irreducible(20, rng.getrandbits(32))
     t = build_iet(sigma, [F(rng.randint(10**6, 2 * 10**6), rng.choice((999_983, 1_000_003))) for _ in range(20)])
@@ -365,12 +370,13 @@ def test_huge_bounds_keep_the_first_hits():
 
 @pytest.mark.parametrize("n", [10, 10**5])
 @pytest.mark.parametrize("x0", [F(0), F(1), F(10**6 // 3)])
-def test_coding_builds_no_word_longer_than_n(n, x0):
+def test_coding_builds_no_word_longer_than_n(n, x0, step_budget):
     # The Zorich case: a = (1, 10^6 + 1/10^6) gives a tower of height
     # 10^6 + 1 at the first level.  Its word is never built whole: the
     # coding takes its prefix, and the peak stays within a few bytes per
     # step plus a bounded amount per node and symbol, far below the 8 MB
     # that a list of 10^6 codes takes.
+    step_budget[0] = 10 * 2
     t = build_iet(validate_permutation([2, 1]), [F(1), 10**6 + F(1, 10**6)])
     tw = towers_of(t, x0, n)
     assert max(tw.heights[s] for s in tw.nodes) == 10**6 + 1
