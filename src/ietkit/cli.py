@@ -15,8 +15,12 @@ Vectors such as the heights b are often negative, so each subparser is a
 with a single "-", such as ``-1,1`` or ``-inf``, as a value unless it is one
 of the parser's own option strings: argparse alone reads it as an option.
 
-Exit codes: 0 success, 2 input validation, 3 simplicity required but violated,
-4 reducible permutation, 5 curve left its positivity domain.
+A handler only computes and prints.  Once argparse has read the options,
+every error that ends a job, ``--require-simple`` on a crossing curve
+included, is an exception that ``main`` prints as one ``error: ...`` line on
+stderr, and one table, ``_EXIT_CODES``, maps it to the exit code: 0 success,
+2 input validation, 3 simplicity required but violated, 4 reducible
+permutation, 5 curve left its positivity domain.
 """
 
 from __future__ import annotations
@@ -48,13 +52,6 @@ if TYPE_CHECKING:
     from .criterion import CurveSpec, Verdict
     from .perm import Permutation
     from .suspension import SuspensionDiagram, Witness
-
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_NOT_SIMPLE = 3
-EXIT_REDUCIBLE = 4
-EXIT_DOMAIN = 5
-
 
 # ---------------------------------------------------------------------------
 # canonical JSON
@@ -389,12 +386,15 @@ def _svg_chains(diagram: SuspensionDiagram, witness: Witness | None) -> str:
 # commands
 
 
-def cmd_omega(job: dict, sigma: Permutation) -> int:
+def cmd_omega(job: dict, sigma: Permutation) -> None:
     _emit(omega(sigma).entries)
-    return EXIT_OK
 
 
-def cmd_suspend(job: dict, sigma: Permutation) -> int:
+class _NotSimple(IetkitError):
+    """A crossing curve under ``suspend --require-simple``."""
+
+
+def cmd_suspend(job: dict, sigma: Permutation) -> None:
     from .suspension import build_suspension, self_intersects
 
     diagram = build_suspension(sigma, job["lengths"], job["heights"])
@@ -409,12 +409,10 @@ def cmd_suspend(job: dict, sigma: Permutation) -> int:
             fh.write(svg + "\n")
     sys.stdout.write(text + "\n")
     if job["require_simple"] and not report.simple:
-        print("error: curve self-intersects but --require-simple was set", file=sys.stderr)
-        return EXIT_NOT_SIMPLE
-    return EXIT_OK
+        raise _NotSimple("curve self-intersects but --require-simple was set")
 
 
-def cmd_check(job: dict, sigma: Permutation) -> int:
+def cmd_check(job: dict, sigma: Permutation) -> None:
     from . import criterion
 
     report = criterion.convexity_criterion(sigma, job["lengths"], job["heights"])
@@ -430,7 +428,6 @@ def cmd_check(job: dict, sigma: Permutation) -> int:
         "slopes": report.diagram.slopes,
         "return_profile": report.diagram.return_profile,
     })
-    return EXIT_OK
 
 
 def _parse_int(text: str) -> int:
@@ -489,7 +486,7 @@ def _scan_chunk(args: tuple) -> tuple[Verdict, ...]:
 _SAMPLES_PER_WORKER = 2048
 
 
-def cmd_scan(job: dict, sigma: Permutation) -> int:
+def cmd_scan(job: dict, sigma: Permutation) -> None:
     from . import criterion
 
     spec = _load_curve(job["curve"])
@@ -522,10 +519,9 @@ def cmd_scan(job: dict, sigma: Permutation) -> int:
         "fractions": {v.value: frac for v, frac in summary.verdict_fractions.items()},
         "exceptional": [{"s": s, "verdict": v} for s, v in summary.exceptional],
     })
-    return EXIT_OK
 
 
-def cmd_orbit(job: dict, sigma: Permutation) -> int:
+def cmd_orbit(job: dict, sigma: Permutation) -> None:
     from .diagnostics import DEFAULT_REFINEMENT, visit_frequencies
     from .iet import build_iet
 
@@ -543,10 +539,9 @@ def cmd_orbit(job: dict, sigma: Permutation) -> int:
         "refinement_discrepancy_float": float(stats.refinement_discrepancy),
         "empirical": True,
     })
-    return EXIT_OK
 
 
-def cmd_connections(job: dict, sigma: Permutation) -> int:
+def cmd_connections(job: dict, sigma: Permutation) -> None:
     from .iet import build_iet, find_connections
 
     t = build_iet(sigma, job["lengths"])
@@ -555,7 +550,6 @@ def cmd_connections(job: dict, sigma: Permutation) -> int:
         "max_m": job["max_m"],
         "connections": [{"m": c.m, "i": c.i, "j": c.j} for c in hits],
     })
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +638,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error that has one of its own, looked up by the error's
+# exact type, so a subclass of these would exit 2, as every other error does.
+_EXIT_CODES = {_NotSimple: 3, ReduciblePermutation: 4, DomainViolation: 5}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     # The parsed options, less those left unset.
     job = {k: v for k, v in vars(_build_parser().parse_args(argv)).items() if v is not None}
@@ -651,20 +650,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _validate(job, _load_schema())
         # Every branch requires a permutation, checked once the schema holds.
-        return run(job, validate_permutation(job["perm"]))
-    except ReduciblePermutation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REDUCIBLE
-    except DomainViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        run(job, validate_permutation(job["perm"]))
     except (IetkitError, OSError, json.JSONDecodeError) as exc:
         message = str(exc)
         if getattr(exc, "filename", None) is not None:
             # str(exc), with the path quoted up to a length bound.
             message = f"[Errno {exc.errno}] {exc.strerror}: {_quoted(exc.filename)}"
         print(f"error: {message}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _EXIT_CODES.get(type(exc), 2)
+    return 0
 
 
 def run() -> None:

@@ -248,27 +248,24 @@ def _towers(
             cylinders.append((L, a))
             continue
         top = lengths[a] >= lengths[b]
-        sw = node[a if top else b]
+        w = a if top else b
+        sw, cut = node[w], lengths[w]
         hw, tw = heights[sw], moves[sw]
         if lengths[a] == lengths[b]:
             # A tie: b's image is a's piece, so b absorbs a, as if it had
             # lost to a once, and a leaves [0, L).
-            cut, losses = lengths[a], [(b, 1)]
+            losses = [(b, 1)]
             _unlink(tprev, tnext, a)
             _move(bprev, bnext, b, a)
             _unlink(bprev, bnext, a)
             if hits is not None:
                 lift = heights[node[b]]
                 hits[b] = hits[b] + [(t + lift, j) for t, j in hits[a]]
-        elif top:
-            cut = lengths[a]
-            losses = _zorich(lengths, bprev, bnext, a)
-            cut -= lengths[a]
         else:
-            cut = lengths[b]
-            losses = _zorich(lengths, tprev, tnext, b)
-            cut -= lengths[b]
-            if hits is not None:
+            prev, nxt = (bprev, bnext) if top else (tprev, tnext)
+            losses = _zorich(lengths, prev, nxt, w)
+            cut -= lengths[w]
+            if hits is not None and not top:
                 for g, r in losses:
                     lift = r * hw
                     hits[g] = [(t + lift, j) for t, j in hits[g]]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -84,18 +85,51 @@ def test_shipped_schema_is_a_valid_schema():
     Draft202012Validator.check_schema(_load_schema())
 
 
-def test_each_command_declares_exactly_its_schema_fields():
-    # The parsed options are the job, so an option that the command's schema
-    # branch lacks would fail every run, and a field no option sets would be
-    # unreachable from the command line.
+# A sample token for each field and what its option's reader makes of it;
+# True marks a flag.  Each value's repr carries its type, so an int read as
+# a float, or a list read as text, does not compare equal.
+READS = {
+    "perm": ("3,1,2", [3, 1, 2]),
+    "lengths": (" 1, 3/2 ", ["1", "3/2"]),
+    "heights": ("-1 ,0.5", ["-1", "0.5"]),
+    "x0": (" -1/2", " -1/2"),
+    "svg": ("out.svg", "out.svg"),
+    "curve": (" c.json", " c.json"),
+    "samples": ("7", 7),
+    "jobs": ("2", 2),
+    "iters": ("10", 10),
+    "refine": ("3", 3),
+    "max_m": ("5", 5),
+    "from": ("1", 1.0),
+    "to": ("-2.5", -2.5),
+    "require_simple": (None, True),
+}
+
+
+def test_each_option_is_read_off_its_schema_field():
+    # The parsed options are the job, so each command's options must be
+    # exactly its schema branch's fields, each with the flag, requiredness,
+    # default and reader that the field declares.
     parser = _build_parser()
     commands = next(a.choices for a in parser._actions if a.dest == "command")
     branches = {b["properties"]["command"]["const"]: b for b in _load_schema()["oneOf"]}
     assert commands.keys() == branches.keys()
     for name, sub in commands.items():
-        dests = {a.dest for a in sub._actions} - {"help"}
-        assert dests == branches[name]["properties"].keys() - {"command"}
+        branch = branches[name]
         assert sub.get_default("run") is getattr(ietkit.cli, f"cmd_{name}")
+        actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+        assert actions.keys() == branch["properties"].keys() - {"command"}
+        for field, action in actions.items():
+            assert action.option_strings == ["--" + field.replace("_", "-")], field
+            assert action.required == (field in branch["required"]), field
+            assert action.default == branch["properties"][field].get("default"), field
+            token, value = READS[field]
+            if value is True:
+                assert isinstance(action, argparse._StoreTrueAction), field
+            else:
+                assert isinstance(action, argparse._StoreAction), field
+                read = token if action.type is None else action.type(token)
+                assert repr(read) == repr(value), field
 
 
 VALID_RUNS_SCRIPT = """
@@ -438,7 +472,18 @@ def test_suspend_require_simple_sets_exit_code(capsys):
     code, out, err = run_cli(capsys, "suspend", *_frozen_args(), "--require-simple")
     assert code == 3
     assert json.loads(out)["simple"] is False  # payload still emitted
-    assert "require-simple" in err
+    assert err == "error: curve self-intersects but --require-simple was set\n"
+
+
+def test_suspend_require_simple_writes_the_svg_and_the_json(capsys, tmp_path):
+    plain, required = tmp_path / "plain.svg", tmp_path / "required.svg"
+    expected = run_cli(capsys, "suspend", *_frozen_args(), "--svg", str(plain))
+    assert expected[0] == 0
+    code, out, err = run_cli(capsys, "suspend", *_frozen_args(), "--require-simple",
+                             "--svg", str(required))
+    assert (code, err) == (3, "error: curve self-intersects but --require-simple was set\n")
+    assert out == expected[1]
+    assert required.read_bytes() == plain.read_bytes()
 
 
 def test_suspend_svg_geometry(capsys, tmp_path):
